@@ -18,19 +18,21 @@ cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j"$jobs"
 ctest --preset asan-ubsan -j"$jobs"
 
-# ThreadSanitizer over the parallel engines: the sweep and fault
-# campaign determinism tests race real workers over shared queues, so
+# ThreadSanitizer over the parallel engines: the sweep, fault
+# campaign and serve determinism tests race real workers over shared
+# queues (grid_test pins the shared writers' bytes), so
 # TSan gates the pool's synchronization and the per-cell isolation
 # claim (each campaign cell owns its Context/Registry/Injector).
 cmake --preset tsan
 cmake --build --preset tsan -j"$jobs" \
     --target sweep_test fault_test critpath_test overlap_test \
-        serve_test
+        serve_test grid_test
 build-tsan/tests/sweep_test
 build-tsan/tests/fault_test
 build-tsan/tests/critpath_test
 build-tsan/tests/overlap_test
 build-tsan/tests/serve_test
+build-tsan/tests/grid_test
 
 hccsim=build/tools/hccsim
 tmp="$(mktemp -d)"
@@ -92,6 +94,12 @@ cmp "$tmp/crit1.txt" "$tmp/crit2.txt"
     --stats-out "$tmp/sweep4.json" >/dev/null
 cmp "$tmp/cells1.csv" "$tmp/cells4.csv"
 cmp "$tmp/sweep1.json" "$tmp/sweep4.json"
+# The same identity for the per-cell JSON writer.
+for j in 1 4; do
+    "$hccsim" sweep --apps gaussian,atax --jobs "$j" \
+        --out "$tmp/cells$j.json" --format json >/dev/null
+done
+cmp "$tmp/cells1.json" "$tmp/cells4.json"
 "$hccsim" stats-diff "$tmp/sweep1.json" "$tmp/sweep4.json" >/dev/null
 
 "$hccsim" run --app gaussian --cc --stats-out "$tmp/a.json" >/dev/null
@@ -133,6 +141,11 @@ cmp bench/baselines/overlap_ablation_stats.json "$tmp/overlap1.json"
     --stats-out "$tmp/faults4.json" >/dev/null
 cmp "$tmp/faults1.csv" "$tmp/faults4.csv"
 cmp "$tmp/faults1.json" "$tmp/faults4.json"
+for j in 1 4; do
+    "$hccsim" faults --app gaussian --rates 0.5 --seeds 42 --jobs "$j" \
+        --out "$tmp/fault_cells$j.json" --format json >/dev/null
+done
+cmp "$tmp/fault_cells1.json" "$tmp/fault_cells4.json"
 "$hccsim" stats-diff bench/baselines/faults_gaussian_stats.json \
     "$tmp/faults1.json"
 cmp bench/baselines/faults_gaussian_stats.json "$tmp/faults1.json"
@@ -160,6 +173,13 @@ fi
     --stats-out "$tmp/serve4.json" >/dev/null
 cmp "$tmp/serve1.csv" "$tmp/serve4.csv"
 cmp "$tmp/serve1.json" "$tmp/serve4.json"
+for j in 1 4; do
+    "$hccsim" serve --requests 40 --loads 2,8 --prompt-len 128 \
+        --gen-len 16 --max-batch 8 --kv-budget 64 --seed 42 \
+        --jobs "$j" --out "$tmp/serve_cells$j.json" --format json \
+        >/dev/null
+done
+cmp "$tmp/serve_cells1.json" "$tmp/serve_cells4.json"
 "$hccsim" stats-diff bench/baselines/serve_llm_stats.json \
     "$tmp/serve1.json"
 cmp bench/baselines/serve_llm_stats.json "$tmp/serve1.json"

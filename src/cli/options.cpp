@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "common/calibration.hpp"
 #include "common/log.hpp"
 #include "common/table.hpp"
+#include "common/text.hpp"
 #include "crypto/calibrate.hpp"
 #include "crypto/impl.hpp"
 #include "ml/llm.hpp"
@@ -76,55 +77,30 @@ simOf(Options &o)
     }
 }
 
+/** The shared flags of sweep/faults/serve; null for other commands. */
+GridCommandOptions *
+gridOf(Options &o)
+{
+    switch (o.command) {
+      case Command::Sweep: return &o.sweep;
+      case Command::Faults: return &o.faults;
+      case Command::Serve: return &o.serve;
+      default: return nullptr;
+    }
+}
+
 std::string *
 statsOutOf(Options &o)
 {
+    if (GridCommandOptions *g = gridOf(o))
+        return &g->stats_out;
     switch (o.command) {
       case Command::Run: return &o.run.stats_out;
       case Command::Compare: return &o.compare.stats_out;
       case Command::Trace: return &o.trace.stats_out;
       case Command::Critical: return &o.critical.stats_out;
-      case Command::Sweep: return &o.sweep.stats_out;
-      case Command::Faults: return &o.faults.stats_out;
-      case Command::Serve: return &o.serve.stats_out;
       case Command::CryptoCalibrate:
         return &o.crypto_calibrate.stats_out;
-      default: return nullptr;
-    }
-}
-
-std::string *
-outFileOf(Options &o)
-{
-    switch (o.command) {
-      case Command::Sweep: return &o.sweep.out_file;
-      case Command::Faults: return &o.faults.out_file;
-      case Command::Serve: return &o.serve.out_file;
-      case Command::Snapshot: return &o.snapshot.out_file;
-      default: return nullptr;
-    }
-}
-
-int *
-jobsOf(Options &o)
-{
-    switch (o.command) {
-      case Command::Compare: return &o.compare.jobs;
-      case Command::Sweep: return &o.sweep.jobs;
-      case Command::Faults: return &o.faults.jobs;
-      case Command::Serve: return &o.serve.jobs;
-      default: return nullptr;
-    }
-}
-
-OutputFormat *
-formatOf(Options &o)
-{
-    switch (o.command) {
-      case Command::Trace: return &o.trace.format;
-      case Command::Sweep: return &o.sweep.format;
-      case Command::Faults: return &o.faults.format;
-      case Command::Serve: return &o.serve.format;
       default: return nullptr;
     }
 }
@@ -182,19 +158,6 @@ applyParsed(std::string &error, Fn &&fn)
         error = e.what();
         return false;
     }
-}
-
-/** Comma-split with empty items dropped. */
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::string item;
-    std::istringstream iss(csv);
-    while (std::getline(iss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
 }
 
 const FlagSpec kFlags[] = {
@@ -277,14 +240,17 @@ const FlagSpec kFlags[] = {
          | bit(Command::Serve),
      "json|csv", "trace/results format (default json)",
      [](Options &o, const std::string &v, std::string &error) {
-         if (v == "json")
-             *formatOf(o) = OutputFormat::Json;
-         else if (v == "csv")
-             *formatOf(o) = OutputFormat::Csv;
-         else {
+         OutputFormat format = OutputFormat::Json;
+         if (v == "csv")
+             format = OutputFormat::Csv;
+         else if (v != "json") {
              error = "--format must be json or csv";
              return false;
          }
+         if (GridCommandOptions *g = gridOf(o))
+             g->format = format;
+         else
+             o.trace.format = format;
          return true;
      }},
     {"--crypto-workers",
@@ -450,7 +416,8 @@ const FlagSpec kFlags[] = {
      "FILE",
      "per-cell results (CSV/JSON), or the snapshot output file",
      [](Options &o, const std::string &v, std::string &) {
-         *outFileOf(o) = v;
+         GridCommandOptions *g = gridOf(o);
+         (g ? g->out_file : o.snapshot.out_file) = v;
          return true;
      }},
     {"--apps", bit(Command::Sweep), "A,B|all",
@@ -501,7 +468,9 @@ const FlagSpec kFlags[] = {
          | bit(Command::Serve),
      "N", "worker threads (default: all cores)",
      [](Options &o, const std::string &v, std::string &error) {
-         return applyInt(*jobsOf(o), 1, "--jobs", v, error);
+         GridCommandOptions *g = gridOf(o);
+         return applyInt(g ? g->jobs : o.compare.jobs, 1, "--jobs", v,
+                         error);
      }},
     {"--fork-point",
      bit(Command::Sweep) | bit(Command::Faults)
@@ -1092,26 +1061,54 @@ formatMs(double us)
     return buf;
 }
 
-/** Human summary of a finished sweep (wall-clock is host time). */
+/** The status cell of a grid summary row. */
+template <typename Row>
+std::string
+statusOf(const Row &c)
+{
+    return c.ok ? "ok" : "FAIL: " + c.error;
+}
+
+/**
+ * The table every grid command prints: @p row renders one cell, then
+ * a "N/M cells ok, wall X ms" line left open for a command-specific
+ * tail.  Wall clock is host time.
+ */
+template <typename Result, typename RowFn>
+void
+printGridSummary(const std::string &title,
+                 std::vector<std::string> header, const Result &r,
+                 RowFn &&row, std::ostream &os)
+{
+    TextTable t(title + " (" + std::to_string(r.cells.size())
+                + " cells, --jobs " + std::to_string(r.jobs) + ")");
+    t.header(std::move(header));
+    for (const auto &c : r.cells)
+        t.row(row(c));
+    t.print(os);
+    os << "\n" << (r.cells.size() - r.failures()) << "/"
+       << r.cells.size() << " cells ok, wall " << formatMs(r.wall_us)
+       << " ms";
+}
+
+/** Human summary of a finished sweep. */
 void
 printSweepSummary(const sweep::SweepResult &r, std::ostream &os)
 {
-    TextTable t("sweep (" + std::to_string(r.cells.size())
-                + " cells, --jobs " + std::to_string(r.jobs) + ")");
-    t.header({"cell", "status", "end-to-end", "wall ms"});
-    for (const auto &c : r.cells) {
-        t.row({c.cell.label(), c.ok ? "ok" : "FAIL: " + c.error,
-               c.ok ? formatTime(c.result.metrics.end_to_end) : "-",
-               formatMs(c.wall_us)});
-    }
-    t.print(os);
+    printGridSummary(
+        "sweep", {"cell", "status", "end-to-end", "wall ms"}, r,
+        [](const sweep::CellResult &c) {
+            return std::vector<std::string>{
+                c.cell.label(), statusOf(c),
+                c.ok ? formatTime(c.result.metrics.end_to_end) : "-",
+                formatMs(c.wall_us)};
+        },
+        os);
     char util[32];
     std::snprintf(util, sizeof(util), "%.0f%%",
                   r.pool.utilization(r.wall_us) * 100.0);
-    os << "\n" << (r.cells.size() - r.failures()) << "/"
-       << r.cells.size() << " cells ok, wall " << formatMs(r.wall_us)
-       << " ms, pool utilization " << util << " ("
-       << r.pool.stolen << " steals)\n";
+    os << ", pool utilization " << util << " (" << r.pool.stolen
+       << " steals)\n";
 }
 
 /** Fixed-precision slowdown for the campaign table. */
@@ -1127,23 +1124,21 @@ formatSlowdown(double v)
 void
 printCampaignSummary(const fault::CampaignResult &r, std::ostream &os)
 {
-    TextTable t("fault campaign: " + r.spec.app + " ("
-                + std::to_string(r.cells.size()) + " cells, --jobs "
-                + std::to_string(r.jobs) + ")");
-    t.header({"cell", "status", "end-to-end", "slowdown", "injected",
-              "recovered"});
-    for (const auto &c : r.cells) {
-        t.row({c.cell.label(r.spec),
-               c.ok ? "ok" : "FAIL: " + c.error,
-               c.ok ? formatTime(c.result.end_to_end) : "-",
-               c.ok ? formatSlowdown(c.slowdown) : "-",
-               c.ok ? std::to_string(c.injected) : "-",
-               c.ok ? std::to_string(c.recovered) : "-"});
-    }
-    t.print(os);
-    os << "\n" << (r.cells.size() - r.failures()) << "/"
-       << r.cells.size() << " cells ok, wall " << formatMs(r.wall_us)
-       << " ms\n";
+    printGridSummary(
+        "fault campaign: " + r.spec.app,
+        {"cell", "status", "end-to-end", "slowdown", "injected",
+         "recovered"},
+        r,
+        [&r](const fault::CampaignCellResult &c) {
+            return std::vector<std::string>{
+                c.cell.label(r.spec), statusOf(c),
+                c.ok ? formatTime(c.result.end_to_end) : "-",
+                c.ok ? formatSlowdown(c.slowdown) : "-",
+                c.ok ? std::to_string(c.injected) : "-",
+                c.ok ? std::to_string(c.recovered) : "-"};
+        },
+        os);
+    os << "\n";
     if (r.snapshot_hits > 0)
         os << r.snapshot_hits << " cells forked from snapshots, peak "
            << r.peak_resident_bytes << " resident snapshot bytes\n";
@@ -1153,27 +1148,63 @@ printCampaignSummary(const fault::CampaignResult &r, std::ostream &os)
 void
 printServeSummary(const serve::ServeResult &r, std::ostream &os)
 {
-    TextTable t("serve: open-loop "
-                + ml::llmBackendName(r.spec.backend) + "/"
-                + ml::llmQuantName(r.spec.quant) + " ("
-                + std::to_string(r.cells.size()) + " cells, --jobs "
-                + std::to_string(r.jobs) + ")");
-    t.header({"cell", "status", "offered tok/s", "goodput tok/s",
-              "ttft p95", "tpot p95", "bottleneck"});
-    for (const auto &c : r.cells) {
-        const serve::ServePoint &p = c.point;
-        t.row({c.cell.label(), c.ok ? "ok" : "FAIL: " + c.error,
-               c.ok ? formatRate(p.offered_tok_s) : "-",
-               c.ok ? formatRate(p.goodput_tok_s) : "-",
-               c.ok ? formatTime(p.ttft_p95) : "-",
-               c.ok ? formatTime(p.tpot_p95) : "-",
-               c.ok ? std::string(trace::bottleneckName(p.bottleneck))
-                    : "-"});
+    printGridSummary(
+        "serve: open-loop " + ml::llmBackendName(r.spec.backend) + "/"
+            + ml::llmQuantName(r.spec.quant),
+        {"cell", "status", "offered tok/s", "goodput tok/s",
+         "ttft p95", "tpot p95", "bottleneck"},
+        r,
+        [](const serve::ServeCellResult &c) {
+            const serve::ServePoint &p = c.point;
+            return std::vector<std::string>{
+                c.cell.label(), statusOf(c),
+                c.ok ? formatRate(p.offered_tok_s) : "-",
+                c.ok ? formatRate(p.goodput_tok_s) : "-",
+                c.ok ? formatTime(p.ttft_p95) : "-",
+                c.ok ? formatTime(p.tpot_p95) : "-",
+                c.ok ? std::string(trace::bottleneckName(p.bottleneck))
+                     : "-"};
+        },
+        os);
+    os << "\n";
+}
+
+/** --jobs, or every core when unset. */
+int
+workers(int jobs)
+{
+    return jobs > 0 ? jobs : ThreadPool::defaultJobs();
+}
+
+/**
+ * The tail every grid command shares: summary table, per-cell
+ * results file (--out, CSV or JSON), merged stats (--stats-out);
+ * exit code 1 when any cell failed.
+ */
+template <typename Result>
+int
+finishGrid(const GridCommandOptions &go, const Result &result,
+           void (*summary)(const Result &, std::ostream &),
+           void (*csv)(const Result &, std::ostream &),
+           void (*json)(const Result &, std::ostream &),
+           void (*stats)(const Result &, std::ostream &),
+           std::ostream &os)
+{
+    summary(result, os);
+    if (!go.out_file.empty()) {
+        writeFileChecked(go.out_file, "results file",
+                         [&](std::ostream &out) {
+                             auto write = go.format == OutputFormat::Csv
+                                 ? csv
+                                 : json;
+                             write(result, out);
+                         });
     }
-    t.print(os);
-    os << "\n" << (r.cells.size() - r.failures()) << "/"
-       << r.cells.size() << " cells ok, wall " << formatMs(r.wall_us)
-       << " ms\n";
+    if (!go.stats_out.empty()) {
+        writeFileChecked(go.stats_out, "stats file",
+                         [&](std::ostream &out) { stats(result, out); });
+    }
+    return result.allOk() ? 0 : 1;
 }
 
 } // namespace
@@ -1231,35 +1262,23 @@ runCli(const Options &opt, std::ostream &os)
 
       case Command::Compare: {
         const CompareOptions &co = opt.compare;
-        // Both runs are independent simulations, so run them as a
-        // two-cell sweep grid: --jobs 2 overlaps them on two
-        // workers, and the merge order (base first) is fixed by the
-        // grid expansion, not by which finishes first.  User spec
-        // files and faulted runs stay on the serial path (grid cells
-        // carry neither a spec file nor a fault config).
-        workloads::WorkloadResult base, cc;
-        if (!co.workload.spec_file.empty() || co.sim.faults.any()) {
-            base = runOnce(co.workload, co.sim, false);
-            cc = runOnce(co.workload, co.sim, true);
-        } else {
-            sweep::GridSpec grid;
-            grid.apps = {co.workload.app};
-            grid.cc_modes = {false, true};
-            grid.uvm_modes = {co.sim.uvm};
-            grid.scales = {co.sim.scale};
-            grid.seeds = {co.sim.seed};
-            grid.overlaps = {co.sim.overlap};
-            grid.crypto_workers = co.sim.crypto_workers;
-            grid.tee_io = co.sim.tee_io;
-            const int jobs = std::min(
-                co.jobs > 0 ? co.jobs : ThreadPool::defaultJobs(), 2);
-            auto sw = sweep::runSweep(grid, jobs);
-            for (const auto &c : sw.cells)
-                if (!c.ok)
-                    fatal("%s", c.error.c_str());
-            base = std::move(sw.cells[0].result);
-            cc = std::move(sw.cells[1].result);
-        }
+        // Base and CC are independent simulations: --jobs 2 overlaps
+        // them on two workers, and the result order (base first) is
+        // fixed by the task index, not by which finishes first.
+        workloads::WorkloadResult runs[2];
+        std::exception_ptr errors[2];
+        runIndexed(2, std::min(workers(co.jobs), 2), [&](std::size_t i) {
+            try {
+                runs[i] = runOnce(co.workload, co.sim, i == 1);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        });
+        for (const auto &error : errors)
+            if (error)
+                std::rethrow_exception(error);
+        const workloads::WorkloadResult &base = runs[0];
+        const workloads::WorkloadResult &cc = runs[1];
         printSummary(base, os);
         os << "\n";
         printSummary(cc, os);
@@ -1329,10 +1348,8 @@ runCli(const Options &opt, std::ostream &os)
 
       case Command::Sweep: {
         const SweepOptions &so = opt.sweep;
-        sweep::GridSpec grid;
-        if (so.spec_file.empty()) {
-            grid = so.grid;
-        } else {
+        sweep::GridSpec grid = so.grid;
+        if (!so.spec_file.empty()) {
             auto loaded = sweep::loadGridFile(so.spec_file);
             if (!loaded.ok())
                 fatal("%s", loaded.status().toString().c_str());
@@ -1344,27 +1361,10 @@ runCli(const Options &opt, std::ostream &os)
             grid.no_snapshot = true;
         if (so.snapshot.budget_bytes)
             grid.snapshot_budget_bytes = *so.snapshot.budget_bytes;
-        const int jobs =
-            so.jobs > 0 ? so.jobs : ThreadPool::defaultJobs();
-        obs::Registry reg;
-        const auto result = sweep::runSweep(grid, jobs, &reg);
-        printSweepSummary(result, os);
-        if (!so.out_file.empty()) {
-            writeFileChecked(
-                so.out_file, "results file", [&](std::ostream &out) {
-                    if (so.format == OutputFormat::Csv)
-                        sweep::writeCellsCsv(result, out);
-                    else
-                        sweep::writeCellsJson(result, out);
-                });
-        }
-        if (!so.stats_out.empty()) {
-            writeFileChecked(so.stats_out, "stats file",
-                             [&](std::ostream &out) {
-                                 sweep::writeMergedStats(result, out);
-                             });
-        }
-        return result.allOk() ? 0 : 1;
+        return finishGrid(so, sweep::runSweep(grid, workers(so.jobs)),
+                          printSweepSummary, sweep::writeCellsCsv,
+                          sweep::writeCellsJson, sweep::writeMergedStats,
+                          os);
       }
 
       case Command::Faults: {
@@ -1373,51 +1373,18 @@ runCli(const Options &opt, std::ostream &os)
         if (spec.sites.empty())
             spec.sites.assign(fault::allSites().begin(),
                               fault::allSites().end());
-        const int jobs =
-            fo.jobs > 0 ? fo.jobs : ThreadPool::defaultJobs();
-        obs::Registry reg;
-        const auto result = fault::runFaultCampaign(spec, jobs, &reg);
-        printCampaignSummary(result, os);
-        if (!fo.out_file.empty()) {
-            writeFileChecked(
-                fo.out_file, "results file", [&](std::ostream &out) {
-                    if (fo.format == OutputFormat::Csv)
-                        fault::writeCampaignCsv(result, out);
-                    else
-                        fault::writeCampaignJson(result, out);
-                });
-        }
-        if (!fo.stats_out.empty()) {
-            writeFileChecked(
-                fo.stats_out, "stats file", [&](std::ostream &out) {
-                    fault::writeCampaignStats(result, out);
-                });
-        }
-        return result.allOk() ? 0 : 1;
+        return finishGrid(
+            fo, fault::runFaultCampaign(spec, workers(fo.jobs)),
+            printCampaignSummary, fault::writeCampaignCsv,
+            fault::writeCampaignJson, fault::writeCampaignStats, os);
       }
 
       case Command::Serve: {
         const ServeOptions &so = opt.serve;
-        const int jobs =
-            so.jobs > 0 ? so.jobs : ThreadPool::defaultJobs();
-        const auto result = serve::runServe(so.spec, jobs);
-        printServeSummary(result, os);
-        if (!so.out_file.empty()) {
-            writeFileChecked(
-                so.out_file, "results file", [&](std::ostream &out) {
-                    if (so.format == OutputFormat::Csv)
-                        serve::writeServeCsv(result, out);
-                    else
-                        serve::writeServeJson(result, out);
-                });
-        }
-        if (!so.stats_out.empty()) {
-            writeFileChecked(
-                so.stats_out, "stats file", [&](std::ostream &out) {
-                    serve::writeServeStats(result, out);
-                });
-        }
-        return result.allOk() ? 0 : 1;
+        return finishGrid(so, serve::runServe(so.spec, workers(so.jobs)),
+                          printServeSummary, serve::writeServeCsv,
+                          serve::writeServeJson, serve::writeServeStats,
+                          os);
       }
 
       case Command::Project: {
@@ -1508,10 +1475,8 @@ runCli(const Options &opt, std::ostream &os)
             workloads::WorkloadRegistry::instance().get(so.app);
         if (so.sim.uvm && !w.supportsUvm())
             fatal("workload '%s' has no UVM variant", so.app.c_str());
-        if (!w.forkable())
-            fatal("workload '%s' is not forkable", so.app.c_str());
         const snap::ForkPoint fork_point = so.fork_point.value_or(
-            snap::ForkPoint{snap::ForkPoint::Mode::Auto, 0.0});
+            snap::ForkPoint{snap::ForkPoint::Mode::Auto, 0.0, {}});
         const auto cuts = fork_point.resolvePath(w);
         if (cuts.empty())
             fatal("--fork-point none captures nothing; use auto or "

@@ -157,14 +157,10 @@ struct SnapshotOverrides
     std::optional<std::size_t> budget_bytes;
 };
 
-/** `hccsim sweep`.  The grid axes live in the typed
- *  sweep::GridSpec the engine consumes; `grid.apps` empty means
- *  --apps was not given (then @p spec_file must name a grid file). */
-struct SweepOptions
+/** The flags every grid command (sweep, faults, serve) shares. */
+struct GridCommandOptions
 {
-    std::string spec_file;
-    sweep::GridSpec grid;
-    SnapshotOverrides snapshot;
+    /** Worker threads (0 = hardware default). */
     int jobs = 0;
     OutputFormat format = OutputFormat::Json;
     /** Per-cell results file (CSV/JSON per @p format). */
@@ -172,10 +168,20 @@ struct SweepOptions
     std::string stats_out;
 };
 
+/** `hccsim sweep`.  The grid axes live in the typed
+ *  sweep::GridSpec the engine consumes; `grid.apps` empty means
+ *  --apps was not given (then @p spec_file must name a grid file). */
+struct SweepOptions : GridCommandOptions
+{
+    std::string spec_file;
+    sweep::GridSpec grid;
+    SnapshotOverrides snapshot;
+};
+
 /** `hccsim faults`.  The campaign axes live in the typed
  *  fault::CampaignSpec the engine consumes; `spec.sites` empty means
  *  --sites was not given (runCli then campaigns over allSites()). */
-struct FaultsOptions
+struct FaultsOptions : GridCommandOptions
 {
     FaultsOptions()
     {
@@ -185,22 +191,13 @@ struct FaultsOptions
     }
 
     fault::CampaignSpec spec;
-    int jobs = 0;
-    OutputFormat format = OutputFormat::Json;
-    std::string out_file;
-    std::string stats_out;
 };
 
 /** `hccsim serve`.  The experiment lives in the typed
  *  serve::ServeSpec the engine consumes. */
-struct ServeOptions
+struct ServeOptions : GridCommandOptions
 {
     serve::ServeSpec spec;
-    int jobs = 0;
-    OutputFormat format = OutputFormat::Json;
-    /** Per-cell results file (CSV/JSON per @p format). */
-    std::string out_file;
-    std::string stats_out;
 };
 
 /** `hccsim snapshot`: capture (--app ... --out FILE) or inspect

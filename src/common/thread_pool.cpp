@@ -6,8 +6,6 @@
 
 namespace hcc {
 
-namespace {
-
 double
 elapsedUs(std::chrono::steady_clock::time_point start)
 {
@@ -15,8 +13,6 @@ elapsedUs(std::chrono::steady_clock::time_point start)
                std::chrono::steady_clock::now() - start)
         .count();
 }
-
-} // namespace
 
 double
 ThreadPool::Stats::utilization(double wall_us) const

@@ -13,15 +13,16 @@
  * The pool executes tasks on *worker* threads: anything a task
  * touches must either be task-local (the sweep engine gives every
  * run its own SimContext/Registry/Rng/Tracer) or thread-safe.  Tasks
- * must not throw — the sweep layer converts per-run FatalErrors into
- * failed cells before they reach the pool; a task that does leak an
- * exception is counted in Stats::uncaught rather than terminating
- * the process.
+ * must not throw — the grid kernel (grid/grid.hpp) converts per-run
+ * FatalErrors into failed cells before they reach the pool; a task
+ * that does leak an exception is counted in Stats::uncaught rather
+ * than terminating the process.
  */
 
 #ifndef HCC_COMMON_THREAD_POOL_HPP
 #define HCC_COMMON_THREAD_POOL_HPP
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -113,6 +114,9 @@ class ThreadPool
  */
 ThreadPool::Stats runIndexed(std::size_t n, int jobs,
                              const std::function<void(std::size_t)> &fn);
+
+/** Host wall-clock microseconds elapsed since @p start. */
+double elapsedUs(std::chrono::steady_clock::time_point start);
 
 } // namespace hcc
 

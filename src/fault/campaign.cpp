@@ -1,77 +1,15 @@
 #include "fault/campaign.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <utility>
 
 #include "common/log.hpp"
-#include "obs/report.hpp"
-#include "runtime/context.hpp"
+#include "common/text.hpp"
 
 namespace hcc::fault {
 
 namespace {
-
-/** Shortest deterministic rendering of a rate/scale factor. */
-std::string
-formatDouble(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    return buf;
-}
-
-/** RFC-4180 field quoting (quote when a comma/quote/newline occurs). */
-std::string
-csvField(const std::string &field)
-{
-    if (field.find_first_of(",\"\n\r") == std::string::npos)
-        return field;
-    std::string quoted = "\"";
-    for (char c : field) {
-        if (c == '"')
-            quoted += '"';
-        quoted += c;
-    }
-    quoted += '"';
-    return quoted;
-}
-
-/** JSON string escaping for cell labels and error messages. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-double
-elapsedUs(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 /**
  * Read a counter out of a finished cell's registry without creating
@@ -105,7 +43,7 @@ CampaignCell::label(const CampaignSpec &spec) const
     } else {
         out += ".";
         out += siteName(site);
-        out += ".r" + formatDouble(rate);
+        out += ".r" + formatG(rate);
     }
     out += ".s" + std::to_string(seed);
     // Single-tier `none` campaigns keep their historical labels.
@@ -114,15 +52,6 @@ CampaignCell::label(const CampaignSpec &spec) const
         out += tee::overlapModeName(overlap);
     }
     return out;
-}
-
-std::size_t
-CampaignResult::failures() const
-{
-    std::size_t n = 0;
-    for (const auto &c : cells)
-        n += c.ok ? 0 : 1;
-    return n;
 }
 
 std::vector<CampaignCell>
@@ -170,39 +99,32 @@ runFaultCampaign(const CampaignSpec &spec, int jobs,
         if (rate <= 0.0 || rate > 1.0)
             fatal("campaign rate %g out of (0, 1]", rate);
 
-    const auto cells = expandCampaign(spec);
+    auto cells = expandCampaign(spec);
     // Finish suite registration on this thread before workers look
     // apps up (same reasoning as runSweep()).
     workloads::WorkloadRegistry::instance();
 
-    CampaignResult result;
-    result.spec = spec;
-    result.jobs = jobs < 1 ? 1 : jobs;
-    result.cells.resize(cells.size());
-
-    struct Shard
-    {
-        snap::ForkGroupSpec group;
-        std::vector<std::size_t> indices;
-    };
-    std::vector<Shard> shards;
-    const std::size_t per_group =
-        1 + spec.sites.size() * spec.rates.size();
-    const std::size_t per_tier = spec.seeds.size() * per_group;
-
-    auto baseGroup = [&](tee::OverlapMode tier) {
-        snap::ForkGroupSpec group;
-        group.app = spec.app;
-        group.sys.cc = true;
-        group.sys.channel.crypto_workers = spec.crypto_workers;
-        group.sys.channel.tee_io = spec.tee_io;
-        group.sys.channel.overlap = tier;
-        group.params.uvm = spec.uvm;
-        group.params.scale = spec.scale;
-        group.snapshot_budget_bytes = spec.snapshot_budget_bytes;
+    auto tierGroup = [&](tee::OverlapMode tier) {
+        grid::Group group;
+        group.spec.app = spec.app;
+        group.spec.sys.cc = true;
+        group.spec.sys.channel.crypto_workers = spec.crypto_workers;
+        group.spec.sys.channel.tee_io = spec.tee_io;
+        group.spec.sys.channel.overlap = tier;
+        group.spec.params.uvm = spec.uvm;
+        group.spec.params.scale = spec.scale;
+        group.spec.snapshot_budget_bytes = spec.snapshot_budget_bytes;
         return group;
     };
+    auto armCell = [&](grid::Group &group, std::size_t i) {
+        snap::ForkCell fork_cell;
+        if (!cells[i].baseline)
+            fork_cell.faults.set(cells[i].site, cells[i].rate);
+        group.spec.cells.push_back(std::move(fork_cell));
+        group.rows.push_back(i);
+    };
 
+    std::vector<grid::Group> groups;
     if (spec.fork_point.mode != snap::ForkPoint::Mode::None) {
         // Split modes: one snapshot tree per overlap tier.  The
         // tier's whole (seed x site x rate) block forks off one
@@ -213,95 +135,36 @@ runFaultCampaign(const CampaignSpec &spec, int jobs,
         // (--no-snapshot) replays the identical derivation inside
         // runForkGroup, so grouping must not depend on the snapshot
         // flag.
+        const std::size_t per_tier = cells.size() / spec.overlaps.size();
         for (std::size_t t = 0; t < spec.overlaps.size(); ++t) {
-            Shard shard;
-            shard.group = baseGroup(spec.overlaps[t]);
-            const std::uint64_t ident = snap::identitySeed(
-                spec.app, shard.group.sys, shard.group.params);
-            shard.group.sys.seed = ident;
-            shard.group.params.seed = ident;
-            const std::size_t begin = t * per_tier;
-            for (std::size_t i = begin; i < begin + per_tier; ++i) {
-                snap::ForkCell fork_cell;
-                snap::ForkArm arm;
-                arm.kind = snap::ForkArm::Kind::Reseed;
-                arm.seed = cells[i].seed;
-                fork_cell.arms.push_back(arm);
-                if (!cells[i].baseline)
-                    fork_cell.faults.set(cells[i].site,
-                                         cells[i].rate);
-                shard.group.cells.push_back(std::move(fork_cell));
-                shard.indices.push_back(i);
+            grid::Group group = tierGroup(spec.overlaps[t]);
+            std::vector<std::uint64_t> seeds;
+            for (std::size_t i = t * per_tier; i < (t + 1) * per_tier;
+                 ++i) {
+                armCell(group, i);
+                seeds.push_back(cells[i].seed);
             }
-            shards.push_back(std::move(shard));
+            grid::shareAcrossSeeds(group.spec, seeds);
+            groups.push_back(std::move(group));
         }
     } else {
-        // Legacy mode: group by (tier, seed) — every cell of one
-        // group shares its entire unfaulted schedule.  When the pool
-        // is wider than the group count, groups split into contiguous
-        // shards — each shard redoes the prefix, trading some replay
-        // savings for parallelism.  Cell outputs are a pure function
-        // of the cell spec either way, so sharding (and therefore
-        // --jobs) never changes a byte of output.
-        const std::size_t n_groups =
-            spec.overlaps.size() * spec.seeds.size();
-        const std::size_t shards_per_group = std::min(
-            per_group,
-            std::max<std::size_t>(
-                1, static_cast<std::size_t>(result.jobs) / n_groups));
-        const std::size_t chunk =
-            (per_group + shards_per_group - 1) / shards_per_group;
-        for (std::size_t g = 0; g < n_groups; ++g) {
-            const std::size_t begin = g * per_group;
-            const std::size_t end = begin + per_group;
-            const tee::OverlapMode tier =
-                spec.overlaps[g / spec.seeds.size()];
-            const std::uint64_t seed =
-                spec.seeds[g % spec.seeds.size()];
-            for (std::size_t s = begin; s < end; s += chunk) {
-                Shard shard;
-                shard.group = baseGroup(tier);
-                shard.group.sys.seed = seed;
-                shard.group.params.seed = seed;
-                for (std::size_t i = s; i < std::min(end, s + chunk);
-                     ++i) {
-                    snap::ForkCell fork_cell;
-                    if (!cells[i].baseline)
-                        fork_cell.faults.set(cells[i].site,
-                                             cells[i].rate);
-                    shard.group.cells.push_back(fork_cell);
-                    shard.indices.push_back(i);
-                }
-                shards.push_back(std::move(shard));
-            }
+        // Legacy mode: faults armed at construction and every cell
+        // simulated start to finish, so cells share nothing — each
+        // is its own pool task.
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            grid::Group group = tierGroup(cells[i].overlap);
+            group.spec.sys.seed = cells[i].seed;
+            group.spec.params.seed = cells[i].seed;
+            armCell(group, i);
+            groups.push_back(std::move(group));
         }
     }
 
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<snap::ForkGroupOutcome> outcomes(shards.size());
-    result.pool = runIndexed(
-        shards.size(), result.jobs, [&](std::size_t si) {
-            outcomes[si] = snap::runForkGroup(
-                shards[si].group, spec.fork_point, spec.no_snapshot);
-        });
-    result.wall_us = elapsedUs(start);
-
-    for (std::size_t si = 0; si < shards.size(); ++si) {
-        result.snapshot_hits += outcomes[si].snapshot_hits;
-        result.peak_resident_bytes =
-            std::max(result.peak_resident_bytes,
-                     outcomes[si].peak_resident_bytes);
-        for (std::size_t j = 0; j < shards[si].indices.size(); ++j) {
-            const std::size_t idx = shards[si].indices[j];
-            auto &cell_outcome = outcomes[si].cells[j];
-            CampaignCellResult &out = result.cells[idx];
-            out.cell = cells[idx];
-            out.ok = cell_outcome.ok;
-            out.error = std::move(cell_outcome.error);
-            out.result = std::move(cell_outcome.result);
-            out.wall_us = cell_outcome.wall_us;
-        }
-    }
+    CampaignResult result;
+    result.spec = spec;
+    grid::place(result, std::move(cells));
+    grid::runGroups(result, jobs, groups, spec.fork_point,
+                    spec.no_snapshot);
 
     // Post-pool, main-thread: pull the fault counters out of each
     // cell and anchor slowdowns to the same-tier, same-seed baseline.
@@ -329,95 +192,80 @@ runFaultCampaign(const CampaignSpec &spec, int jobs,
                 / static_cast<double>(it->second);
     }
 
-    if (campaign_obs != nullptr) {
-        // Post-join, caller's thread only: gauges are not
-        // thread-safe by design.  host.* wall-clock telemetry,
-        // excluded from deterministic dumps.
-        campaign_obs->gauge("host.sweep.snapshot_hits")
-            .set(static_cast<std::int64_t>(result.snapshot_hits));
-        campaign_obs->gauge("host.sweep.snapshot_resident_bytes")
-            .set(static_cast<std::int64_t>(
-                result.peak_resident_bytes));
-    }
+    grid::publish(result, campaign_obs);
     return result;
 }
+
+namespace {
+
+using grid::number;
+using grid::text;
+
+/** The per-cell columns of every campaign output (docs/SWEEP.md). */
+const grid::Schema<CampaignResult> &
+schema()
+{
+    static const grid::Schema<CampaignResult> s{
+        .label = [](auto &r, auto &c) { return c.cell.label(r.spec); },
+        .keys = {
+            {"site",
+             [](auto &, auto &c) {
+                 return text(c.cell.baseline ? "baseline"
+                                             : siteName(c.cell.site));
+             }},
+            {"rate",
+             [](auto &, auto &c) { return number(formatG(c.cell.rate)); }},
+            {"seed", [](auto &, auto &c) { return number(c.cell.seed); }},
+        },
+        .metrics = {
+            {"end_to_end_ps",
+             [](auto &, auto &c) { return number(c.result.end_to_end); }},
+            {"slowdown",
+             [](auto &, auto &c) {
+                 char buf[32];
+                 std::snprintf(buf, sizeof(buf), "%.6f", c.slowdown);
+                 return number(buf);
+             }},
+            {"injected", [](auto &, auto &c) { return number(c.injected); }},
+            {"recovered",
+             [](auto &, auto &c) { return number(c.recovered); }},
+            {"retry_time_ps",
+             [](auto &, auto &c) { return number(c.retry_time_ps); }},
+            {"bottleneck",
+             [](auto &, auto &c) {
+                 return text(
+                     trace::bottleneckName(c.result.critical.bottleneck));
+             }},
+            {"critical_path_ps",
+             [](auto &, auto &c) {
+                 return number(c.result.critical.on_path_ps);
+             }},
+        },
+        .stats = [](auto &c) -> const obs::Registry * {
+            return c.result.stats.get();
+        },
+    };
+    return s;
+}
+
+} // namespace
 
 void
 writeCampaignCsv(const CampaignResult &result, std::ostream &os)
 {
-    os << "index,label,site,rate,seed,status,end_to_end_ps,slowdown,"
-          "injected,recovered,retry_time_ps,bottleneck,"
-          "critical_path_ps,error\n";
-    for (const auto &c : result.cells) {
-        os << c.cell.index << ','
-           << csvField(c.cell.label(result.spec)) << ','
-           << (c.cell.baseline ? "baseline" : siteName(c.cell.site))
-           << ',' << formatDouble(c.cell.rate) << ',' << c.cell.seed
-           << ',' << (c.ok ? "ok" : "failed") << ',';
-        if (c.ok) {
-            char slow[32];
-            std::snprintf(slow, sizeof(slow), "%.6f", c.slowdown);
-            os << c.result.end_to_end << ',' << slow << ','
-               << c.injected << ',' << c.recovered << ','
-               << c.retry_time_ps << ','
-               << trace::bottleneckName(c.result.critical.bottleneck)
-               << ',' << c.result.critical.on_path_ps << ',';
-        } else {
-            os << ",,,,,,,";
-        }
-        os << csvField(c.error) << '\n';
-    }
+    grid::writeCsv(schema(), result, os);
 }
 
 void
 writeCampaignJson(const CampaignResult &result, std::ostream &os)
 {
-    os << "[\n";
-    bool first = true;
-    for (const auto &c : result.cells) {
-        os << (first ? "" : ",\n");
-        first = false;
-        os << "  {\"index\": " << c.cell.index << ", \"label\": \""
-           << jsonEscape(c.cell.label(result.spec))
-           << "\", \"site\": \""
-           << (c.cell.baseline ? "baseline"
-                               : siteName(c.cell.site))
-           << "\", \"rate\": " << formatDouble(c.cell.rate)
-           << ", \"seed\": " << c.cell.seed << ", \"ok\": "
-           << (c.ok ? "true" : "false");
-        if (c.ok) {
-            char slow[32];
-            std::snprintf(slow, sizeof(slow), "%.6f", c.slowdown);
-            os << ", \"end_to_end_ps\": " << c.result.end_to_end
-               << ", \"slowdown\": " << slow
-               << ", \"injected\": " << c.injected
-               << ", \"recovered\": " << c.recovered
-               << ", \"retry_time_ps\": " << c.retry_time_ps
-               << ", \"bottleneck\": \""
-               << trace::bottleneckName(c.result.critical.bottleneck)
-               << "\", \"critical_path_ps\": "
-               << c.result.critical.on_path_ps;
-        } else {
-            os << ", \"error\": \"" << jsonEscape(c.error) << "\"";
-        }
-        os << "}";
-    }
-    os << "\n]\n";
+    grid::writeJson(schema(), result, os);
 }
 
 void
 writeCampaignStats(const CampaignResult &result, std::ostream &os)
 {
-    obs::ReportWriter report;
-    for (const auto &c : result.cells) {
-        if (!c.ok)
-            continue;
-        report.addSection(
-            "cell" + std::to_string(c.cell.index) + "."
-                + c.cell.label(result.spec) + ".",
-            c.result.stats.get());
-    }
-    report.write(os);
+    grid::writeStats(schema(), result, os);
 }
 
 } // namespace hcc::fault

@@ -6,10 +6,10 @@
  *
  * A campaign expands to one rate-zero *baseline* cell per (overlap
  * tier, seed) plus one cell per (site, rate) pair under it, in
- * deterministic input order.  Cells run through the same
- * work-stealing pool as `hccsim sweep` (common/thread_pool.hpp);
- * each cell owns its Context / Registry / Injector, so outputs are
- * byte-identical regardless of the job count.  After the pool joins,
+ * deterministic input order.  Cells run through the same grid
+ * kernel as `hccsim sweep` (grid/grid.hpp); each cell owns its
+ * Context / Registry / Injector, so outputs are byte-identical
+ * regardless of the job count.  After the pool joins,
  * each cell's `fault.*` counters are read back out of its stats
  * registry and its slowdown is computed against the same-tier,
  * same-seed baseline.
@@ -30,8 +30,8 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "fault/fault.hpp"
+#include "grid/grid.hpp"
 #include "obs/registry.hpp"
 #include "snap/fork.hpp"
 #include "tee/secure_channel.hpp"
@@ -112,12 +112,8 @@ struct CampaignCell
 };
 
 /** Outcome of one cell. */
-struct CampaignCellResult
+struct CampaignCellResult : grid::Row<CampaignCell>
 {
-    CampaignCell cell;
-    bool ok = false;
-    /** FatalError message when !ok. */
-    std::string error;
     workloads::WorkloadResult result;
 
     // Read back from the cell's "fault.<site>.*" counters (zero for
@@ -129,30 +125,13 @@ struct CampaignCellResult
     /** end_to_end / same-seed baseline end_to_end (0 when the
      *  baseline failed or this cell failed). */
     double slowdown = 0.0;
-
-    /** Host wall-clock for this cell, microseconds. */
-    double wall_us = 0.0;
 };
 
-/** Everything `hccsim faults` reports. */
-struct CampaignResult
+/** Everything `hccsim faults` reports.  snapshot_hits is 0 in
+ *  legacy and cold-split modes. */
+struct CampaignResult : grid::Outcome<CampaignCellResult>
 {
     CampaignSpec spec;
-    std::vector<CampaignCellResult> cells;
-    int jobs = 1;
-    /** Host wall-clock for the whole campaign, microseconds. */
-    double wall_us = 0.0;
-    ThreadPool::Stats pool;
-    /** Cells replayed from an in-memory snapshot (0 in legacy and
-     *  cold-split modes). */
-    std::size_t snapshot_hits = 0;
-    /** High-water mark of resident snapshot bytes over all fork
-     *  groups (also published as host.sweep.snapshot_resident_bytes
-     *  when a registry is passed to runFaultCampaign). */
-    std::size_t peak_resident_bytes = 0;
-
-    std::size_t failures() const;
-    bool allOk() const { return failures() == 0; }
 };
 
 /** Deterministic cell order: per overlap tier, per seed, baseline
@@ -170,8 +149,8 @@ std::vector<CampaignCell> expandCampaign(const CampaignSpec &spec);
 CampaignResult runFaultCampaign(const CampaignSpec &spec, int jobs,
                                 obs::Registry *campaign_obs = nullptr);
 
-/** One row per cell (stable column set; failed cells keep their
- *  row with empty measurement fields). */
+/** One row per cell (docs/SWEEP.md "Outputs"; failed cells keep
+ *  their row with empty measurement fields). */
 void writeCampaignCsv(const CampaignResult &result, std::ostream &os);
 
 /** Same rows as the CSV, as a JSON array. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hpp"
+#include "common/thread_pool.hpp"
 #include "snap/archive.hpp"
 
 namespace hcc::obs {
@@ -139,9 +140,7 @@ ProfileScope::~ProfileScope()
 {
     if (!dist_)
         return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    dist_->add(std::chrono::duration<double, std::micro>(elapsed)
-                   .count());
+    dist_->add(elapsedUs(start_));
 }
 
 } // namespace hcc::obs

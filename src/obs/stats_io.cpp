@@ -1,6 +1,5 @@
 #include "obs/stats_io.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <ostream>
@@ -8,43 +7,17 @@
 
 #include "common/log.hpp"
 #include "common/table.hpp"
+#include "common/text.hpp"
 #include "obs/json.hpp"
 
 namespace hcc::obs {
 
 namespace {
 
-/** Shortest round-trip decimal form of a double (deterministic). */
-std::string
-formatDouble(double v)
-{
-    char buf[64];
-    const auto res =
-        std::to_chars(buf, buf + sizeof(buf), v);
-    return std::string(buf, res.ptr);
-}
-
 bool
 isHostStat(const std::string &name)
 {
     return name.rfind("host.", 0) == 0;
-}
-
-/** Stat names are dotted identifiers; escape defensively anyway. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          default: out += c;
-        }
-    }
-    return out;
 }
 
 void
@@ -64,10 +37,10 @@ writeEntry(std::ostream &os, const Registry::Entry &e)
       case Registry::Kind::Distribution:
         os << "{\"type\": \"distribution\", \"count\": "
            << e.distribution->count()
-           << ", \"sum\": " << formatDouble(e.distribution->sum())
-           << ", \"min\": " << formatDouble(e.distribution->min())
-           << ", \"max\": " << formatDouble(e.distribution->max())
-           << ", \"mean\": " << formatDouble(e.distribution->mean())
+           << ", \"sum\": " << formatShortest(e.distribution->sum())
+           << ", \"min\": " << formatShortest(e.distribution->min())
+           << ", \"max\": " << formatShortest(e.distribution->max())
+           << ", \"mean\": " << formatShortest(e.distribution->mean())
            << "}";
         break;
     }
@@ -188,8 +161,8 @@ StatsDiffResult::report() const
         } else {
             drift = d.what;
         }
-        t.row({d.stat, d.field, formatDouble(d.baseline),
-               formatDouble(d.current), drift});
+        t.row({d.stat, d.field, formatShortest(d.baseline),
+               formatShortest(d.current), drift});
     }
     t.print(oss);
     return oss.str();

@@ -10,10 +10,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "common/text.hpp"
 
 namespace hcc::serve {
 
@@ -100,11 +100,7 @@ std::vector<BurstWindow>
 parseBurstList(const std::string &csv)
 {
     std::vector<BurstWindow> out;
-    std::string item;
-    std::istringstream iss(csv);
-    while (std::getline(iss, item, ',')) {
-        if (item.find_first_not_of(" \t") == std::string::npos)
-            continue;
+    for (const std::string &item : splitList(csv)) {
         BurstWindow w;
         char tail = 0;
         if (std::sscanf(item.c_str(), "%lf:%lf:%lf%c", &w.begin,
@@ -123,14 +119,6 @@ parseBurstList(const std::string &csv)
     if (out.empty())
         fatal("serve: empty burst list");
     return out;
-}
-
-std::string
-formatLoad(double load)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", load);
-    return buf;
 }
 
 } // namespace hcc::serve

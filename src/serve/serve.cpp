@@ -1,89 +1,18 @@
 /**
  * @file
- * Serve-sweep driver and deterministic writers: expand the spec into
- * cells, run each in isolation on the shared thread pool, and merge
- * the SLO metrics into CSV / JSON / stats outputs that are
- * byte-identical across worker counts.
+ * Serve-sweep driver and column schema: expand the spec into cells,
+ * run each in isolation on the grid kernel, and declare the SLO
+ * columns its CSV / JSON / stats writers render.
  */
 
 #include "serve/serve.hpp"
 
-#include <charconv>
-#include <chrono>
 #include <ostream>
 
 #include "common/log.hpp"
-#include "common/thread_pool.hpp"
-#include "obs/report.hpp"
-#include "sweep/sweep.hpp"
+#include "common/text.hpp"
 
 namespace hcc::serve {
-
-namespace {
-
-/** Shortest round-trip decimal form of a double (deterministic). */
-std::string
-formatDouble(double v)
-{
-    char buf[64];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    return std::string(buf, res.ptr);
-}
-
-double
-elapsedUs(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-/** The per-point JSON object shared by the cells array and the
- *  "serve_curve" stats member. */
-std::string
-pointJson(const ServeCellResult &c)
-{
-    std::string out;
-    out += "{\"index\": " + std::to_string(c.cell.index);
-    out += ", \"label\": \"" + sweep::jsonEscape(c.cell.label())
-        + "\"";
-    out += ", \"load\": " + formatLoad(c.cell.load);
-    out += std::string(", \"cc\": ") + (c.cell.cc ? "true" : "false");
-    out += ", \"overlap\": \""
-        + std::string(tee::overlapModeName(c.cell.overlap)) + "\"";
-    out += std::string(", \"ok\": ") + (c.ok ? "true" : "false");
-    if (c.ok) {
-        const ServePoint &p = c.point;
-        out += ", \"requests\": " + std::to_string(p.requests);
-        out += ", \"completed\": " + std::to_string(p.completed);
-        out += ", \"preempted\": " + std::to_string(p.preempted);
-        out += ", \"prefills\": " + std::to_string(p.prefills);
-        out += ", \"tokens\": " + std::to_string(p.tokens);
-        out += ", \"makespan_ps\": " + std::to_string(p.makespan);
-        out += ", \"offered_tok_s\": " + formatDouble(p.offered_tok_s);
-        out += ", \"goodput_tok_s\": " + formatDouble(p.goodput_tok_s);
-        out += ", \"ttft_p50_ps\": " + std::to_string(p.ttft_p50);
-        out += ", \"ttft_p95_ps\": " + std::to_string(p.ttft_p95);
-        out += ", \"ttft_p99_ps\": " + std::to_string(p.ttft_p99);
-        out += ", \"tpot_p50_ps\": " + std::to_string(p.tpot_p50);
-        out += ", \"tpot_p95_ps\": " + std::to_string(p.tpot_p95);
-        out += ", \"tpot_p99_ps\": " + std::to_string(p.tpot_p99);
-        out += ", \"kv_fault_batches\": "
-            + std::to_string(p.kv_fault_batches);
-        out += ", \"kv_migrated_bytes\": "
-            + std::to_string(p.kv_migrated_bytes);
-        out += ", \"bottleneck\": \""
-            + std::string(trace::bottleneckName(p.bottleneck)) + "\"";
-        out += ", \"critical_path_ps\": "
-            + std::to_string(p.critical_path_ps);
-    } else {
-        out += ", \"error\": \"" + sweep::jsonEscape(c.error) + "\"";
-    }
-    out += "}";
-    return out;
-}
-
-} // namespace
 
 std::size_t
 ServeSpec::cellCount() const
@@ -94,23 +23,13 @@ ServeSpec::cellCount() const
 std::string
 ServeCell::label() const
 {
-    std::string out = "l" + formatLoad(load);
+    std::string out = "l" + formatG(load);
     out += cc ? ".cc" : ".base";
     if (overlap != tee::OverlapMode::None) {
         out += '.';
         out += tee::overlapModeName(overlap);
     }
     return out;
-}
-
-std::size_t
-ServeResult::failures() const
-{
-    std::size_t n = 0;
-    for (const auto &c : cells)
-        if (!c.ok)
-            ++n;
-    return n;
 }
 
 std::vector<ServeCell>
@@ -140,98 +59,108 @@ expandServeCells(const ServeSpec &spec)
 ServeResult
 runServe(const ServeSpec &spec, int jobs)
 {
-    const auto sweep_start = std::chrono::steady_clock::now();
-    const std::vector<ServeCell> cells = expandServeCells(spec);
-
     ServeResult result;
     result.spec = spec;
-    result.jobs = jobs < 1 ? 1 : jobs;
-    result.cells.resize(cells.size());
-
-    runIndexed(cells.size(), jobs, [&](std::size_t i) {
-        const auto cell_start = std::chrono::steady_clock::now();
-        ServeCellResult &out = result.cells[i];
-        out.cell = cells[i];
-        try {
-            out.point = runServeCell(spec, cells[i]);
-            out.ok = true;
-        } catch (const FatalError &e) {
-            out.ok = false;
-            out.error = e.what();
-        }
-        out.wall_us = elapsedUs(cell_start);
+    grid::place(result, expandServeCells(spec));
+    grid::runRows(result, jobs, [&](ServeCellResult &row) {
+        row.point = runServeCell(spec, row.cell);
     });
-
-    result.wall_us = elapsedUs(sweep_start);
     return result;
 }
+
+namespace {
+
+using grid::number;
+using grid::text;
+
+/** The per-cell columns of every serve output (docs/SWEEP.md); the
+ *  merged stats embed the JSON rows as "serve_curve". */
+const grid::Schema<ServeResult> &
+schema()
+{
+    static const grid::Schema<ServeResult> s{
+        .label = [](auto &, auto &c) { return c.cell.label(); },
+        .keys = {
+            {"load",
+             [](auto &, auto &c) { return number(formatG(c.cell.load)); }},
+            {"cc", [](auto &, auto &c) { return grid::flag(c.cell.cc); }},
+            {"overlap",
+             [](auto &, auto &c) {
+                 return text(tee::overlapModeName(c.cell.overlap));
+             }},
+        },
+        .status = false,
+        .metrics = {
+            {"requests",
+             [](auto &, auto &c) { return number(c.point.requests); }},
+            {"completed",
+             [](auto &, auto &c) { return number(c.point.completed); }},
+            {"preempted",
+             [](auto &, auto &c) { return number(c.point.preempted); }},
+            {"prefills",
+             [](auto &, auto &c) { return number(c.point.prefills); }},
+            {"tokens", [](auto &, auto &c) { return number(c.point.tokens); }},
+            {"makespan_ps",
+             [](auto &, auto &c) { return number(c.point.makespan); }},
+            {"offered_tok_s",
+             [](auto &, auto &c) {
+                 return number(formatShortest(c.point.offered_tok_s));
+             }},
+            {"goodput_tok_s",
+             [](auto &, auto &c) {
+                 return number(formatShortest(c.point.goodput_tok_s));
+             }},
+            {"ttft_p50_ps",
+             [](auto &, auto &c) { return number(c.point.ttft_p50); }},
+            {"ttft_p95_ps",
+             [](auto &, auto &c) { return number(c.point.ttft_p95); }},
+            {"ttft_p99_ps",
+             [](auto &, auto &c) { return number(c.point.ttft_p99); }},
+            {"tpot_p50_ps",
+             [](auto &, auto &c) { return number(c.point.tpot_p50); }},
+            {"tpot_p95_ps",
+             [](auto &, auto &c) { return number(c.point.tpot_p95); }},
+            {"tpot_p99_ps",
+             [](auto &, auto &c) { return number(c.point.tpot_p99); }},
+            {"kv_fault_batches",
+             [](auto &, auto &c) { return number(c.point.kv_fault_batches); }},
+            {"kv_migrated_bytes",
+             [](auto &, auto &c) {
+                 return number(c.point.kv_migrated_bytes);
+             }},
+            {"bottleneck",
+             [](auto &, auto &c) {
+                 return text(trace::bottleneckName(c.point.bottleneck));
+             }},
+            {"critical_path_ps",
+             [](auto &, auto &c) { return number(c.point.critical_path_ps); }},
+        },
+        .stats = [](auto &c) -> const obs::Registry * {
+            return c.point.stats.get();
+        },
+        .rows_member = "serve_curve",
+    };
+    return s;
+}
+
+} // namespace
 
 void
 writeServeCsv(const ServeResult &result, std::ostream &os)
 {
-    os << "index,label,load,cc,overlap,requests,completed,preempted,"
-          "prefills,tokens,makespan_ps,offered_tok_s,goodput_tok_s,"
-          "ttft_p50_ps,ttft_p95_ps,ttft_p99_ps,tpot_p50_ps,"
-          "tpot_p95_ps,tpot_p99_ps,kv_fault_batches,"
-          "kv_migrated_bytes,bottleneck,critical_path_ps,error\n";
-    for (const auto &c : result.cells) {
-        os << c.cell.index << ','
-           << sweep::csvField(c.cell.label()) << ','
-           << formatLoad(c.cell.load) << ','
-           << (c.cell.cc ? 1 : 0) << ','
-           << tee::overlapModeName(c.cell.overlap) << ',';
-        if (c.ok) {
-            const ServePoint &p = c.point;
-            os << p.requests << ',' << p.completed << ','
-               << p.preempted << ',' << p.prefills << ','
-               << p.tokens << ',' << p.makespan << ','
-               << formatDouble(p.offered_tok_s) << ','
-               << formatDouble(p.goodput_tok_s) << ','
-               << p.ttft_p50 << ',' << p.ttft_p95 << ','
-               << p.ttft_p99 << ',' << p.tpot_p50 << ','
-               << p.tpot_p95 << ',' << p.tpot_p99 << ','
-               << p.kv_fault_batches << ','
-               << p.kv_migrated_bytes << ','
-               << trace::bottleneckName(p.bottleneck) << ','
-               << p.critical_path_ps << ',';
-        } else {
-            os << ",,,,,,,,,,,,,,,,,,";
-        }
-        os << sweep::csvField(c.error) << '\n';
-    }
+    grid::writeCsv(schema(), result, os);
 }
 
 void
 writeServeJson(const ServeResult &result, std::ostream &os)
 {
-    os << "[\n";
-    bool first = true;
-    for (const auto &c : result.cells) {
-        os << (first ? "" : ",\n");
-        first = false;
-        os << "  " << pointJson(c);
-    }
-    os << "\n]\n";
+    grid::writeJson(schema(), result, os);
 }
 
 void
 writeServeStats(const ServeResult &result, std::ostream &os)
 {
-    obs::ReportWriter report;
-    std::string curve = "[";
-    bool first = true;
-    for (const auto &c : result.cells) {
-        curve += first ? "" : ", ";
-        first = false;
-        curve += pointJson(c);
-        if (c.ok)
-            report.addSection("cell" + std::to_string(c.cell.index)
-                                  + "." + c.cell.label() + ".",
-                              c.point.stats.get());
-    }
-    curve += "]";
-    report.addMember("serve_curve", curve);
-    report.write(os);
+    grid::writeStats(schema(), result, os);
 }
 
 } // namespace hcc::serve

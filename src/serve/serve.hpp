@@ -26,7 +26,7 @@
  * paging, on top of the per-step launch tax.
  *
  * Determinism contract: one fully isolated simulation per (load, cc,
- * overlap) cell on the sweep thread pool; the arrival trace is a pure
+ * overlap) cell on the grid kernel; the arrival trace is a pure
  * function of (spec, load); all outputs are byte-identical across
  * `--jobs` and repeated runs.
  */
@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "grid/grid.hpp"
 #include "ml/llm.hpp"
 #include "obs/registry.hpp"
 #include "tee/secure_channel.hpp"
@@ -176,30 +177,16 @@ struct ServePoint
 };
 
 /** Outcome of one cell. */
-struct ServeCellResult
+struct ServeCellResult : grid::Row<ServeCell>
 {
-    ServeCell cell;
-    /** False when the cell threw FatalError. */
-    bool ok = false;
-    /** The FatalError message when !ok. */
-    std::string error;
     /** Valid iff ok. */
     ServePoint point;
-    /** Host wall-clock the cell took, us (not deterministic). */
-    double wall_us = 0.0;
 };
 
 /** Outcome of a whole serve sweep, cells in input order. */
-struct ServeResult
+struct ServeResult : grid::Outcome<ServeCellResult>
 {
     ServeSpec spec;
-    std::vector<ServeCellResult> cells;
-    int jobs = 1;
-    /** Host wall-clock of the whole run, us. */
-    double wall_us = 0.0;
-
-    std::size_t failures() const;
-    bool allOk() const { return failures() == 0; }
 };
 
 /** Expand @p spec into cells in deterministic input order. */
@@ -219,16 +206,11 @@ ServeResult runServe(const ServeSpec &spec, int jobs);
  */
 std::vector<BurstWindow> parseBurstList(const std::string &csv);
 
-/** Shortest deterministic rendering of a load (and any double). */
-std::string formatLoad(double load);
-
-/**
- * Deterministic per-cell CSV (RFC-4180 quoting): one row per cell in
- * input order — byte-identical across worker counts.
- */
+/** Per-cell CSV (docs/SWEEP.md "Outputs"; no status column): one
+ *  row per cell in input order. */
 void writeServeCsv(const ServeResult &result, std::ostream &os);
 
-/** Deterministic per-cell JSON array, same guarantees as the CSV. */
+/** Per-cell JSON array, same rows as the CSV. */
 void writeServeJson(const ServeResult &result, std::ostream &os);
 
 /**

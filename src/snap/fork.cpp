@@ -8,6 +8,8 @@
 #include <stdexcept>
 
 #include "common/log.hpp"
+#include "common/text.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/registry.hpp"
 #include "snap/snap.hpp"
 #include "trace/critpath.hpp"
@@ -15,14 +17,6 @@
 namespace hcc::snap {
 
 namespace {
-
-double
-elapsedUs(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 /**
  * Everything runWorkload() does after the workload body: throughput
@@ -493,7 +487,7 @@ failAllCells(ForkGroupOutcome &out, const std::string &message)
 double
 ForkPoint::resolve(const workloads::Workload &workload) const
 {
-    if (mode == Mode::None || !workload.forkable())
+    if (mode == Mode::None)
         return -1.0;
     const double f = mode == Mode::Auto ? workload.defaultForkPoint()
                                         : fraction;
@@ -527,18 +521,10 @@ ForkPoint::str() const
     switch (mode) {
       case Mode::None: out = "none"; break;
       case Mode::Auto: out = "auto"; break;
-      case Mode::Fraction: {
-          char buf[32];
-          std::snprintf(buf, sizeof(buf), "%g", fraction);
-          out = buf;
-          break;
-      }
+      case Mode::Fraction: out = formatG(fraction); break;
     }
-    for (const double c : chain) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "/%g", c);
-        out += buf;
-    }
+    for (const double c : chain)
+        out += "/" + formatG(c);
     return out;
 }
 

@@ -17,9 +17,9 @@
  *    arms at the final cut and runs the suffix.  Semantically
  *    identical to fork mode — this pair is the byte-identity gate CI
  *    enforces with `cmp`.
- *  - *legacy* (`--fork-point none`, or a non-forkable workload): the
- *    pre-fork behaviour — faults are armed at Context construction
- *    and the workload runs start to finish via runWorkload().
+ *  - *legacy* (`--fork-point none`): the pre-fork behaviour —
+ *    faults are armed at Context construction and the workload runs
+ *    start to finish via runWorkload().
  *
  * Mode note: fork and cold-split arm faults *at the fork point*, so
  * fault processes only act on the suffix; legacy arms at
@@ -76,9 +76,9 @@ struct ForkPoint
     std::vector<double> chain;
 
     /**
-     * The effective first-cut fraction for @p workload: negative when
-     * this fork point (or the workload) does not support splitting,
-     * otherwise the fraction of launches the shared prefix covers.
+     * The effective first-cut fraction for @p workload: negative for
+     * `none`, otherwise the fraction of launches the shared prefix
+     * covers.
      */
     double resolve(const workloads::Workload &workload) const;
 

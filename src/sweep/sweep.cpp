@@ -1,99 +1,17 @@
 #include "sweep/sweep.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <ostream>
 #include <sstream>
 
 #include "common/log.hpp"
+#include "common/text.hpp"
 
 namespace hcc::sweep {
 
-std::string
-csvField(const std::string &field)
-{
-    if (field.find_first_of(",\"\n\r") == std::string::npos)
-        return field;
-    std::string quoted = "\"";
-    for (char c : field) {
-        if (c == '"')
-            quoted += '"';
-        quoted += c;
-    }
-    quoted += '"';
-    return quoted;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 namespace {
-
-/** Shortest deterministic rendering of a scale factor. */
-std::string
-formatScale(double scale)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", scale);
-    return buf;
-}
-
-double
-elapsedUs(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-std::string
-trim(const std::string &s)
-{
-    const auto begin = s.find_first_not_of(" \t\r");
-    if (begin == std::string::npos)
-        return "";
-    const auto end = s.find_last_not_of(" \t\r");
-    return s.substr(begin, end - begin + 1);
-}
-
-std::vector<std::string>
-splitCsv(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::string item;
-    std::istringstream iss(csv);
-    while (std::getline(iss, item, ',')) {
-        item = trim(item);
-        if (!item.empty())
-            out.push_back(item);
-    }
-    return out;
-}
 
 /**
  * Cell identity without the seed — the cross-seed fork-group key.
@@ -107,7 +25,7 @@ seedlessKey(const RunCell &cell)
     out += cell.cc ? ".cc" : ".base";
     if (cell.uvm)
         out += ".uvm";
-    out += ".x" + formatScale(cell.scale);
+    out += ".x" + formatG(cell.scale);
     if (cell.overlap != tee::OverlapMode::None) {
         out += '.';
         out += tee::overlapModeName(cell.overlap);
@@ -122,8 +40,7 @@ crossSeedEligible(const RunCell &cell)
 {
     const workloads::Workload *w =
         workloads::WorkloadRegistry::instance().find(cell.app);
-    return w != nullptr && w->forkable()
-        && !(cell.uvm && !w->supportsUvm());
+    return w != nullptr && !(cell.uvm && !w->supportsUvm());
 }
 
 } // namespace
@@ -142,7 +59,7 @@ RunCell::label() const
     out += cc ? ".cc" : ".base";
     if (uvm)
         out += ".uvm";
-    out += ".x" + formatScale(scale);
+    out += ".x" + formatG(scale);
     out += ".s" + std::to_string(seed);
     // The serial tier is elided so pre-overlap labels stay stable.
     if (overlap != tee::OverlapMode::None) {
@@ -150,15 +67,6 @@ RunCell::label() const
         out += tee::overlapModeName(overlap);
     }
     return out;
-}
-
-std::size_t
-SweepResult::failures() const
-{
-    std::size_t n = 0;
-    for (const auto &c : cells)
-        n += c.ok ? 0 : 1;
-    return n;
 }
 
 std::vector<RunCell>
@@ -197,17 +105,13 @@ expandGrid(const GridSpec &grid)
 SweepResult
 runSweep(const GridSpec &grid, int jobs, obs::Registry *sweep_obs)
 {
-    const auto cells = expandGrid(grid);
+    auto cells = expandGrid(grid);
     // Force the suite registration to finish on this thread before
     // workers look apps up (registration is also mutex-guarded, this
     // just keeps the first lookup off the parallel path).
     workloads::WorkloadRegistry::instance();
 
-    SweepResult result;
-    result.jobs = jobs < 1 ? 1 : jobs;
-    result.cells.resize(cells.size());
-
-    // Prefix-group the grid.  Cells of a forkable app that differ
+    // Prefix-group the grid.  Cells of a registered app that differ
     // only in their seed share one prefix (cross-seed sharing: the
     // prefix runs under a seed-independent identity seed and each
     // cell carries a reseed-at-fork arm); everything else groups by
@@ -216,7 +120,7 @@ runSweep(const GridSpec &grid, int jobs, obs::Registry *sweep_obs)
     // replay the identical derivation for the byte-identity gate.
     const bool split_on =
         grid.fork_point.mode != snap::ForkPoint::Mode::None;
-    std::vector<std::vector<std::size_t>> groups;
+    std::vector<grid::Group> groups;
     {
         std::map<std::string, std::size_t> by_key;
         for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -228,110 +132,44 @@ runSweep(const GridSpec &grid, int jobs, obs::Registry *sweep_obs)
                 by_key.emplace(key, groups.size());
             if (fresh)
                 groups.emplace_back();
-            groups[it->second].push_back(i);
+            groups[it->second].rows.push_back(i);
+        }
+    }
+    for (grid::Group &group : groups) {
+        const RunCell &first = cells[group.rows.front()];
+        snap::ForkGroupSpec &spec = group.spec;
+        spec.app = first.app;
+        spec.sys.cc = first.cc;
+        spec.sys.channel.crypto_workers = first.crypto_workers;
+        spec.sys.channel.tee_io = first.tee_io;
+        spec.sys.channel.overlap = first.overlap;
+        spec.params.uvm = first.uvm;
+        spec.params.scale = first.scale;
+        spec.snapshot_budget_bytes = grid.snapshot_budget_bytes;
+        // Sweep cells arm no faults: default ForkCell faults.
+        std::vector<std::uint64_t> seeds;
+        for (const std::size_t i : group.rows)
+            seeds.push_back(cells[i].seed);
+        const bool multi_seed = std::any_of(
+            seeds.begin(), seeds.end(),
+            [&](std::uint64_t s) { return s != first.seed; });
+        if (multi_seed) {
+            grid::shareAcrossSeeds(spec, seeds);
+        } else {
+            // Single-seed group (exact duplicates): construct from
+            // the cell seed, exactly as before cross-seed sharing
+            // existed.
+            spec.cells.resize(seeds.size());
+            spec.sys.seed = first.seed;
+            spec.params.seed = first.seed;
         }
     }
 
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<snap::ForkGroupOutcome> outcomes(groups.size());
-    result.pool = runIndexed(
-        groups.size(), result.jobs, [&](std::size_t g) {
-            const auto &members = groups[g];
-            const RunCell &first = cells[members.front()];
-            snap::ForkGroupSpec fork_group;
-            fork_group.app = first.app;
-            fork_group.sys.cc = first.cc;
-            fork_group.sys.channel.crypto_workers =
-                first.crypto_workers;
-            fork_group.sys.channel.tee_io = first.tee_io;
-            fork_group.sys.channel.overlap = first.overlap;
-            fork_group.params.uvm = first.uvm;
-            fork_group.params.scale = first.scale;
-            fork_group.snapshot_budget_bytes =
-                grid.snapshot_budget_bytes;
-            // Sweep cells arm no faults: default ForkCell faults.
-            fork_group.cells.resize(members.size());
-            bool multi_seed = false;
-            for (const std::size_t i : members)
-                multi_seed |= cells[i].seed != first.seed;
-            if (multi_seed) {
-                // Cross-seed group: construct from the identity
-                // seed; each cell's own seed enters via its reseed
-                // arm at the fork point.
-                const std::uint64_t ident = snap::identitySeed(
-                    fork_group.app, fork_group.sys,
-                    fork_group.params);
-                fork_group.sys.seed = ident;
-                fork_group.params.seed = ident;
-                for (std::size_t j = 0; j < members.size(); ++j) {
-                    snap::ForkArm arm;
-                    arm.kind = snap::ForkArm::Kind::Reseed;
-                    arm.seed = cells[members[j]].seed;
-                    fork_group.cells[j].arms.push_back(arm);
-                }
-            } else {
-                // Single-seed group (exact duplicates): construct
-                // from the cell seed, exactly as before cross-seed
-                // sharing existed.
-                fork_group.sys.seed = first.seed;
-                fork_group.params.seed = first.seed;
-            }
-            outcomes[g] = snap::runForkGroup(
-                fork_group, grid.fork_point, grid.no_snapshot);
-        });
-    result.wall_us = elapsedUs(start);
-
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        result.snapshot_hits += outcomes[g].snapshot_hits;
-        result.peak_resident_bytes =
-            std::max(result.peak_resident_bytes,
-                     outcomes[g].peak_resident_bytes);
-        for (std::size_t j = 0; j < groups[g].size(); ++j) {
-            const std::size_t i = groups[g][j];
-            auto &cell_outcome = outcomes[g].cells[j];
-            CellResult &out = result.cells[i];
-            out.cell = cells[i];
-            out.ok = cell_outcome.ok;
-            out.error = std::move(cell_outcome.error);
-            out.result = std::move(cell_outcome.result);
-            out.wall_us = cell_outcome.wall_us;
-        }
-    }
-
-    if (sweep_obs != nullptr) {
-        // All updates happen here on the caller's thread, after the
-        // pool has joined: gauges and distributions are not
-        // thread-safe by design.
-        sweep_obs->counter("sweep.cells").add(result.cells.size());
-        sweep_obs->counter("sweep.failures").add(result.failures());
-        auto &cell_wall =
-            sweep_obs->distribution("host.sweep.cell_wall_us");
-        for (const auto &c : result.cells)
-            cell_wall.add(c.wall_us);
-        sweep_obs->distribution("host.sweep.wall_us")
-            .add(result.wall_us);
-        sweep_obs->counter("host.sweep.pool.executed")
-            .add(result.pool.executed);
-        sweep_obs->counter("host.sweep.pool.steals")
-            .add(result.pool.stolen);
-        sweep_obs->gauge("host.sweep.jobs").set(result.jobs);
-        sweep_obs->gauge("host.sweep.pool.utilization_pct")
-            .set(static_cast<std::int64_t>(
-                result.pool.utilization(result.wall_us) * 100.0));
-        // Campaign throughput + fork-engine effectiveness.  host.*
-        // wall-clock gauges, excluded from deterministic dumps.
-        if (result.wall_us > 0.0) {
-            sweep_obs->gauge("host.sweep.cells_per_sec")
-                .set(static_cast<std::int64_t>(
-                    static_cast<double>(result.cells.size())
-                    / (result.wall_us / 1e6)));
-        }
-        sweep_obs->gauge("host.sweep.snapshot_hits")
-            .set(static_cast<std::int64_t>(result.snapshot_hits));
-        sweep_obs->gauge("host.sweep.snapshot_resident_bytes")
-            .set(static_cast<std::int64_t>(
-                result.peak_resident_bytes));
-    }
+    SweepResult result;
+    grid::place(result, std::move(cells));
+    grid::runGroups(result, jobs, groups, grid.fork_point,
+                    grid.no_snapshot);
+    grid::publish(result, sweep_obs);
     return result;
 }
 
@@ -352,7 +190,7 @@ parseAppList(const std::string &csv)
 {
     if (trim(csv) == "all")
         return workloads::evaluationApps();
-    auto apps = splitCsv(csv);
+    auto apps = splitList(csv);
     if (apps.empty())
         fatal("empty app list '%s'", csv.c_str());
     return apps;
@@ -362,7 +200,7 @@ std::vector<double>
 parseScaleList(const std::string &csv)
 {
     std::vector<double> out;
-    for (const auto &item : splitCsv(csv)) {
+    for (const auto &item : splitList(csv)) {
         double v = 0.0;
         try {
             v = std::stod(item);
@@ -385,7 +223,7 @@ parseOverlapList(const std::string &csv)
         return {tee::OverlapMode::None, tee::OverlapMode::DoubleBuffer,
                 tee::OverlapMode::Speculative};
     std::vector<tee::OverlapMode> out;
-    for (const auto &item : splitCsv(csv)) {
+    for (const auto &item : splitList(csv)) {
         const auto mode = tee::parseOverlapMode(item);
         if (!mode)
             fatal("bad overlap mode '%s' "
@@ -402,7 +240,7 @@ std::vector<std::uint64_t>
 parseSeedList(const std::string &csv)
 {
     std::vector<std::uint64_t> out;
-    for (const auto &item : splitCsv(csv)) {
+    for (const auto &item : splitList(csv)) {
         try {
             out.push_back(std::stoull(item));
         } catch (...) {
@@ -542,91 +380,90 @@ loadGridFile(const std::string &path)
     return parseGridSpec(oss.str());
 }
 
+namespace {
+
+using grid::flag;
+using grid::number;
+using grid::text;
+using trace::bottleneckName;
+
+const trace::AppMetrics &
+metricsOf(const CellResult &c)
+{
+    return c.result.metrics;
+}
+
+/** The per-cell columns of every sweep output (docs/SWEEP.md). */
+const grid::Schema<SweepResult> &
+schema()
+{
+    static const grid::Schema<SweepResult> s{
+        .label = [](auto &, auto &c) { return c.cell.label(); },
+        .keys = {
+            {"app", [](auto &, auto &c) { return text(c.cell.app); }},
+            {"cc", [](auto &, auto &c) { return flag(c.cell.cc); }},
+            {"uvm", [](auto &, auto &c) { return flag(c.cell.uvm); }},
+            {"scale",
+             [](auto &, auto &c) { return number(formatG(c.cell.scale)); }},
+            {"seed", [](auto &, auto &c) { return number(c.cell.seed); }},
+        },
+        .metrics = {
+            {"end_to_end_ps",
+             [](auto &, auto &c) { return number(c.result.end_to_end); }},
+            {"launches",
+             [](auto &, auto &c) { return number(metricsOf(c).launches); }},
+            {"kernels",
+             [](auto &, auto &c) { return number(metricsOf(c).kernels); }},
+            {"sum_klo_ps",
+             [](auto &, auto &c) { return number(metricsOf(c).sumKlo()); }},
+            {"sum_lqt_ps",
+             [](auto &, auto &c) { return number(metricsOf(c).sumLqt()); }},
+            {"sum_kqt_ps",
+             [](auto &, auto &c) { return number(metricsOf(c).sumKqt()); }},
+            {"sum_ket_ps",
+             [](auto &, auto &c) { return number(metricsOf(c).sumKet()); }},
+            {"copy_h2d_ps",
+             [](auto &, auto &c) { return number(metricsOf(c).copy_h2d); }},
+            {"copy_d2h_ps",
+             [](auto &, auto &c) { return number(metricsOf(c).copy_d2h); }},
+            {"copy_d2d_ps",
+             [](auto &, auto &c) { return number(metricsOf(c).copy_d2d); }},
+            {"tdx_hypercalls",
+             [](auto &, auto &c) { return number(c.result.tdx.hypercalls); }},
+            {"bottleneck",
+             [](auto &, auto &c) {
+                 return text(bottleneckName(c.result.critical.bottleneck));
+             }},
+            {"critical_path_ps",
+             [](auto &, auto &c) {
+                 return number(c.result.critical.on_path_ps);
+             }},
+        },
+        .stats = [](auto &c) -> const obs::Registry * {
+            return c.result.stats.get();
+        },
+    };
+    return s;
+}
+
+} // namespace
+
 void
 writeCellsCsv(const SweepResult &result, std::ostream &os)
 {
-    os << "index,label,app,cc,uvm,scale,seed,status,end_to_end_ps,"
-          "launches,kernels,sum_klo_ps,sum_lqt_ps,sum_kqt_ps,"
-          "sum_ket_ps,copy_h2d_ps,copy_d2h_ps,copy_d2d_ps,"
-          "tdx_hypercalls,bottleneck,critical_path_ps,error\n";
-    for (const auto &c : result.cells) {
-        const auto &m = c.result.metrics;
-        os << c.cell.index << ',' << csvField(c.cell.label()) << ','
-           << csvField(c.cell.app) << ',' << (c.cell.cc ? 1 : 0)
-           << ',' << (c.cell.uvm ? 1 : 0) << ','
-           << formatScale(c.cell.scale) << ',' << c.cell.seed << ','
-           << (c.ok ? "ok" : "failed") << ',';
-        if (c.ok) {
-            os << c.result.end_to_end << ',' << m.launches << ','
-               << m.kernels << ',' << m.sumKlo() << ','
-               << m.sumLqt() << ',' << m.sumKqt() << ','
-               << m.sumKet() << ',' << m.copy_h2d << ','
-               << m.copy_d2h << ',' << m.copy_d2d << ','
-               << c.result.tdx.hypercalls << ','
-               << trace::bottleneckName(c.result.critical.bottleneck)
-               << ',' << c.result.critical.on_path_ps << ',';
-        } else {
-            os << ",,,,,,,,,,,,";
-        }
-        os << csvField(c.error) << '\n';
-    }
+    grid::writeCsv(schema(), result, os);
 }
 
 void
 writeCellsJson(const SweepResult &result, std::ostream &os)
 {
-    os << "[\n";
-    bool first = true;
-    for (const auto &c : result.cells) {
-        os << (first ? "" : ",\n");
-        first = false;
-        os << "  {\"index\": " << c.cell.index << ", \"label\": \""
-           << jsonEscape(c.cell.label()) << "\", \"app\": \""
-           << jsonEscape(c.cell.app) << "\", \"cc\": "
-           << (c.cell.cc ? "true" : "false") << ", \"uvm\": "
-           << (c.cell.uvm ? "true" : "false") << ", \"scale\": "
-           << formatScale(c.cell.scale) << ", \"seed\": "
-           << c.cell.seed << ", \"ok\": "
-           << (c.ok ? "true" : "false");
-        if (c.ok) {
-            const auto &m = c.result.metrics;
-            os << ", \"end_to_end_ps\": " << c.result.end_to_end
-               << ", \"launches\": " << m.launches
-               << ", \"kernels\": " << m.kernels
-               << ", \"sum_klo_ps\": " << m.sumKlo()
-               << ", \"sum_lqt_ps\": " << m.sumLqt()
-               << ", \"sum_kqt_ps\": " << m.sumKqt()
-               << ", \"sum_ket_ps\": " << m.sumKet()
-               << ", \"copy_h2d_ps\": " << m.copy_h2d
-               << ", \"copy_d2h_ps\": " << m.copy_d2h
-               << ", \"copy_d2d_ps\": " << m.copy_d2d
-               << ", \"tdx_hypercalls\": "
-               << c.result.tdx.hypercalls
-               << ", \"bottleneck\": \""
-               << trace::bottleneckName(c.result.critical.bottleneck)
-               << "\", \"critical_path_ps\": "
-               << c.result.critical.on_path_ps;
-        } else {
-            os << ", \"error\": \"" << jsonEscape(c.error) << "\"";
-        }
-        os << "}";
-    }
-    os << "\n]\n";
+    grid::writeJson(schema(), result, os);
 }
 
 void
 writeMergedStats(const SweepResult &result, std::ostream &os)
 {
-    obs::StatsSections sections;
-    sections.reserve(result.cells.size());
-    for (const auto &c : result.cells) {
-        if (!c.ok)
-            continue;
-        sections.emplace_back("cell" + std::to_string(c.cell.index)
-                                  + "." + c.cell.label() + ".",
-                              c.result.stats.get());
-    }
-    obs::writeStatsJson(os, sections, /*include_host=*/false);
+    grid::writeStats(schema(), result, os);
 }
 
 } // namespace hcc::sweep

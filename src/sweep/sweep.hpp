@@ -24,9 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
+#include "grid/grid.hpp"
 #include "obs/registry.hpp"
-#include "obs/stats_io.hpp"
 #include "snap/fork.hpp"
 #include "tee/secure_channel.hpp"
 #include "workloads/workload.hpp"
@@ -58,7 +57,7 @@ struct GridSpec
     bool tee_io = false;
     /**
      * Prefix/suffix cut for the fork engine (snap/fork.hpp).  Cells
-     * of a forkable app that differ only in their seed share one
+     * of a registered app that differ only in their seed share one
      * prefix: the group simulates it once under a seed-independent
      * identity seed and each cell reseeds to its own seed at the
      * fork point (cross-seed prefix sharing); chained fork points
@@ -69,7 +68,7 @@ struct GridSpec
      * output; `none` disables the split entirely (and restores the
      * pre-fork per-seed derivation).
      */
-    snap::ForkPoint fork_point = {snap::ForkPoint::Mode::Auto, 0.0};
+    snap::ForkPoint fork_point = {snap::ForkPoint::Mode::Auto, 0.0, {}};
     /** Run duplicate cells cold instead of snapshot-forking them. */
     bool no_snapshot = false;
     /**
@@ -105,40 +104,18 @@ struct RunCell
 };
 
 /** Outcome of one cell. */
-struct CellResult
+struct CellResult : grid::Row<RunCell>
 {
-    RunCell cell;
-    /** False when the run threw FatalError. */
-    bool ok = false;
-    /** The FatalError message when !ok. */
-    std::string error;
-    /** The run's full result (trace, metrics, stats); valid iff ok. */
+    /** The run's result (metrics, critical path, stats; the trace
+     *  only under `--fork-point none`); valid iff ok. */
     workloads::WorkloadResult result;
-    /** Host wall-clock the cell took, us (not deterministic). */
-    double wall_us = 0.0;
 };
 
-/** Outcome of a whole sweep, cells in input order. */
-struct SweepResult
-{
-    std::vector<CellResult> cells;
-    /** Worker threads the sweep ran with. */
-    int jobs = 1;
-    /** Host wall-clock of the whole sweep, us. */
-    double wall_us = 0.0;
-    /** Pool execution counters (steals, busy time, ...). */
-    ThreadPool::Stats pool;
-    /** Cells replayed from an in-memory snapshot: every cell of a
-     *  duplicate-identity group (the prefix runs once per group and
-     *  all its cells, including the first, restore + replay). */
-    std::size_t snapshot_hits = 0;
-    /** High-water mark of resident snapshot bytes over all groups
-     *  (also published as host.sweep.snapshot_resident_bytes). */
-    std::size_t peak_resident_bytes = 0;
-
-    std::size_t failures() const;
-    bool allOk() const { return failures() == 0; }
-};
+/** Outcome of a whole sweep, cells in input order.  snapshot_hits
+ *  counts every cell of a duplicate-identity group (the prefix runs
+ *  once per group and all its cells, including the first, restore
+ *  and replay). */
+using SweepResult = grid::Outcome<CellResult>;
 
 /** Expand @p grid into cells in deterministic input order. */
 std::vector<RunCell> expandGrid(const GridSpec &grid);
@@ -191,29 +168,16 @@ std::vector<tee::OverlapMode> parseOverlapList(const std::string &csv);
 /** Load and parse a grid spec file (IoError when unreadable). */
 Result<GridSpec> loadGridFile(const std::string &path);
 
-/** RFC-4180 CSV field quoting (shared by the sweep/serve writers). */
-std::string csvField(const std::string &field);
-
-/** JSON string escaping for labels and error messages (shared by the
- *  sweep/serve writers). */
-std::string jsonEscape(const std::string &s);
-
-/**
- * Deterministic per-cell CSV (RFC-4180 quoting): one row per cell in
- * input order, simulated metrics only — byte-identical across
- * worker counts.
- */
+/** Per-cell CSV (docs/SWEEP.md "Outputs"): one row per cell in
+ *  input order, simulated metrics only. */
 void writeCellsCsv(const SweepResult &result, std::ostream &os);
 
-/** Deterministic per-cell JSON array, same guarantees as the CSV. */
+/** Per-cell JSON array, same rows as the CSV. */
 void writeCellsJson(const SweepResult &result, std::ostream &os);
 
-/**
- * Merged stats dump: every successful cell's registry as a section
- * prefixed "cell<index>.<label>.", readable by `hccsim stats-diff`.
- * Deterministic and byte-identical across worker counts (host.*
- * wall-clock stats are excluded by the writer).
- */
+/** Merged stats dump: every successful cell's registry as a
+ *  "cell<index>.<label>." section, readable by `hccsim stats-diff`
+ *  (host.* wall-clock stats excluded). */
 void writeMergedStats(const SweepResult &result, std::ostream &os);
 
 } // namespace hcc::sweep

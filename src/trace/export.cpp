@@ -6,26 +6,11 @@
 #include <string_view>
 #include <vector>
 
+#include "common/text.hpp"
+
 namespace hcc::trace {
 
 namespace {
-
-/** JSON-escape a label (our names are simple, but be safe). */
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
 
 bool
 isHostSide(EventKind kind)
@@ -175,32 +160,6 @@ chromeTraceJson(const Tracer &tracer, const obs::Registry *obs,
     exportChromeTrace(tracer, oss, obs, critical);
     return oss.str();
 }
-
-namespace {
-
-/**
- * RFC 4180 field quoting: plain fields pass through untouched; a
- * field containing a comma, quote or newline is wrapped in quotes
- * with embedded quotes doubled.
- */
-std::string
-csvField(std::string_view field)
-{
-    if (field.find_first_of(",\"\r\n") == std::string_view::npos)
-        return std::string(field);
-    std::string out;
-    out.reserve(field.size() + 2);
-    out += '"';
-    for (char c : field) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-} // namespace
 
 void
 exportCsv(const Tracer &tracer, std::ostream &os)

@@ -59,9 +59,8 @@ class Session
 
 /**
  * Registry adapter: implements the Workload split-phase protocol on
- * top of makeSession(), so a workload written as a Session is
- * automatically forkable with the identical-call-sequence contract
- * satisfied by construction.
+ * top of makeSession(), so a workload written as a Session satisfies
+ * the identical-call-sequence contract by construction.
  */
 class SessionWorkload : public Workload
 {
@@ -69,8 +68,6 @@ class SessionWorkload : public Workload
     /** Build a fresh (unopened) session for @p params. */
     virtual std::unique_ptr<Session>
     makeSession(const WorkloadParams &params) const = 0;
-
-    bool forkable() const override { return true; }
 
     /** The step a fraction-based cut lands on: the same rounding for
      *  every engine, so chained cuts tile without gaps. */

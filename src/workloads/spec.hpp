@@ -103,7 +103,6 @@ class SpecWorkload : public Workload
     void run(rt::Context &ctx, const WorkloadParams &params)
         const override;
 
-    bool forkable() const override { return true; }
     double defaultForkPoint() const override
     {
         return spec_.fork_after;

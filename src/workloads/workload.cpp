@@ -20,27 +20,6 @@ WorkloadRegistry::instance()
 }
 
 std::unique_ptr<Workload::Resume>
-Workload::runPrefix(rt::Context &, const WorkloadParams &,
-                    double) const
-{
-    fatal("workload '%s' is not forkable", name().c_str());
-}
-
-void
-Workload::runSuffix(rt::Context &, const WorkloadParams &,
-                    const Resume &) const
-{
-    fatal("workload '%s' is not forkable", name().c_str());
-}
-
-std::unique_ptr<Workload::Resume>
-Workload::runSegment(rt::Context &, const WorkloadParams &,
-                     const Resume &, double) const
-{
-    fatal("workload '%s' is not forkable", name().c_str());
-}
-
-std::unique_ptr<Workload::Resume>
 Workload::reseedResume(const Resume &, const WorkloadParams &) const
 {
     // No workload-local stochastic state by default; the Context's

@@ -73,7 +73,7 @@ class Workload
 
     // ------------------------------------------ split-phase running
     //
-    // A forkable workload can run as a *prefix* (allocations, input
+    // Every workload can run as a *prefix* (allocations, input
     // transfers and the first warm launches) followed by a *suffix*
     // (the remaining launches, final sync, output transfers and
     // frees), with the hard contract that
@@ -95,28 +95,23 @@ class Workload
         virtual ~Resume() = default;
     };
 
-    /** Whether the split-phase protocol is implemented. */
-    virtual bool forkable() const { return false; }
-
     /**
      * The workload's fork_after marker: the fraction of launches a
      * `--fork-point auto` prefix covers.  High for launch-dominated
-     * apps (long shareable warmup), only meaningful when forkable().
+     * apps (long shareable warmup).
      */
     virtual double defaultForkPoint() const { return 0.9; }
 
-    /**
-     * Run setup plus the first floor(total_launches * fraction)
-     * launches.  Only valid when forkable().
-     */
+    /** Run setup plus the first floor(total_launches * fraction)
+     *  launches. */
     virtual std::unique_ptr<Resume>
     runPrefix(rt::Context &ctx, const WorkloadParams &params,
-              double fraction) const;
+              double fraction) const = 0;
 
     /** Run everything run() does after the prefix cut. */
     virtual void runSuffix(rt::Context &ctx,
                            const WorkloadParams &params,
-                           const Resume &resume) const;
+                           const Resume &resume) const = 0;
 
     /**
      * Chained-fork support: advance @p from (the state at some cut)
@@ -126,12 +121,11 @@ class Workload
      * keep handing it to every child.  The composition invariant
      * extends the split-phase contract: for any increasing cut path
      * f0 < f1 < ... < 1, prefix(f0) + segment(f1) + ... + suffix
-     * issues the identical API call sequence as run().  Only valid
-     * when forkable(); the default is fatal.
+     * issues the identical API call sequence as run().
      */
     virtual std::unique_ptr<Resume>
     runSegment(rt::Context &ctx, const WorkloadParams &params,
-               const Resume &from, double to_fraction) const;
+               const Resume &from, double to_fraction) const = 0;
 
     /**
      * Cross-seed fork support: re-derive the workload-local

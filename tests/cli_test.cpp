@@ -575,6 +575,21 @@ TEST(CliRun, TraceOutWritesFileInsteadOfStream)
     EXPECT_THROW(runCli(o, oss), hcc::FatalError);
 }
 
+/** The event-level diff compares the two runs' traces: every app
+ *  (not just spec files or faulted runs) must get per-kind rows. */
+TEST(CliRun, CompareEventDiffHasPerKindRows)
+{
+    Options o;
+    o.command = Command::Compare;
+    o.compare.workload.app = "atax";
+    std::ostringstream oss;
+    ASSERT_EQ(runCli(o, oss), 0);
+    EXPECT_NE(oss.str().find("  Launch: "), std::string::npos)
+        << oss.str();
+    EXPECT_EQ(oss.str().find("end-to-end: 0 ps -> 0 ps"),
+              std::string::npos);
+}
+
 TEST(CliRun, CompareParallelMatchesSerial)
 {
     Options o;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for common utilities: units, RNG determinism and moments,
- * statistics, and table formatting.
+ * statistics, table formatting, and the shared text helpers.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "common/text.hpp"
 #include "common/units.hpp"
 
 namespace hcc {
@@ -242,6 +243,44 @@ TEST(Table, Formatters)
     EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
     EXPECT_EQ(TextTable::ratio(5.8), "5.80x");
     EXPECT_EQ(TextTable::pct(24.0), "24.0%");
+}
+
+// ---------------------------------------------------------------- text
+
+TEST(Text, JsonEscapeCoversEveryControlCharacter)
+{
+    EXPECT_EQ(jsonEscape("plain.name"), "plain.name");
+    EXPECT_EQ(jsonEscape("q\"b\\n\nr\rt\tc\x01" "e\x1f"),
+              "q\\\"b\\\\n\\nr\\rt\\tc\\u0001e\\u001f");
+}
+
+TEST(Text, CsvFieldQuotesPerRfc4180)
+{
+    EXPECT_EQ(csvField("plain\tfield"), "plain\tfield");
+    EXPECT_EQ(csvField("a,b"), "\"a,b\"");
+    EXPECT_EQ(csvField("say \"hi\""), "\"say \"\"hi\"\"\"");
+    EXPECT_EQ(csvField("two\nlines"), "\"two\nlines\"");
+    EXPECT_EQ(csvField("cr\r"), "\"cr\r\"");
+}
+
+TEST(Text, DoubleFormats)
+{
+    EXPECT_EQ(formatG(1.0), "1");
+    EXPECT_EQ(formatG(0.25), "0.25");
+    EXPECT_EQ(formatG(1e-5), "1e-05");
+    EXPECT_EQ(formatG(1.0 / 3.0), "0.333333");
+    EXPECT_EQ(formatShortest(160.0), "160");
+    EXPECT_EQ(formatShortest(150.25), "150.25");
+    EXPECT_EQ(formatShortest(1.0 / 3.0), "0.3333333333333333");
+}
+
+TEST(Text, SplitListTrimsAndDropsEmptyItems)
+{
+    EXPECT_EQ(splitList(" a, b ,,c,"),
+              (std::vector<std::string>{"a", "b", "c"}));
+    EXPECT_TRUE(splitList("").empty());
+    EXPECT_TRUE(splitList(" , ").empty());
+    EXPECT_EQ(trim(" \tx y\r "), "x y");
 }
 
 // ----------------------------------------------------------------- log

@@ -77,9 +77,9 @@ TEST(ChromeExport, EscapesSpecialCharacters)
     e.kind = EventKind::Kernel;
     e.start = 0;
     e.end = 1;
-    t.record(e, "weird\"name\\with\nstuff");
+    t.record(e, "weird\"name\\with\nstuff\tand\x01");
     const auto json = chromeTraceJson(t);
-    EXPECT_NE(json.find("weird\\\"name\\\\with\\nstuff"),
+    EXPECT_NE(json.find("weird\\\"name\\\\with\\nstuff\\tand\\u0001"),
               std::string::npos);
 }
 

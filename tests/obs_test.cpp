@@ -154,6 +154,15 @@ TEST(StatsIo, DumpExcludesHostStatsByDefault)
               std::string::npos);
 }
 
+TEST(StatsIo, DumpEscapesControlCharactersInNames)
+{
+    Registry reg;
+    reg.counter("odd\tname\x01").add(1);
+    const auto text = statsJson(reg);
+    EXPECT_NE(text.find("\"odd\\tname\\u0001\""), std::string::npos)
+        << text;
+}
+
 TEST(StatsIo, DumpParsesBackWithMatchingFields)
 {
     Registry reg;

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "perfmodel/model.hpp"
 #include "runtime/context.hpp"
 #include "trace/tracer.hpp"
@@ -109,9 +112,11 @@ TEST(Decompose, ReportMentionsAllParts)
 }
 
 // The model must predict real app traces accurately in both modes
-// (this is the claim of Sec. V).
+// (this is the claim of Sec. V). The app name is a std::string so the
+// printed parameter (and so the registered test name) carries the name
+// itself rather than a load-address-dependent pointer.
 class ModelAccuracy
-    : public ::testing::TestWithParam<std::tuple<const char *, bool>>
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>>
 {};
 
 TEST_P(ModelAccuracy, PredictsEndToEndWithinFivePercent)

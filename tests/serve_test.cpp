@@ -296,9 +296,13 @@ TEST(ServeOutput, CsvAndJsonCarryTheSloColumns)
 
 TEST(ServeOutput, FormatLoadIsShortest)
 {
-    EXPECT_EQ(formatLoad(8.0), "8");
-    EXPECT_EQ(formatLoad(0.5), "0.5");
-    EXPECT_EQ(formatLoad(24.0), "24");
+    ServeCell cell;
+    for (const auto &[load, label] :
+         {std::pair{8.0, "l8.base"}, std::pair{0.5, "l0.5.base"},
+          std::pair{24.0, "l24.base"}}) {
+        cell.load = load;
+        EXPECT_EQ(cell.label(), label);
+    }
 }
 
 } // namespace

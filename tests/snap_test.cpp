@@ -412,8 +412,6 @@ TEST(ForkReplay, ForkedCellsMatchColdStartForEveryWorkload)
     std::size_t forked_workloads = 0;
 
     for (const auto *w : all) {
-        if (!w->forkable())
-            continue;
         ++forked_workloads;
         for (const bool cc : {false, true}) {
             for (const bool uvm : {false, true}) {
@@ -685,7 +683,7 @@ TEST(ForkReplay, FaultedLeafDoesNotLeakIntoSiblingSeedNode)
 
 /** Satellite property: forked-from-forked equals cold.  Chained fork
  *  points build a two-level snapshot tree (prefix -> per-seed node
- *  -> leaf); every forkable workload under base and CC (and UVM
+ *  -> leaf); every workload under base and CC (and UVM
  *  where supported) and every overlap tier must replay from it
  *  byte-identically to the cold-split control. */
 TEST(ForkReplay, ChainedForksMatchColdForEveryWorkloadAndTier)
@@ -696,8 +694,6 @@ TEST(ForkReplay, ChainedForksMatchColdForEveryWorkloadAndTier)
     std::size_t exercised = 0;
 
     for (const auto *w : all) {
-        if (!w->forkable())
-            continue;
         for (const tee::OverlapMode tier :
              {tee::OverlapMode::None, tee::OverlapMode::DoubleBuffer,
               tee::OverlapMode::Speculative}) {

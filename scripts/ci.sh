@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
-# CI entry point: build and test under the default and the
-# ASan+UBSan presets (the latter pinned to the portable ttable
-# crypto so sanitizers cover the word-oriented hot path), smoke-run
-# the crypto microbenchmarks from a Release build, then exercise the
-# stats-diff regression gate end to end (a same-seed rerun must be
-# drift-free, a perturbed run must be flagged with a non-zero exit).
+# CI entry point: build and test under the default preset (warnings
+# as errors) and the ASan+UBSan preset (the latter pinned to the
+# portable ttable crypto so sanitizers cover the word-oriented hot
+# path), smoke-run the crypto microbenchmarks from a Release build,
+# then exercise the stats-diff regression gate end to end (a
+# same-seed rerun must be drift-free, a perturbed run must be
+# flagged with a non-zero exit).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 jobs="$(nproc 2>/dev/null || echo 4)"
 
-cmake --preset default
+cmake --preset default -DHCC_WERROR=ON
 cmake --build --preset default -j"$jobs"
 ctest --preset default -j"$jobs"
 
@@ -68,6 +69,15 @@ test -s "$tmp/bench_sim.json"
 "$hccsim" stats-diff bench/baselines/cnn_cc_stats.json \
     "$tmp/cnn_cc.json"
 cmp bench/baselines/cnn_cc_stats.json "$tmp/cnn_cc.json"
+
+# Fig. 3 gate: the performance-model report (alpha, beta, T_other,
+# the predicted P) of three CC cells must reproduce the committed
+# stdout exactly.  llm pins beta, cnntrain alpha and beta, kmeans
+# alpha; no stats dump carries these numbers.
+for app in llm cnntrain kmeans; do
+    "$hccsim" run --app "$app" --cc
+done > "$tmp/fig03_run_cc.txt"
+cmp bench/baselines/fig03_run_cc.txt "$tmp/fig03_run_cc.txt"
 
 # Critical-path gate: the Fig. 14 LLM cell's stats (which embed the
 # critical_path block, the critpath.* counters and so the bottleneck

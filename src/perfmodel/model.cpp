@@ -86,14 +86,20 @@ decompose(const trace::Tracer &tracer)
         }
     }
 
-    // alpha: fraction of memcpy time overlapped with launch or
-    // kernel activity.
+    // Each overlap family is indexed once, so every query below is
+    // two binary searches and the decomposition is O(n log n).
     std::vector<std::pair<SimTime, SimTime>> bc_spans = launch_spans;
     bc_spans.insert(bc_spans.end(), kernel_spans.begin(),
                     kernel_spans.end());
+    const trace::SpanCoverage launch_or_kernel(std::move(bc_spans));
+    const trace::SpanCoverage launches(std::move(launch_spans));
+    const trace::SpanCoverage kernels(kernel_spans);
+
+    // alpha: fraction of memcpy time overlapped with launch or
+    // kernel activity.
     SimTime mem_overlapped = 0;
     for (const auto &[s, e] : mem_spans)
-        mem_overlapped += trace::overlapWith(s, e, bc_spans);
+        mem_overlapped += launch_or_kernel.covered(s, e);
     d.alpha = d.t_mem > 0
         ? static_cast<double>(mem_overlapped)
               / static_cast<double>(d.t_mem)
@@ -105,7 +111,7 @@ decompose(const trace::Tracer &tracer)
     SimTime kernel_visible = 0;
     double beta_sum = 0.0;
     for (const auto &[s, e] : kernel_spans) {
-        const SimTime hidden = trace::overlapWith(s, e, launch_spans);
+        const SimTime hidden = launches.covered(s, e);
         const SimTime dur = e - s;
         kernel_visible += dur - hidden;
         beta_sum += dur > 0
@@ -117,10 +123,8 @@ decompose(const trace::Tracer &tracer)
 
     // Sync time overlapped with kernel execution is already counted
     // in part C; only the residue lands in T_other.
-    for (const auto &[s, e] : sync_spans) {
-        const SimTime hidden = trace::overlapWith(s, e, kernel_spans);
-        d.t_other += (e - s) - hidden;
-    }
+    for (const auto &[s, e] : sync_spans)
+        d.t_other += (e - s) - kernels.covered(s, e);
 
     const auto non_overlapped_mem = static_cast<SimTime>(
         (1.0 - d.alpha) * static_cast<double>(d.t_mem));

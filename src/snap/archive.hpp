@@ -148,7 +148,8 @@ class Loader
                       "snapshot pod() needs a bit-copyable type");
         HCC_ASSERT(pos_ + sizeof(T) <= len_,
                    "snapshot archive underrun");
-        std::memcpy(&v, bytes_ + pos_, sizeof(T));
+        // Through void *: kIsSnapPod admits std::pair on purpose.
+        std::memcpy(static_cast<void *>(&v), bytes_ + pos_, sizeof(T));
         pos_ += sizeof(T);
     }
 
@@ -174,7 +175,7 @@ class Loader
                    "snapshot archive underrun");
         v.resize(static_cast<std::size_t>(n));
         if (n)
-            std::memcpy(v.data(), bytes_ + pos_,
+            std::memcpy(static_cast<void *>(v.data()), bytes_ + pos_,
                         static_cast<std::size_t>(n) * sizeof(T));
         pos_ += static_cast<std::size_t>(n) * sizeof(T);
     }

@@ -27,16 +27,75 @@ saveMeta(Saver &ar, const SnapshotMeta &meta)
     ar.str(meta.parent);
 }
 
-void
-loadMeta(Loader &ar, SnapshotMeta &meta)
+/**
+ * Bounds-checked reads over a snapshot file.  Loader asserts on an
+ * underrun because restores read trusted in-memory snapshots; a file
+ * may be cut short, so every length is checked against the bytes
+ * that remain before it is read, and a short read returns false.
+ */
+class FileReader
 {
-    ar.pod(meta.cc);
-    ar.pod(meta.uvm);
-    ar.pod(meta.seed);
-    ar.pod(meta.sim_time);
-    ar.str(meta.app);
-    ar.str(meta.fork_point);
-    ar.str(meta.parent);
+  public:
+    explicit FileReader(const std::vector<std::uint8_t> &bytes)
+        : ar_(bytes), len_(bytes.size())
+    {
+    }
+
+    std::size_t left() const { return len_ - ar_.consumed(); }
+    bool fits(std::uint64_t n) const { return n <= left(); }
+
+    template <typename T>
+    bool
+    pod(T &v)
+    {
+        if (!fits(sizeof(T)))
+            return false;
+        ar_.pod(v);
+        return true;
+    }
+
+    bool
+    raw(void *p, std::uint64_t n)
+    {
+        if (!fits(n))
+            return false;
+        ar_.raw(p, static_cast<std::size_t>(n));
+        return true;
+    }
+
+    /** A bool is one byte; any value but 0 or 1 is corrupt (and
+     *  loading it into a bool would be undefined behaviour). */
+    bool
+    flag(bool &b)
+    {
+        std::uint8_t v = 0;
+        if (!pod(v) || v > 1)
+            return false;
+        b = v != 0;
+        return true;
+    }
+
+    bool
+    str(std::string &s)
+    {
+        std::uint64_t n = 0;
+        if (!pod(n) || !fits(n))
+            return false;
+        s.resize(static_cast<std::size_t>(n));
+        return raw(s.data(), n);
+    }
+
+  private:
+    Loader ar_;
+    std::size_t len_;
+};
+
+bool
+loadMeta(FileReader &ar, SnapshotMeta &meta)
+{
+    return ar.flag(meta.cc) && ar.flag(meta.uvm) && ar.pod(meta.seed)
+        && ar.pod(meta.sim_time) && ar.str(meta.app)
+        && ar.str(meta.fork_point) && ar.str(meta.parent);
 }
 
 } // namespace
@@ -84,30 +143,34 @@ readSnapshotFile(const std::string &path)
         bytes.insert(bytes.end(), buf, buf + n);
     std::fclose(f);
 
-    if (bytes.size() < sizeof(kMagic) + sizeof(kVersion))
+    FileReader ar(bytes);
+    const auto truncated = [&] {
+        return errorf(ErrorCode::ParseError,
+                      "'%s' is truncated or corrupt at byte %zu of %zu",
+                      path.c_str(), bytes.size() - ar.left(),
+                      bytes.size());
+    };
+    char magic[sizeof(kMagic)];
+    std::uint32_t version = 0;
+    if (!ar.raw(magic, sizeof(magic)) || !ar.pod(version))
         return errorf(ErrorCode::ParseError,
                       "'%s' is too short to be a snapshot",
                       path.c_str());
-    Loader ar(bytes);
-    char magic[sizeof(kMagic)];
-    ar.raw(magic, sizeof(magic));
     if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
         return errorf(ErrorCode::ParseError,
                       "'%s' has no HCCSNAP1 magic", path.c_str());
-    std::uint32_t version = 0;
-    ar.pod(version);
     if (version != kVersion)
         return errorf(ErrorCode::ParseError,
                       "'%s' is snapshot version %u, expected %u",
                       path.c_str(), version, kVersion);
 
     Snapshot snap;
-    loadMeta(ar, snap.meta);
     std::uint64_t count = 0;
-    ar.pod(count);
+    if (!loadMeta(ar, snap.meta) || !ar.pod(count))
+        return truncated();
     // Sanity bound: each table entry needs at least its two length
     // words, so a corrupt count cannot drive a huge allocation.
-    if (count > bytes.size())
+    if (count > ar.left() / (2 * sizeof(std::uint64_t)))
         return errorf(ErrorCode::ParseError,
                       "'%s' section count %llu is implausible",
                       path.c_str(),
@@ -116,24 +179,26 @@ readSnapshotFile(const std::string &path)
     sizes.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t i = 0; i < count; ++i) {
         Section s;
-        ar.str(s.name);
         std::uint64_t sz = 0;
-        ar.pod(sz);
-        if (sz > bytes.size())
-            return errorf(ErrorCode::ParseError,
-                          "'%s' section '%s' size %llu exceeds file",
-                          path.c_str(), s.name.c_str(),
-                          static_cast<unsigned long long>(sz));
+        if (!ar.str(s.name) || !ar.pod(sz))
+            return truncated();
         sizes.push_back(sz);
         snap.sections.push_back(std::move(s));
     }
     for (std::uint64_t i = 0; i < count; ++i) {
         auto &s = snap.sections[static_cast<std::size_t>(i)];
-        s.bytes.resize(static_cast<std::size_t>(
-            sizes[static_cast<std::size_t>(i)]));
-        ar.raw(s.bytes.data(), s.bytes.size());
+        const std::uint64_t sz = sizes[static_cast<std::size_t>(i)];
+        if (!ar.fits(sz))
+            return errorf(ErrorCode::ParseError,
+                          "'%s' section '%s' size %llu exceeds the "
+                          "%zu bytes left",
+                          path.c_str(), s.name.c_str(),
+                          static_cast<unsigned long long>(sz),
+                          ar.left());
+        s.bytes.resize(static_cast<std::size_t>(sz));
+        ar.raw(s.bytes.data(), sz);
     }
-    if (!ar.exhausted())
+    if (ar.left() != 0)
         return errorf(ErrorCode::ParseError,
                       "'%s' has trailing bytes after the sections",
                       path.c_str());

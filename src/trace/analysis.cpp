@@ -25,44 +25,40 @@ compactSampleMetrics(AppMetrics &metrics)
     compact(metrics.ket);
 }
 
-SimTime
-unionCoverage(std::vector<std::pair<SimTime, SimTime>> spans)
+SpanCoverage::SpanCoverage(std::vector<Span> spans)
 {
-    if (spans.empty())
-        return 0;
+    std::erase_if(spans, [](const Span &sp) {
+        return sp.second <= sp.first;
+    });
     std::sort(spans.begin(), spans.end());
-    SimTime covered = 0;
-    SimTime cur_start = spans.front().first;
-    SimTime cur_end = spans.front().second;
-    for (std::size_t i = 1; i < spans.size(); ++i) {
-        const auto &[s, e] = spans[i];
-        if (s > cur_end) {
-            covered += cur_end - cur_start;
-            cur_start = s;
-            cur_end = e;
-        } else {
-            cur_end = std::max(cur_end, e);
-        }
+    // Merge in place; the runs reuse the input's buffer.
+    std::size_t n = 0;
+    for (const auto &sp : spans) {
+        if (n > 0 && sp.first <= spans[n - 1].second)
+            spans[n - 1].second = std::max(spans[n - 1].second,
+                                           sp.second);
+        else
+            spans[n++] = sp;
     }
-    covered += cur_end - cur_start;
-    return covered;
+    spans.resize(n);
+    runs_ = std::move(spans);
+    prefix_.reserve(n + 1);
+    for (const auto &[a, b] : runs_)
+        prefix_.push_back(prefix_.back() + (b - a));
 }
 
 SimTime
-overlapWith(SimTime s, SimTime e,
-            const std::vector<std::pair<SimTime, SimTime>> &spans)
+SpanCoverage::coveredBefore(SimTime t) const
 {
-    if (e <= s)
-        return 0;
-    std::vector<std::pair<SimTime, SimTime>> clipped;
-    clipped.reserve(spans.size());
-    for (const auto &[a, b] : spans) {
-        const SimTime lo = std::max(a, s);
-        const SimTime hi = std::min(b, e);
-        if (hi > lo)
-            clipped.emplace_back(lo, hi);
-    }
-    return unionCoverage(std::move(clipped));
+    // Runs before the first one that ends after t lie wholly below t;
+    // that run contributes its part below t, later runs nothing.
+    const auto it = std::upper_bound(
+        runs_.begin(), runs_.end(), t,
+        [](SimTime v, const Span &r) { return v < r.second; });
+    const SimTime below =
+        prefix_[static_cast<std::size_t>(it - runs_.begin())];
+    return it != runs_.end() && it->first < t
+        ? below + (t - it->first) : below;
 }
 
 std::vector<EventPoint>

@@ -74,17 +74,44 @@ AppMetrics analyze(const Tracer &tracer);
 void compactSampleMetrics(AppMetrics &metrics);
 
 /**
- * Merge intervals and return total covered time — used for the
- * overlap (alpha/beta) estimation in the performance model.
+ * The union of a span family, indexed for overlap queries.
+ *
+ * Built once: the spans are sorted and merged into disjoint runs
+ * (empty and inverted spans cover nothing and are dropped), with the
+ * running covered length before each run.  covered() then costs two
+ * binary searches and is exact in integer picoseconds, so n overlap
+ * queries against one family cost O(n log n) in all.  The Fig. 3
+ * alpha/beta terms and the critical path's fault re-attribution are
+ * both answered here.
  */
-SimTime unionCoverage(std::vector<std::pair<SimTime, SimTime>> spans);
+class SpanCoverage
+{
+  public:
+    using Span = std::pair<SimTime, SimTime>;
 
-/**
- * Time of interval [s, e) covered by the union of @p spans.
- */
-SimTime overlapWith(SimTime s, SimTime e,
-                    const std::vector<std::pair<SimTime, SimTime>>
-                        &spans);
+    SpanCoverage() = default;
+    explicit SpanCoverage(std::vector<Span> spans);
+
+    /** Time of [a, b) covered by the union (0 when b <= a). */
+    SimTime
+    covered(SimTime a, SimTime b) const
+    {
+        return b > a && !runs_.empty()
+            ? coveredBefore(b) - coveredBefore(a) : 0;
+    }
+    /** Total time covered by the union. */
+    SimTime total() const { return prefix_.back(); }
+    /** The merged runs: ascending, disjoint and non-touching. */
+    const std::vector<Span> &runs() const { return runs_; }
+
+  private:
+    /** Covered time before @p t. */
+    SimTime coveredBefore(SimTime t) const;
+
+    std::vector<Span> runs_;
+    /** prefix_[i]: covered length of runs_[0, i). */
+    std::vector<SimTime> prefix_ = {0};
+};
 
 /** An (x = start us, y = duration us) point for Fig. 10 scatters. */
 struct EventPoint

@@ -150,9 +150,10 @@ struct Scan
     std::vector<std::uint32_t> corr;
     /** (sync event, waited-on device event), ascending sync index. */
     std::vector<std::pair<std::uint32_t, std::uint32_t>> sync_edges;
-    /** Merged fault-recovery coverage, sorted and disjoint (raw and
-     *  unmerged until finalizeScan()). */
+    /** Fault-recovery spans as scanned. */
     std::vector<std::pair<SimTime, SimTime>> fault_spans;
+    /** Their coverage index, built by finalizeScan(). */
+    SpanCoverage faults;
     /** Walk start: latest-ending non-fault event (tie: higher idx). */
     std::uint32_t tail = kNone;
     SimTime last_nonfault_end = 0;
@@ -309,23 +310,12 @@ finalizeScan(Scan &s, const Tracer &tracer)
     AppMetrics &m = s.metrics;
     m.end_to_end = tracer.span();
 
-    // Satellite fix: fault-recovery spans overlapping a Sync window
-    // were double-counted in both fault_time and sync_time.  The
-    // recovery owns that wall time; subtract the overlap from sync.
-    if (!s.fault_spans.empty()) {
-        std::sort(s.fault_spans.begin(), s.fault_spans.end());
-        std::vector<std::pair<SimTime, SimTime>> merged;
-        for (const auto &sp : s.fault_spans) {
-            if (!merged.empty() && sp.first <= merged.back().second)
-                merged.back().second =
-                    std::max(merged.back().second, sp.second);
-            else
-                merged.push_back(sp);
-        }
-        s.fault_spans = std::move(merged);
-        for (const auto &[a, b] : s.sync_spans)
-            m.sync_time -= overlapWith(a, b, s.fault_spans);
-    }
+    // Fault-recovery spans overlapping a Sync window would count in
+    // both fault_time and sync_time.  The recovery owns that wall
+    // time; subtract the overlap from sync.
+    s.faults = SpanCoverage(s.fault_spans);
+    for (const auto &[a, b] : s.sync_spans)
+        m.sync_time -= s.faults.covered(a, b);
 }
 
 Scan
@@ -486,6 +476,84 @@ walkCritical(const Tracer &tracer, const Scan &s,
     }
 }
 
+/**
+ * Books path time into the exact per-category partition.  Recovery
+ * spans overlay other events, so the part of a charge they cover
+ * belongs to the fault, not the carrier.  Link time splits between
+ * crypto and link by the run's busy ratio (see ccCopySplitBusy),
+ * exactly, in integer ps.
+ */
+struct ShareCharger
+{
+    std::array<SimTime, kPathCategoryCount> &shares;
+    const SpanCoverage &faults;
+    std::uint64_t crypto_busy = 0;
+    std::uint64_t link_busy = 0;
+
+    /** Book @p v ps of @p c; @p sign -1 takes a booking back. */
+    void
+    book(SimTime v, PathCategory c, SimTime sign = 1) const
+    {
+        const std::uint64_t den = crypto_busy + link_busy;
+        if (c == PathCategory::Link && den > 0) {
+            const auto crypto = static_cast<SimTime>(
+                static_cast<unsigned __int128>(v) * crypto_busy / den);
+            shares[idx(PathCategory::Crypto)] += sign * crypto;
+            shares[idx(PathCategory::Link)] += sign * (v - crypto);
+        } else {
+            shares[idx(c)] += sign * v;
+        }
+    }
+
+    /** Charge [a, b) to @p c, less what recovery spans cover. */
+    void
+    operator()(SimTime a, SimTime b, PathCategory c) const
+    {
+        if (b <= a)
+            return;
+        const SimTime f =
+            c == PathCategory::Fault ? 0 : faults.covered(a, b);
+        shares[idx(PathCategory::Fault)] += f;
+        book(b - a - f, c);
+    }
+};
+
+/**
+ * The charging tail shared by analyzeCritical() and ForkAnalyzer:
+ * charges the recovery tail past the last real event, lets @p walk
+ * charge the path through the ShareCharger it is handed, checks that
+ * the shares partition end_to_end, and classifies them.
+ */
+template <typename WalkFn>
+void
+chargePath(CriticalPath &cp, const Tracer &tracer, const Scan &s,
+           const obs::Registry *obs, WalkFn &&walk)
+{
+    if (s.tail == kNone) {
+        // No real event (an empty trace, or only fault spans): all
+        // recovery.
+        cp.shares[idx(PathCategory::Fault)] = cp.end_to_end;
+    } else {
+        const auto [crypto_busy, link_busy] = ccCopySplitBusy(obs);
+        const ShareCharger charge{cp.shares, s.faults, crypto_busy,
+                                  link_busy};
+        // Fault spans may outlast the last real event (or precede the
+        // first one, handled at the walker's head charge).
+        charge(tracer.events()[s.tail].end, tracer.lastEnd(),
+               PathCategory::Fault);
+        walk(charge);
+        SimTime total = 0;
+        for (const auto sh : cp.shares)
+            total += sh;
+        HCC_ASSERT(total == cp.end_to_end,
+                   "critical-path shares must partition end_to_end");
+    }
+    cp.bottleneck = classifyShares(
+        cp.shares, cp.end_to_end,
+        static_cast<SimTime>(
+            counterValue(obs, "gpu.uvm.fault_time_ps")));
+}
+
 } // namespace
 
 std::string_view
@@ -565,23 +633,6 @@ analyzeCritical(const Tracer &tracer, const obs::Registry *obs,
     out.metrics = std::move(s.metrics);
     CriticalPath &cp = out.path;
     cp.end_to_end = out.metrics.end_to_end;
-    const auto ev = tracer.events();
-    const std::size_t n = ev.size();
-    if (with_slack)
-        cp.slack.assign(n, 0);
-    const SimTime uvm_faults =
-        static_cast<SimTime>(counterValue(obs,
-                                          "gpu.uvm.fault_time_ps"));
-    if (n == 0)
-        return out;
-
-    if (s.tail == kNone) {
-        // Degenerate trace of only fault spans: all recovery.
-        cp.shares[idx(PathCategory::Fault)] = cp.end_to_end;
-        cp.bottleneck =
-            classifyShares(cp.shares, cp.end_to_end, uvm_faults);
-        return out;
-    }
 
     // ---- CPM latest-finish pass -> per-event slack ---------------
     // Record order is a topological order (all edge sources have
@@ -589,6 +640,9 @@ analyzeCritical(const Tracer &tracer, const obs::Registry *obs,
     // before its predecessors are visited.  The binding walk below
     // never reads lf/slack, so bulk callers skip this pass.
     if (with_slack) {
+        const auto ev = tracer.events();
+        const std::size_t n = ev.size();
+        cp.slack.assign(n, 0);
         std::vector<SimTime> lf(n, s.last_nonfault_end);
         std::size_t se = s.sync_edges.size();
         for (std::uint32_t i2 = static_cast<std::uint32_t>(n);
@@ -613,69 +667,31 @@ analyzeCritical(const Tracer &tracer, const obs::Registry *obs,
         }
     }
 
-    // ---- crypto/link split of CC copy time -----------------------
-    // The trace shows one opaque copy span; the registry knows how
-    // busy the crypto engines vs the PCIe wire were.  Split on-path
-    // link time by that global ratio, exactly, in integer ps
-    // (overlap-hidden crypto is deducted — see ccCopySplitBusy).
-    const auto [crypto_busy, link_busy] = ccCopySplitBusy(obs);
-    const std::uint64_t split_den = crypto_busy + link_busy;
-    const PathCategory copy_display =
-        (split_den > 0 && crypto_busy >= link_busy)
-            ? PathCategory::Crypto
-            : PathCategory::Link;
-
-    const auto &faults = s.fault_spans;
-    const auto addShare = [&](SimTime a, SimTime b, PathCategory c) {
-        if (b <= a)
-            return;
-        SimTime v = b - a;
-        if (!faults.empty() && c != PathCategory::Fault) {
-            // Recovery spans overlay other events; the overlapped
-            // path time belongs to the fault, not the carrier.
-            const SimTime f = overlapWith(a, b, faults);
-            cp.shares[idx(PathCategory::Fault)] += f;
-            v -= f;
-        }
-        if (c == PathCategory::Link && split_den > 0) {
-            const auto cpart = static_cast<SimTime>(
-                static_cast<unsigned __int128>(v) * crypto_busy
-                / split_den);
-            cp.shares[idx(PathCategory::Crypto)] += cpart;
-            cp.shares[idx(PathCategory::Link)] += v - cpart;
-        } else {
-            cp.shares[idx(c)] += v;
-        }
-    };
-
     // ---- backward binding walk -----------------------------------
-    // Fault spans may outlast the last real event (or precede the
-    // first one, handled at the walker's head charge).
-    addShare(ev[s.tail].end, tracer.lastEnd(), PathCategory::Fault);
-
-    walkCritical(
-        tracer, s, s.tail,
-        [&](std::uint32_t e_idx, SimTime a, SimTime b,
-            PathCategory raw) {
-            cp.segments.push_back(
-                {e_idx, a, b,
-                 raw == PathCategory::Link ? copy_display : raw});
-            addShare(a, b, raw);
-            cp.on_path_ps += b - a;
-        },
-        addShare, [](std::uint32_t) { return false; });
-    cp.on_path_events = cp.segments.size();
-    // The walk visits strictly decreasing indices; flip to
-    // ascending time order for exporters.
-    std::reverse(cp.segments.begin(), cp.segments.end());
-
-    SimTime total = 0;
-    for (const auto sh : cp.shares)
-        total += sh;
-    HCC_ASSERT(total == cp.end_to_end,
-               "critical-path shares must partition end_to_end");
-    cp.bottleneck = classifyShares(cp.shares, cp.end_to_end,
-                                   uvm_faults);
+    chargePath(cp, tracer, s, obs, [&](const ShareCharger &charge) {
+        // The trace shows one opaque span per copy; a Link segment is
+        // displayed as the larger side of the crypto/link split.
+        const PathCategory copy_display =
+            charge.crypto_busy > 0
+                    && charge.crypto_busy >= charge.link_busy
+                ? PathCategory::Crypto
+                : PathCategory::Link;
+        walkCritical(
+            tracer, s, s.tail,
+            [&](std::uint32_t e_idx, SimTime a, SimTime b,
+                PathCategory raw) {
+                cp.segments.push_back(
+                    {e_idx, a, b,
+                     raw == PathCategory::Link ? copy_display : raw});
+                charge(a, b, raw);
+                cp.on_path_ps += b - a;
+            },
+            charge, [](std::uint32_t) { return false; });
+        cp.on_path_events = cp.segments.size();
+        // The walk visits strictly decreasing indices; flip to
+        // ascending time order for exporters.
+        std::reverse(cp.segments.begin(), cp.segments.end());
+    });
     return out;
 }
 
@@ -713,7 +729,6 @@ struct PrefixWalk
      *  [firstStart, entry end] contiguously, so ends are sorted and
      *  fault overlap localizes to a binary-searchable index range. */
     std::vector<Rec> all;
-    SimTime max_end = 0;       //!< latest end over all records
 };
 
 } // namespace
@@ -742,7 +757,6 @@ struct ForkAnalyzer::Impl
             if (b <= a)
                 return;
             w.all.push_back({a, b, cat});
-            w.max_end = std::max(w.max_end, b);
             if (cat == PathCategory::Link)
                 w.link.push_back({a, b, cat});
             else
@@ -804,9 +818,9 @@ ForkAnalyzer::capture(const Tracer &prefix_tracer)
 {
     impl_ = std::make_unique<Impl>();
     impl_->n_prefix = prefix_tracer.size();
-    // Unfinalized on purpose: the fault merge and the sync-overlap
-    // fixup run once per cell over the complete span sets, exactly
-    // like the one-shot scan would.
+    // Unfinalized on purpose: the fault index and the sync-overlap
+    // fixup are built once per cell over the complete span sets,
+    // exactly like the one-shot scan would.
     scanRange(impl_->base, prefix_tracer, 0, impl_->n_prefix,
               /*build_graph=*/true);
 }
@@ -854,158 +868,64 @@ ForkAnalyzer::analyze(const Tracer &tracer, const obs::Registry *obs)
     }
     CriticalPath &cp = out.path;
     cp.end_to_end = out.metrics.end_to_end;
-    const SimTime uvm_faults =
-        static_cast<SimTime>(counterValue(obs,
-                                          "gpu.uvm.fault_time_ps"));
-    if (n == 0)
-        return out;
-    if (s.tail == kNone) {
-        cp.shares[idx(PathCategory::Fault)] = cp.end_to_end;
-        cp.bottleneck =
-            classifyShares(cp.shares, cp.end_to_end, uvm_faults);
-        return out;
-    }
-
-    const auto [crypto_busy, link_busy] = ccCopySplitBusy(obs);
-    const std::uint64_t split_den = crypto_busy + link_busy;
-
-    const auto &faults = s.fault_spans;
-    const auto addShare = [&](SimTime a, SimTime b, PathCategory c) {
-        if (b <= a)
-            return;
-        SimTime v = b - a;
-        if (!faults.empty() && c != PathCategory::Fault) {
-            const SimTime f = overlapWith(a, b, faults);
-            cp.shares[idx(PathCategory::Fault)] += f;
-            v -= f;
-        }
-        if (c == PathCategory::Link && split_den > 0) {
-            const auto cpart = static_cast<SimTime>(
-                static_cast<unsigned __int128>(v) * crypto_busy
-                / split_den);
-            cp.shares[idx(PathCategory::Crypto)] += cpart;
-            cp.shares[idx(PathCategory::Link)] += v - cpart;
-        } else {
-            cp.shares[idx(c)] += v;
-        }
-    };
-
-    const auto applyPrefix = [&](std::uint32_t entry) {
-        const PrefixWalk &w = im.walkFrom(tracer, entry);
-        cp.on_path_ps += w.on_path;
-        cp.on_path_events += w.events;
-        const auto splitLink = [&](SimTime v) {
-            return split_den > 0
-                ? static_cast<SimTime>(
-                      static_cast<unsigned __int128>(v) * crypto_busy
-                      / split_den)
-                : SimTime{0};
-        };
-        // Charge every record as if no fault span touched it: plain
-        // per-category sums, plus the cell-ratio crypto/link split
-        // of each Link record (the per-record floor division must be
-        // replayed — it does not distribute over the sum).
-        for (std::size_t c = 0; c < kPathCategoryCount; ++c)
-            cp.shares[c] += w.sums[c];
-        for (const auto &r : w.link) {
-            const SimTime v = r.b - r.a;
-            if (split_den > 0) {
-                const SimTime cpart = splitLink(v);
-                cp.shares[idx(PathCategory::Crypto)] += cpart;
-                cp.shares[idx(PathCategory::Link)] += v - cpart;
-            } else {
-                cp.shares[idx(PathCategory::Link)] += v;
-            }
-        }
-        // Fault spans are armed after the fork point, so they reach
-        // back into the walk's interval only through in-flight
-        // device events (the entry event's slice can end deep in the
-        // suffix).  Re-attribute exactly for the few records the
-        // spans actually touch — the records ascend in time with
-        // sorted ends, so each span binary-searches its first record
-        // and a shared cursor keeps the whole sweep linear.
-        if (faults.empty() || faults.front().first >= w.max_end)
-            return;
-        const auto adjust = [&](const PrefixWalk::Rec &r) {
-            if (r.cat == PathCategory::Fault)
-                return; // charged in full either way
-            const SimTime f = overlapWith(r.a, r.b, faults);
-            if (f == 0)
+    chargePath(cp, tracer, s, obs, [&](const ShareCharger &charge) {
+        const auto applyPrefix = [&](std::uint32_t entry) {
+            const PrefixWalk &w = im.walkFrom(tracer, entry);
+            cp.on_path_ps += w.on_path;
+            cp.on_path_events += w.events;
+            // Charge every record as if no fault span touched it:
+            // plain per-category sums, plus the cell-ratio
+            // crypto/link split of each Link record (the per-record
+            // floor division must be replayed — it does not
+            // distribute over the sum).
+            for (std::size_t c = 0; c < kPathCategoryCount; ++c)
+                cp.shares[c] += w.sums[c];
+            for (const auto &r : w.link)
+                charge.book(r.b - r.a, PathCategory::Link);
+            // Fault spans are armed at the fork point, so they reach
+            // back into the walk's interval only through in-flight
+            // device events (the entry event's slice can end deep in
+            // the suffix).  From the first record that ends after the
+            // first fault to the last fault's end, take each record's
+            // fault-free booking back and charge it as the live walk
+            // would.
+            const auto &runs = s.faults.runs();
+            if (runs.empty())
                 return;
-            cp.shares[idx(PathCategory::Fault)] += f;
-            if (r.cat == PathCategory::Link && split_den > 0) {
-                const SimTime v = r.b - r.a;
-                const SimTime cpart_full = splitLink(v);
-                const SimTime cpart = splitLink(v - f);
-                cp.shares[idx(PathCategory::Crypto)] +=
-                    cpart - cpart_full;
-                cp.shares[idx(PathCategory::Link)] +=
-                    (v - f - cpart) - (v - cpart_full);
-            } else {
-                cp.shares[idx(r.cat)] -= f;
+            auto it = std::upper_bound(
+                w.all.begin(), w.all.end(), runs.front().first,
+                [](SimTime v, const PrefixWalk::Rec &r) {
+                    return v < r.b;
+                });
+            for (; it != w.all.end() && it->a < runs.back().second;
+                 ++it) {
+                charge.book(it->b - it->a, it->cat, -1);
+                charge(it->a, it->b, it->cat);
             }
         };
-        std::size_t ri = 0;
-        std::size_t last = w.all.size(); // no record processed yet
-        for (const auto &[fa, fb] : faults) {
-            if (fa >= w.max_end)
-                break;
-            if (ri >= w.all.size())
-                break;
-            if (w.all[ri].b <= fa) {
-                const auto it = std::upper_bound(
-                    w.all.begin()
-                        + static_cast<std::ptrdiff_t>(ri),
-                    w.all.end(), fa,
-                    [](SimTime v, const PrefixWalk::Rec &r) {
-                        return v < r.b;
-                    });
-                ri = static_cast<std::size_t>(it - w.all.begin());
-            }
-            while (ri < w.all.size() && w.all[ri].a < fb) {
-                if (ri != last) {
-                    adjust(w.all[ri]);
-                    last = ri;
-                }
-                if (w.all[ri].b <= fb)
-                    ++ri;
-                else
-                    break;
-            }
-        }
-    };
 
-    const auto ev = tracer.events();
-    addShare(ev[s.tail].end, tracer.lastEnd(), PathCategory::Fault);
-    if (s.tail < im.n_prefix) {
-        // Degenerate suffix (fraction 1.0): the whole walk is the
-        // memoized prefix replay.
-        applyPrefix(s.tail);
-    } else {
+        if (s.tail < im.n_prefix) {
+            // Degenerate suffix (fraction 1.0): the whole walk is the
+            // memoized prefix replay.
+            applyPrefix(s.tail);
+            return;
+        }
         walkCritical(
             tracer, s, s.tail,
             [&](std::uint32_t, SimTime a, SimTime b,
                 PathCategory raw) {
                 ++cp.on_path_events;
                 cp.on_path_ps += b - a;
-                addShare(a, b, raw);
+                charge(a, b, raw);
             },
-            addShare,
+            charge,
             [&](std::uint32_t best) {
                 if (best >= im.n_prefix)
                     return false;
                 applyPrefix(best);
                 return true;
             });
-    }
-
-    SimTime total = 0;
-    for (const auto sh : cp.shares)
-        total += sh;
-    HCC_ASSERT(total == cp.end_to_end,
-               "fork-analyzed shares must partition end_to_end");
-    cp.bottleneck = classifyShares(cp.shares, cp.end_to_end,
-                                   uvm_faults);
+    });
     return out;
 }
 

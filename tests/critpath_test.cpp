@@ -253,6 +253,68 @@ TEST(CritPath, NoRegistryMeansPureLink)
     EXPECT_EQ(p.share(PathCategory::Crypto), 0);
 }
 
+// ------------------------------------------------- fork analyzer
+
+/** A prefix whose kernel is still running when the suffix starts. */
+void
+recordPrefix(Tracer &t)
+{
+    t.record(mk(EventKind::MemcpyH2D, 0, 100), "memcpy");
+    const auto c = t.record(mk(EventKind::Launch, 100, 110), "k");
+    t.record(mk(EventKind::Kernel, 110, 1000, 0, c), "k");
+}
+
+TEST(CritPathFork, FaultsOverThePrefixWalkMatchAFullScan)
+{
+    // The suffix's sync waits on the prefix kernel, so the walk hands
+    // off to the memoized prefix walk, whose copy, launch and kernel
+    // records the suffix's fault spans overlap.  Two cells share the
+    // capture: the second replays the memoized walk under other
+    // faults.
+    obs::Registry reg;
+    reg.counter("sim.timeline.cc_crypto.busy_ps").add(3);
+    reg.counter("pcie.link.busy_ps_h2d").add(7);
+    Tracer prefix;
+    recordPrefix(prefix);
+    ForkAnalyzer fork;
+    fork.capture(prefix);
+
+    struct Cell
+    {
+        SimTime fault_a, fault_b;
+        SimTime crypto, link, launch, fault;
+    };
+    // Cell 1: [50,80) takes 30 of the copy, leaving 70 to split 3:7.
+    // Cell 2: [90,105) takes 10 of the copy and 5 of the launch.
+    // Both: [500,700) takes 200 of the kernel.
+    for (const Cell &cell : {Cell{50, 80, 21, 49, 10, 230},
+                             Cell{90, 105, 27, 63, 5, 215}}) {
+        Tracer t;
+        recordPrefix(t);
+        t.record(mk(EventKind::Sync, 120, 1005), "sync");
+        t.record(mk(EventKind::Fault, cell.fault_a, cell.fault_b),
+                 "fault");
+        t.record(mk(EventKind::Fault, 500, 700), "fault");
+        const auto f = fork.analyze(t, &reg);
+        const auto full = analyzeCritical(t, &reg, false);
+        EXPECT_EQ(f.path.shares, full.path.shares);
+        EXPECT_EQ(f.path.on_path_ps, full.path.on_path_ps);
+        EXPECT_EQ(f.path.on_path_events, full.path.on_path_events);
+        EXPECT_EQ(f.path.bottleneck, full.path.bottleneck);
+        EXPECT_EQ(f.metrics.sync_time, full.metrics.sync_time);
+
+        const CriticalPath &p = f.path;
+        EXPECT_EQ(p.end_to_end, 1005);
+        EXPECT_EQ(p.share(PathCategory::Crypto), cell.crypto);
+        EXPECT_EQ(p.share(PathCategory::Link), cell.link);
+        EXPECT_EQ(p.share(PathCategory::Launch), cell.launch);
+        EXPECT_EQ(p.share(PathCategory::Compute), 690);
+        EXPECT_EQ(p.share(PathCategory::Sync), 5);
+        EXPECT_EQ(p.share(PathCategory::Fault), cell.fault);
+        EXPECT_EQ(f.metrics.sync_time, 885 - 200);
+    }
+}
+
 // ------------------------------------------------------- classifier
 
 using Shares = std::array<SimTime, kPathCategoryCount>;

@@ -538,7 +538,7 @@ TEST(Campaign, PublishesSnapshotGauges)
     spec.sites = {Site::PcieReplay};
     spec.rates = {0.5};
     spec.seeds = {1, 2};
-    spec.fork_point = {snap::ForkPoint::Mode::Auto, 0.0};
+    spec.fork_point = {snap::ForkPoint::Mode::Auto, 0.0, {}};
     obs::Registry reg;
     const auto res = runFaultCampaign(spec, 1, &reg);
     ASSERT_TRUE(res.allOk());

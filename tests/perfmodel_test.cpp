@@ -91,6 +91,36 @@ TEST(Decompose, SyncOverlappedWithKernelNotDoubleCounted)
     EXPECT_EQ(d.t_other, 20);
 }
 
+TEST(Decompose, OverlapsCountTheUnionOfEachFamily)
+{
+    trace::Tracer t;
+    // Launch spans (LQT included): [0,10), [15,30), [25,40).
+    t.record(ev(trace::EventKind::Launch, 0, 10));
+    t.record(ev(trace::EventKind::Launch, 20, 30, 5));
+    t.record(ev(trace::EventKind::Launch, 25, 40));
+    // K1 [5,45): the launches cover [5,10) + [15,40) = 30 of its 40,
+    // the overlap of the last two counted once: beta_1 = 0.75.
+    t.record(ev(trace::EventKind::Kernel, 8, 45, 3));
+    // Copy [41,49): [41,45) lies under K1, so alpha = 4/8.
+    t.record(ev(trace::EventKind::MemcpyH2D, 41, 49));
+    // K2 [100,150) and K3 [160,200), no launch above: beta = 0.
+    t.record(ev(trace::EventKind::Kernel, 100, 150));
+    t.record(ev(trace::EventKind::Kernel, 160, 200));
+    // Sync [120,220) overlaps K2 by 30 and K3 by 40: residue 30.
+    t.record(ev(trace::EventKind::Sync, 120, 220));
+    const auto d = decompose(t);
+    EXPECT_EQ(d.t_mem, 8);
+    EXPECT_DOUBLE_EQ(d.alpha, 0.5);
+    EXPECT_EQ(d.t_launch, 40);
+    EXPECT_EQ(d.t_kernel, 130);
+    EXPECT_DOUBLE_EQ(d.beta_mean, 0.25);
+    EXPECT_EQ(d.t_other, 30);
+    EXPECT_EQ(d.end_to_end, 220);
+    // (1 - alpha) * 8 + 40 + (10 + 50 + 40) + 30.
+    EXPECT_EQ(d.predicted, 174);
+    EXPECT_EQ(d.residual, 46);
+}
+
 TEST(Decompose, EmptyTraceIsAllZero)
 {
     trace::Tracer t;

@@ -47,8 +47,9 @@ TEST(ServeArrivals, TraceIsDeterministicAndOrdered)
         EXPECT_EQ(a[i].arrival, b[i].arrival);
         EXPECT_EQ(a[i].prompt_len, b[i].prompt_len);
         EXPECT_EQ(a[i].gen_len, b[i].gen_len);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a[i].arrival, a[i - 1].arrival);
+        }
         EXPECT_GE(a[i].prompt_len, 1);
         EXPECT_GE(a[i].gen_len, 1);
     }

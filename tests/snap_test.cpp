@@ -62,7 +62,7 @@ TEST(ForkPoint, RejectsGarbageAndOutOfRange)
 TEST(ForkPoint, NoneNeverResolves)
 {
     const auto &w = workloads::WorkloadRegistry::instance().get("2mm");
-    ForkPoint fp{ForkPoint::Mode::None, 0.0};
+    ForkPoint fp{ForkPoint::Mode::None, 0.0, {}};
     EXPECT_LT(fp.resolve(w), 0.0);
     EXPECT_TRUE(fp.resolvePath(w).empty());
 }
@@ -372,6 +372,71 @@ TEST(SnapshotFile, RejectsAForeignFile)
     std::remove(path.c_str());
 }
 
+TEST(SnapshotFile, EveryTruncationIsAParseError)
+{
+    Snapshot snap;
+    snap.meta.cc = true;
+    snap.meta.seed = 42;
+    snap.meta.app = "atax";
+    snap.meta.fork_point = "auto/0.5";
+    snap.meta.parent = "auto";
+    snap.add("runtime") = {1, 2, 3};
+    snap.add("trace") = {9, 8, 7, 6};
+    const std::string path =
+        testing::TempDir() + "snap_whole.hccsnap";
+    ASSERT_TRUE(writeSnapshotFile(path, snap).ok());
+    std::vector<char> bytes;
+    {
+        std::FILE *f = std::fopen(path.c_str(), "rb");
+        ASSERT_NE(f, nullptr);
+        int c = 0;
+        while ((c = std::fgetc(f)) != EOF)
+            bytes.push_back(static_cast<char>(c));
+        std::fclose(f);
+    }
+    ASSERT_TRUE(readSnapshotFile(path).ok());
+
+    // Every cut, including inside the meta strings, the section
+    // table and the last payload byte, must be reported, not abort.
+    const std::string cut = testing::TempDir() + "snap_cut.hccsnap";
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+        std::FILE *f = std::fopen(cut.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fwrite(bytes.data(), 1, len, f), len);
+        std::fclose(f);
+        const auto loaded = readSnapshotFile(cut);
+        ASSERT_FALSE(loaded.ok()) << "cut at " << len;
+        EXPECT_EQ(loaded.status().code(), ErrorCode::ParseError)
+            << "cut at " << len;
+        EXPECT_NE(loaded.status().message().find(cut),
+                  std::string::npos)
+            << loaded.status().message();
+    }
+    std::remove(path.c_str());
+    std::remove(cut.c_str());
+}
+
+TEST(SnapshotFile, FlagByteOtherThanZeroOrOneIsAParseError)
+{
+    Snapshot snap;
+    snap.meta.app = "atax";
+    const std::string path = testing::TempDir() + "snap_flag.hccsnap";
+    ASSERT_TRUE(writeSnapshotFile(path, snap).ok());
+    {
+        // meta.cc is the byte after the 8-byte magic and the 4-byte
+        // version.
+        std::FILE *f = std::fopen(path.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fseek(f, 12, SEEK_SET), 0);
+        ASSERT_EQ(std::fputc(2, f), 2);
+        std::fclose(f);
+    }
+    const auto loaded = readSnapshotFile(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), ErrorCode::ParseError);
+    std::remove(path.c_str());
+}
+
 // ------------------------------------- the fork/replay property
 
 /** Deterministic fingerprint of one run: the full stats dump (host.*
@@ -426,7 +491,7 @@ TEST(ForkReplay, ForkedCellsMatchColdStartForEveryWorkload)
                 group.params.seed = 42;
                 group.cells.resize(2); // fault-free duplicate cells
 
-                const ForkPoint auto_fp{ForkPoint::Mode::Auto, 0.0};
+                const ForkPoint auto_fp{ForkPoint::Mode::Auto, 0.0, {}};
                 const auto cold = runForkGroup(group, auto_fp,
                                                /*no_snapshot=*/true);
                 const auto fork = runForkGroup(group, auto_fp,
@@ -466,13 +531,13 @@ TEST(ForkReplay, FractionCutsProduceTheSameRun)
     group.cells.resize(2);
 
     const auto base = runForkGroup(
-        group, ForkPoint{ForkPoint::Mode::Auto, 0.0}, true);
+        group, ForkPoint{ForkPoint::Mode::Auto, 0.0, {}}, true);
     ASSERT_TRUE(base.cells[0].ok) << base.cells[0].error;
     const std::string want = fingerprint(base.cells[0].result);
 
     for (const double f : {0.0, 0.3, 1.0}) {
         const auto got = runForkGroup(
-            group, ForkPoint{ForkPoint::Mode::Fraction, f}, false);
+            group, ForkPoint{ForkPoint::Mode::Fraction, f, {}}, false);
         ASSERT_TRUE(got.cells[0].ok)
             << "f=" << f << ": " << got.cells[0].error;
         EXPECT_EQ(fingerprint(got.cells[0].result), want)
@@ -491,7 +556,7 @@ TEST(ForkReplay, FaultedSuffixDoesNotLeakIntoTheNextCell)
     group.cells[1].faults.set(fault::Site::PcieReplay, 0.9);
 
     const auto out = runForkGroup(
-        group, ForkPoint{ForkPoint::Mode::Auto, 0.0}, false);
+        group, ForkPoint{ForkPoint::Mode::Auto, 0.0, {}}, false);
     ASSERT_TRUE(out.cells[0].ok);
     ASSERT_TRUE(out.cells[1].ok);
     ASSERT_TRUE(out.cells[2].ok);
@@ -619,7 +684,7 @@ TEST(ForkReplay, CrossSeedGroupMatchesColdControl)
     group.cells[1].arms = {ForkArm{ForkArm::Kind::Reseed, 9, {}}};
     group.cells[2].arms = {ForkArm{ForkArm::Kind::Reseed, 7, {}}};
 
-    const ForkPoint fp{ForkPoint::Mode::Auto, 0.0};
+    const ForkPoint fp{ForkPoint::Mode::Auto, 0.0, {}};
     const auto cold = runForkGroup(group, fp, /*no_snapshot=*/true);
     const auto fork = runForkGroup(group, fp, /*no_snapshot=*/false);
     ASSERT_EQ(cold.cells.size(), 3u);
@@ -801,7 +866,7 @@ TEST(ForkCampaign, ForkAndColdCampaignsAreIdentical)
                   fault::Site::ChannelTagMismatch};
     spec.rates = {0.5};
     spec.seeds = {1, 2};
-    spec.fork_point = {ForkPoint::Mode::Auto, 0.0};
+    spec.fork_point = {ForkPoint::Mode::Auto, 0.0, {}};
 
     spec.no_snapshot = false;
     const auto fork = fault::runFaultCampaign(spec, 1);
@@ -832,7 +897,7 @@ TEST(ForkCampaign, LazyReplayCountersSurviveRepeatedRestores)
     spec.sites = {fault::Site::PcieReplay};
     spec.rates = {0.25, 0.5, 0.9};
     spec.seeds = {41};
-    spec.fork_point = {ForkPoint::Mode::Auto, 0.0};
+    spec.fork_point = {ForkPoint::Mode::Auto, 0.0, {}};
 
     spec.no_snapshot = false;
     const auto fork = fault::runFaultCampaign(spec, 1);

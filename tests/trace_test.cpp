@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "common/log.hpp"
 #include "trace/analysis.hpp"
 #include "trace/tracer.hpp"
@@ -147,26 +153,112 @@ TEST(Analysis, FaultCoveringWholeSyncZeroesIt)
     EXPECT_EQ(m.fault_time, 200);
 }
 
+SimTime
+unionOf(std::vector<SpanCoverage::Span> spans)
+{
+    return SpanCoverage(std::move(spans)).total();
+}
+
 TEST(Analysis, UnionCoverageMergesOverlaps)
 {
-    EXPECT_EQ(unionCoverage({{0, 10}, {5, 15}}), 15);
-    EXPECT_EQ(unionCoverage({{0, 10}, {20, 30}}), 20);
-    EXPECT_EQ(unionCoverage({{0, 10}, {2, 3}}), 10);
-    EXPECT_EQ(unionCoverage({}), 0);
+    EXPECT_EQ(unionOf({{0, 10}, {5, 15}}), 15);
+    EXPECT_EQ(unionOf({{0, 10}, {20, 30}}), 20);
+    EXPECT_EQ(unionOf({{0, 10}, {2, 3}}), 10);
+    EXPECT_EQ(unionOf({}), 0);
 }
 
 TEST(Analysis, UnionCoverageUnsortedInput)
 {
-    EXPECT_EQ(unionCoverage({{20, 30}, {0, 5}, {4, 21}}), 30);
+    EXPECT_EQ(unionOf({{20, 30}, {0, 5}, {4, 21}}), 30);
 }
 
 TEST(Analysis, OverlapWithClipsToWindow)
 {
-    const std::vector<std::pair<SimTime, SimTime>> spans = {
-        {0, 100}, {200, 300}};
-    EXPECT_EQ(overlapWith(50, 250, spans), 100);
-    EXPECT_EQ(overlapWith(400, 500, spans), 0);
-    EXPECT_EQ(overlapWith(100, 100, spans), 0);
+    const SpanCoverage spans({{0, 100}, {200, 300}});
+    EXPECT_EQ(spans.covered(50, 250), 100);
+    EXPECT_EQ(spans.covered(400, 500), 0);
+    EXPECT_EQ(spans.covered(100, 100), 0);
+}
+
+TEST(Analysis, SpanCoverageMatchesBruteForce)
+{
+    // Spans live on a small integer grid [kLo, kHi), so a
+    // per-picosecond bitmap is an exact reference for the union and
+    // for every window.
+    constexpr SimTime kLo = -8;
+    constexpr SimTime kHi = 72;
+    std::mt19937_64 rng(20250416);
+    const auto pick = [&](SimTime lo, SimTime hi) {
+        return lo + static_cast<SimTime>(
+                   rng() % static_cast<std::uint64_t>(hi - lo + 1));
+    };
+    for (int family = 0; family < 2000; ++family) {
+        std::vector<SpanCoverage::Span> spans;
+        const int n = static_cast<int>(rng() % 13);
+        for (int i = 0; i < n; ++i) {
+            const SimTime a = pick(kLo, kHi - 20);
+            SpanCoverage::Span sp{a, a + pick(1, 20)};
+            if (!spans.empty()) {
+                const auto prev = spans[rng() % spans.size()];
+                const SimTime lo = std::min(prev.first, prev.second);
+                const SimTime hi = std::max(prev.first, prev.second);
+                switch (rng() % 8) {
+                  case 0: // duplicate
+                    sp = prev;
+                    break;
+                  case 1: // touching
+                    sp = {hi, std::min(hi + pick(0, 8), kHi)};
+                    break;
+                  case 2: // nested
+                    sp.first = pick(lo, hi);
+                    sp.second = pick(sp.first, hi);
+                    break;
+                  default:
+                    break;
+                }
+            }
+            switch (rng() % 8) {
+              case 0: // empty
+                sp.second = sp.first;
+                break;
+              case 1: // inverted
+                std::swap(sp.first, sp.second);
+                break;
+              default:
+                break;
+            }
+            spans.push_back(sp);
+        }
+        std::vector<bool> bit(static_cast<std::size_t>(kHi - kLo));
+        for (const auto &[a, b] : spans)
+            for (SimTime t = a; t < b; ++t)
+                bit[static_cast<std::size_t>(t - kLo)] = true;
+        const auto brute = [&](SimTime a, SimTime b) {
+            SimTime c = 0;
+            for (SimTime t = std::max(a, kLo); t < std::min(b, kHi); ++t)
+                c += bit[static_cast<std::size_t>(t - kLo)] ? 1 : 0;
+            return c;
+        };
+
+        const SpanCoverage cov(spans);
+        ASSERT_EQ(cov.total(), brute(kLo, kHi)) << "family " << family;
+        const auto &runs = cov.runs();
+        for (std::size_t r = 0; r < runs.size(); ++r) {
+            EXPECT_LT(runs[r].first, runs[r].second);
+            if (r > 0) {
+                EXPECT_LT(runs[r - 1].second, runs[r].first);
+            }
+        }
+        for (int q = 0; q < 40; ++q) {
+            const SimTime a = pick(kLo - 4, kHi + 4);
+            // Every fifth window is empty or inverted.
+            const SimTime b = q % 5 == 0 ? a - pick(0, 10)
+                                         : pick(kLo - 4, kHi + 4);
+            ASSERT_EQ(cov.covered(a, b), brute(a, b))
+                << "family " << family << " window [" << a << ", "
+                << b << ")";
+        }
+    }
 }
 
 TEST(Analysis, EventScatterDropsLongest)

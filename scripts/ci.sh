@@ -41,8 +41,10 @@ trap 'rm -rf "$tmp"' EXIT
 
 # Crypto bench smoke: a short Release-build run proves the benchmark
 # harness and its JSON export stay alive (full numbers are recorded
-# manually in BENCH_crypto.json, not gated here).
-cmake --preset release
+# manually in BENCH_crypto.json, not gated here).  The Release build
+# is warning-free too: -O3 inlines deeper and warns where the default
+# preset does not.
+cmake --preset release -DHCC_WERROR=ON
 cmake --build --preset release -j"$jobs" --target microbench_crypto
 build-release/bench/microbench_crypto \
     --benchmark_filter='BM_GcmSeal' --benchmark_min_time=0.05 \

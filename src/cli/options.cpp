@@ -1019,8 +1019,8 @@ printCriticalDelta(const trace::CriticalPath &base,
         const SimTime k = cc.shares[c];
         if (b == 0 && k == 0)
             continue;
-        const std::string delta = (k >= b ? "+" : "-")
-            + formatTime(k >= b ? k - b : b - k);
+        std::string delta = k >= b ? "+" : "-";
+        delta += formatTime(k >= b ? k - b : b - k);
         const double share = cc.end_to_end > 0
             ? 100.0 * static_cast<double>(k)
                   / static_cast<double>(cc.end_to_end)

@@ -90,9 +90,9 @@ Registry::contains(const std::string &name) const
 std::unique_ptr<Registry>
 Registry::clone() const
 {
-    // Direct deep copy (the fork engine clones once per campaign
-    // cell, so this skips the archive round-trip).  Entries arrive
-    // in map order, so inserting with an end() hint is O(1) each.
+    // Direct copy (the cell engine clones once per campaign cell,
+    // so this skips the archive round-trip).  Entries arrive in map
+    // order, so inserting with an end() hint is O(1) each.
     auto out = std::make_unique<Registry>();
     for (const auto &[name, e] : stats_) {
         Entry copy;
@@ -103,7 +103,7 @@ Registry::clone() const
             copy.counter->bump(e.counter->value());
             break;
           case Kind::Gauge:
-            copy.gauge = std::make_unique<Gauge>(*e.gauge);
+            copy.gauge = std::make_unique<Gauge>(e.gauge->valueCopy());
             break;
           case Kind::Distribution:
             copy.distribution =

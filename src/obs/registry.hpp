@@ -160,14 +160,44 @@ class Gauge
     std::int64_t max() const { return max_; }
 
     const std::vector<Sample> &samples() const { return samples_; }
+    /** Retained samples: samples().size(), or for a valueCopy() the
+     *  count its source retained. */
+    std::size_t
+    sampleCount() const
+    {
+        return samples_.size() + copied_samples_;
+    }
     /** Accepted changes not retained (decimated or strided out). */
     std::uint64_t droppedSamples() const { return dropped_; }
     /** Current retention stride (1 until kMaxSamples is first hit). */
     std::uint64_t sampleStride() const { return stride_; }
 
+    /**
+     * The level, watermarks and decimator state, with the retained
+     * series reduced to its count: samples() of the copy is empty,
+     * sampleCount() equals this gauge's.  Everything a stats dump
+     * prints, without the series only a counter track draws
+     * (Registry::clone).
+     */
+    Gauge
+    valueCopy() const
+    {
+        Gauge g;
+        g.value_ = value_;
+        g.min_ = min_;
+        g.max_ = max_;
+        g.touched_ = touched_;
+        g.copied_samples_ = sampleCount();
+        g.dropped_ = dropped_;
+        g.stride_ = stride_;
+        g.skip_ = skip_;
+        return g;
+    }
+
     /** Snapshot support: level, watermarks, and the whole decimator
      *  state (retained samples, stride, skip phase) — a restored
-     *  gauge continues the identical deterministic sample series. */
+     *  gauge continues the identical deterministic sample series.
+     *  Live gauges only: a valueCopy()'s sample count is not kept. */
     template <class Ar>
     void
     snapState(Ar &ar)
@@ -195,6 +225,8 @@ class Gauge
     std::uint64_t stride_ = 1;
     /** Accepted changes since the last retained sample. */
     std::uint64_t skip_ = 0;
+    /** Retained samples a valueCopy() counts but does not hold. */
+    std::size_t copied_samples_ = 0;
 };
 
 /** Running summary of a value stream (count/sum/min/max/mean). */
@@ -324,10 +356,14 @@ class Registry
     }
 
     /**
-     * Deep value copy (fresh Counter/Gauge/Distribution objects).
-     * Forked campaign cells share one live registry; each cell's
-     * published stats must survive the next cell's restore, so the
-     * engine clones the registry into every WorkloadResult.
+     * Value copy (fresh Counter/Gauge/Distribution objects) for a
+     * campaign cell's result: every value a stats dump prints, with
+     * each gauge reduced to its Gauge::valueCopy() (no sample series,
+     * so no counter track can be drawn from a clone).  Forked cells
+     * share one live registry that the next cell's restore rewinds,
+     * and cold cells' registries die with their Context, so the cell
+     * engine clones into every WorkloadResult; a campaign of 10k
+     * cells then holds values, not 10k copies of per-launch series.
      */
     std::unique_ptr<Registry> clone() const;
 

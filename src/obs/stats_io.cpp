@@ -1,5 +1,7 @@
 #include "obs/stats_io.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <ostream>
@@ -20,30 +22,62 @@ isHostStat(const std::string &name)
     return name.rfind("host.", 0) == 0;
 }
 
+/** Append @p text, then @p v in shortest round-trip decimal (what
+ *  formatShortest() gives for a double; plain decimal for an
+ *  integer). */
+template <typename T>
 void
-writeEntry(std::ostream &os, const Registry::Entry &e)
+appendField(std::string &out, std::string_view text, T v)
+{
+    char buf[64];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out += text;
+    out.append(buf, res.ptr);
+}
+
+/** Append @p s JSON-escaped.  Escaping is per character, so a name
+ *  with nothing to escape (almost every stat) is copied as is. */
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    const bool plain = std::none_of(s.begin(), s.end(), [](char c) {
+        return c == '"' || c == '\\'
+            || static_cast<unsigned char>(c) < 0x20;
+    });
+    if (plain)
+        out.append(s);
+    else
+        out += jsonEscape(s);
+}
+
+void
+appendEntry(std::string &out, const Registry::Entry &e)
 {
     switch (e.kind) {
       case Registry::Kind::Counter:
-        os << "{\"type\": \"counter\", \"value\": "
-           << e.counter->value() << "}";
+        appendField(out, "{\"type\": \"counter\", \"value\": ",
+                    e.counter->value());
         break;
-      case Registry::Kind::Gauge:
-        os << "{\"type\": \"gauge\", \"value\": " << e.gauge->value()
-           << ", \"min\": " << e.gauge->min()
-           << ", \"max\": " << e.gauge->max()
-           << ", \"samples\": " << e.gauge->samples().size() << "}";
+      case Registry::Kind::Gauge: {
+        const Gauge &g = *e.gauge;
+        appendField(out, "{\"type\": \"gauge\", \"value\": ", g.value());
+        appendField(out, ", \"min\": ", g.min());
+        appendField(out, ", \"max\": ", g.max());
+        appendField(out, ", \"samples\": ", g.sampleCount());
         break;
-      case Registry::Kind::Distribution:
-        os << "{\"type\": \"distribution\", \"count\": "
-           << e.distribution->count()
-           << ", \"sum\": " << formatShortest(e.distribution->sum())
-           << ", \"min\": " << formatShortest(e.distribution->min())
-           << ", \"max\": " << formatShortest(e.distribution->max())
-           << ", \"mean\": " << formatShortest(e.distribution->mean())
-           << "}";
+      }
+      case Registry::Kind::Distribution: {
+        const Distribution &d = *e.distribution;
+        appendField(out, "{\"type\": \"distribution\", \"count\": ",
+                    d.count());
+        appendField(out, ", \"sum\": ", d.sum());
+        appendField(out, ", \"min\": ", d.min());
+        appendField(out, ", \"max\": ", d.max());
+        appendField(out, ", \"mean\": ", d.mean());
         break;
+      }
     }
+    out += '}';
 }
 
 } // namespace
@@ -56,19 +90,34 @@ writeStatsJson(std::ostream &os, const StatsSections &sections,
     if (!extra_members.empty())
         os << "  " << extra_members << ",\n";
     os << "  \"stats\": {";
+    // The stat lines go through one buffer, flushed in large blocks:
+    // a campaign's merged dump has ~10^6 of them.
+    constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
+    std::string out;
+    out.reserve(2 * kFlushBytes);
+    const auto flush = [&] {
+        os.write(out.data(), static_cast<std::streamsize>(out.size()));
+        out.clear();
+    };
     bool first = true;
-    for (const auto &[prefix, registry] : sections) {
+    for (const auto &[raw_prefix, registry] : sections) {
         HCC_ASSERT(registry != nullptr, "null registry in dump");
+        const std::string prefix = jsonEscape(raw_prefix);
         for (const auto &[name, entry] : registry->entries()) {
             if (!include_host && isHostStat(name))
                 continue;
-            os << (first ? "\n" : ",\n");
+            out += first ? "\n    \"" : ",\n    \"";
             first = false;
-            os << "    \"" << jsonEscape(prefix + name) << "\": ";
-            writeEntry(os, entry);
+            out += prefix;
+            appendEscaped(out, name);
+            out += "\": ";
+            appendEntry(out, entry);
+            if (out.size() >= kFlushBytes)
+                flush();
         }
     }
-    os << "\n  }\n}\n";
+    out += "\n  }\n}\n";
+    flush();
 }
 
 std::string

@@ -23,7 +23,8 @@ ServeSpec::cellCount() const
 std::string
 ServeCell::label() const
 {
-    std::string out = "l" + formatG(load);
+    std::string out = "l";
+    out += formatG(load);
     out += cc ? ".cc" : ".base";
     if (overlap != tee::OverlapMode::None) {
         out += '.';

@@ -33,18 +33,19 @@ namespace {
  * pass and the segment list are skipped too — no campaign output
  * reads them.
  *
- * In fork mode the group's cells share one live registry, and the
- * next cell's restore rewinds it to the fork point — so the result
- * deep-copies the registry instead of sharing it.  Cold cells own
- * their registry and share it out of the dying Context, exactly like
- * runWorkload().  @p analyzer (fork mode only) reuses the group's
- * prefix scan so each cell pays for its suffix, not the full trace.
+ * The result's registry is a value copy (obs::Registry::clone): in
+ * fork mode the group's cells share one live registry that the next
+ * cell's restore rewinds, and in both modes the copy drops the gauge
+ * sample series no campaign writer prints, keeping only their
+ * counts.  Each arm copies its own live registry, so the fork-vs-cold
+ * gates still compare real counts.  @p analyzer (fork mode only)
+ * reuses the group's prefix scan so each cell pays for its suffix,
+ * not the full trace.
  */
 workloads::WorkloadResult
 collectCellResult(rt::Context &ctx, const workloads::Workload &w,
                   const workloads::WorkloadParams &params, bool cc,
                   std::chrono::steady_clock::time_point wall_start,
-                  bool clone_stats,
                   trace::ForkAnalyzer *analyzer = nullptr)
 {
     const double wall_s =
@@ -81,9 +82,7 @@ collectCellResult(rt::Context &ctx, const workloads::Workload &w,
     trace::publishCriticalPath(result.critical, ctx.obs());
     result.tdx = ctx.tdx().stats();
     result.end_to_end = result.metrics.end_to_end;
-    result.stats = clone_stats
-        ? std::shared_ptr<obs::Registry>(ctx.obs().clone())
-        : ctx.obsPtr();
+    result.stats = ctx.obs().clone();
     return result;
 }
 
@@ -178,9 +177,8 @@ runColdSplitCell(const workloads::Workload &w,
             ctx.armFaults(cell.faults);
             w.runSuffix(ctx, params, *resume);
         }
-        out.result = collectCellResult(ctx, w, params, group.sys.cc,
-                                       start,
-                                       /*clone_stats=*/false);
+        out.result =
+            collectCellResult(ctx, w, params, group.sys.cc, start);
         out.ok = true;
     } catch (const FatalError &e) {
         out.error = e.what();
@@ -358,7 +356,6 @@ class TreeRunner
             }
             out.result = collectCellResult(*ctx_, w_, params,
                                            group_.sys.cc, start,
-                                           /*clone_stats=*/true,
                                            node.analyzer.get());
             out.ok = true;
         } catch (const FatalError &e) {
@@ -523,8 +520,10 @@ ForkPoint::str() const
       case Mode::Auto: out = "auto"; break;
       case Mode::Fraction: out = formatG(fraction); break;
     }
-    for (const double c : chain)
-        out += "/" + formatG(c);
+    for (const double c : chain) {
+        out += '/';
+        out += formatG(c);
+    }
     return out;
 }
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <ostream>
 
+#include "crypto/sha256.hpp"
 #include "snap/archive.hpp"
 
 namespace hcc::snap {
@@ -13,7 +14,8 @@ namespace {
 
 constexpr char kMagic[8] = {'H', 'C', 'C', 'S', 'N', 'A', 'P', '1'};
 // v2: meta gained the parent link (chained-fork tree provenance).
-constexpr std::uint32_t kVersion = 2;
+// v3: SHA-256 digests, one per section plus one over the header.
+constexpr std::uint32_t kVersion = 3;
 
 void
 saveMeta(Saver &ar, const SnapshotMeta &meta)
@@ -111,7 +113,9 @@ writeSnapshotFile(const std::string &path, const Snapshot &snap)
     for (const auto &s : snap.sections) {
         ar.str(s.name);
         ar.pod(static_cast<std::uint64_t>(s.bytes.size()));
+        ar.pod(crypto::Sha256::digest(s.bytes));
     }
+    ar.pod(crypto::Sha256::digest(ar.bytes()));
     for (const auto &s : snap.sections)
         ar.raw(s.bytes.data(), s.bytes.size());
 
@@ -169,22 +173,38 @@ readSnapshotFile(const std::string &path)
     if (!loadMeta(ar, snap.meta) || !ar.pod(count))
         return truncated();
     // Sanity bound: each table entry needs at least its two length
-    // words, so a corrupt count cannot drive a huge allocation.
-    if (count > ar.left() / (2 * sizeof(std::uint64_t)))
+    // words and its digest, so a corrupt count cannot drive a huge
+    // allocation.
+    constexpr std::size_t kMinEntry =
+        2 * sizeof(std::uint64_t) + crypto::kSha256DigestLen;
+    if (count > ar.left() / kMinEntry)
         return errorf(ErrorCode::ParseError,
                       "'%s' section count %llu is implausible",
                       path.c_str(),
                       static_cast<unsigned long long>(count));
     std::vector<std::uint64_t> sizes;
+    std::vector<crypto::Sha256Digest> digests;
     sizes.reserve(static_cast<std::size_t>(count));
+    digests.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t i = 0; i < count; ++i) {
         Section s;
         std::uint64_t sz = 0;
-        if (!ar.str(s.name) || !ar.pod(sz))
+        crypto::Sha256Digest digest{};
+        if (!ar.str(s.name) || !ar.pod(sz) || !ar.pod(digest))
             return truncated();
         sizes.push_back(sz);
+        digests.push_back(digest);
         snap.sections.push_back(std::move(s));
     }
+    const std::size_t header_len = bytes.size() - ar.left();
+    crypto::Sha256Digest header{};
+    if (!ar.pod(header))
+        return truncated();
+    if (header != crypto::Sha256::digest({bytes.data(), header_len}))
+        return errorf(ErrorCode::ParseError,
+                      "'%s' header digest mismatch: the meta or the "
+                      "section table is corrupt",
+                      path.c_str());
     for (std::uint64_t i = 0; i < count; ++i) {
         auto &s = snap.sections[static_cast<std::size_t>(i)];
         const std::uint64_t sz = sizes[static_cast<std::size_t>(i)];
@@ -197,6 +217,11 @@ readSnapshotFile(const std::string &path)
                           ar.left());
         s.bytes.resize(static_cast<std::size_t>(sz));
         ar.raw(s.bytes.data(), sz);
+        if (crypto::Sha256::digest(s.bytes)
+            != digests[static_cast<std::size_t>(i)])
+            return errorf(ErrorCode::ParseError,
+                          "'%s' section '%s' digest mismatch",
+                          path.c_str(), s.name.c_str());
     }
     if (ar.left() != 0)
         return errorf(ErrorCode::ParseError,

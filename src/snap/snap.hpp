@@ -108,13 +108,18 @@ struct Snapshot
 
 /**
  * Write @p snap to @p path.  Format: magic "HCCSNAP1", a version
- * word, the meta block, then a section table of (name, size) followed
- * by the payloads.
+ * word, the meta block, a section table of (name, size, SHA-256 of
+ * the payload), the SHA-256 of everything before it, then the
+ * payloads.
  */
 [[nodiscard]] Status writeSnapshotFile(const std::string &path,
                                        const Snapshot &snap);
 
-/** Read a snapshot file written by writeSnapshotFile. */
+/**
+ * Read a snapshot file written by writeSnapshotFile.  A truncated
+ * file, or one whose header or section bytes do not match their
+ * digests, is a ParseError naming the file (and the section).
+ */
 Result<Snapshot> readSnapshotFile(const std::string &path);
 
 /**

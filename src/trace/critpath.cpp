@@ -137,13 +137,27 @@ eventCategory(const Tracer &t, const TraceEvent &e)
 
 /**
  * The single pass shared by analyze(), analyzeCritical() and
- * ForkAnalyzer.  Resumable: scanRange() carries every piece of loop
- * state in the struct, so the fork engine scans the shared prefix
- * once, copies the state per cell and scans only the suffix.
+ * ForkAnalyzer.  Resumable: scanRange() keeps every piece of loop
+ * state in the struct.  A scan resumed past a prefix overwrites only
+ * the small `carry` and some `launch_flat` slots; everything else it
+ * appends, or writes at event indices past the prefix.  That is what
+ * lets the fork engine extend one prefix scan in place per cell and
+ * truncate it back afterwards.
  */
 struct Scan
 {
-    AppMetrics metrics;
+    /** The state a resumed scan overwrites rather than appends to. */
+    struct Carry
+    {
+        AppMetrics metrics;
+        /** Walk start: latest-ending non-fault event (tie: higher
+         *  idx). */
+        std::uint32_t tail = kNone;
+        SimTime last_nonfault_end = 0;
+        std::uint32_t last_host = kNone;
+        std::vector<std::uint32_t> last_dev; // per stream id
+    };
+    Carry carry;
     /** Program-order predecessor (host chain or stream chain). */
     std::vector<std::uint32_t> chain;
     /** Kernel -> its Launch/GraphLaunch (via correlation). */
@@ -154,16 +168,8 @@ struct Scan
     std::vector<std::pair<SimTime, SimTime>> fault_spans;
     /** Their coverage index, built by finalizeScan(). */
     SpanCoverage faults;
-    /** Walk start: latest-ending non-fault event (tie: higher idx). */
-    std::uint32_t tail = kNone;
-    SimTime last_nonfault_end = 0;
-
-    // Mid-scan carry state (loop locals of the classic one-shot
-    // scan, kept here so a later scanRange() call can resume).
     /** Sync windows, for the fault-overlap fixup in finalizeScan. */
     std::vector<std::pair<SimTime, SimTime>> sync_spans;
-    std::uint32_t last_host = kNone;
-    std::vector<std::uint32_t> last_dev; // per stream id
     // Correlation -> launch index.  Ids are handed out sequentially
     // by the tracer (one per recorded event at most), so a flat
     // array indexed by id covers every in-range correlation without
@@ -173,12 +179,19 @@ struct Scan
     std::unordered_map<std::uint64_t, std::uint32_t> launch_of;
 };
 
-/** Scan events [from, to), resuming from @p s's carry state. */
+/** (correlation, launch index it mapped to before; kNone: none). */
+using LaunchUndo = std::vector<std::pair<std::uint64_t, std::uint32_t>>;
+
+/**
+ * Scan events [from, to), resuming from @p s's carry state.  When
+ * @p undo is given, every correlation -> launch store is logged there
+ * first, so the caller can take the scan back.
+ */
 void
 scanRange(Scan &s, const Tracer &tracer, std::size_t from,
-          std::size_t to, bool build_graph)
+          std::size_t to, bool build_graph, LaunchUndo *undo = nullptr)
 {
-    AppMetrics &m = s.metrics;
+    AppMetrics &m = s.carry.metrics;
     const auto ev = tracer.events();
     if (build_graph) {
         s.chain.resize(to, kNone);
@@ -193,14 +206,16 @@ scanRange(Scan &s, const Tracer &tracer, std::size_t from,
         return f == s.launch_of.end() ? kNone : f->second;
     };
     const auto launchStore = [&](std::uint64_t c, std::uint32_t i) {
+        if (undo != nullptr)
+            undo->emplace_back(c, launchLookup(c));
         if (c < s.launch_flat.size())
             s.launch_flat[c] = i;
         else
             s.launch_of[c] = i;
     };
     auto &sync_spans = s.sync_spans;
-    auto &last_host = s.last_host;
-    auto &last_dev = s.last_dev;
+    auto &last_host = s.carry.last_host;
+    auto &last_dev = s.carry.last_dev;
 
     for (std::size_t pos = from; pos < to; ++pos) {
         const auto i = static_cast<std::uint32_t>(pos);
@@ -250,9 +265,10 @@ scanRange(Scan &s, const Tracer &tracer, std::size_t from,
             break;
         }
         if (e.kind != EventKind::Fault
-            && (s.tail == kNone || e.end >= s.last_nonfault_end)) {
-            s.tail = i;
-            s.last_nonfault_end = e.end;
+            && (s.carry.tail == kNone
+                || e.end >= s.carry.last_nonfault_end)) {
+            s.carry.tail = i;
+            s.carry.last_nonfault_end = e.end;
         }
         if (!build_graph)
             continue;
@@ -307,7 +323,7 @@ scanRange(Scan &s, const Tracer &tracer, std::size_t from,
 void
 finalizeScan(Scan &s, const Tracer &tracer)
 {
-    AppMetrics &m = s.metrics;
+    AppMetrics &m = s.carry.metrics;
     m.end_to_end = tracer.span();
 
     // Fault-recovery spans overlapping a Sync window would count in
@@ -529,7 +545,7 @@ void
 chargePath(CriticalPath &cp, const Tracer &tracer, const Scan &s,
            const obs::Registry *obs, WalkFn &&walk)
 {
-    if (s.tail == kNone) {
+    if (s.carry.tail == kNone) {
         // No real event (an empty trace, or only fault spans): all
         // recovery.
         cp.shares[idx(PathCategory::Fault)] = cp.end_to_end;
@@ -539,7 +555,7 @@ chargePath(CriticalPath &cp, const Tracer &tracer, const Scan &s,
                                   link_busy};
         // Fault spans may outlast the last real event (or precede the
         // first one, handled at the walker's head charge).
-        charge(tracer.events()[s.tail].end, tracer.lastEnd(),
+        charge(tracer.events()[s.carry.tail].end, tracer.lastEnd(),
                PathCategory::Fault);
         walk(charge);
         SimTime total = 0;
@@ -590,7 +606,7 @@ bottleneckName(Bottleneck bottleneck)
 AppMetrics
 analyze(const Tracer &tracer)
 {
-    return scanTrace(tracer, /*build_graph=*/false).metrics;
+    return scanTrace(tracer, /*build_graph=*/false).carry.metrics;
 }
 
 Bottleneck
@@ -630,7 +646,7 @@ analyzeCritical(const Tracer &tracer, const obs::Registry *obs,
 {
     Scan s = scanTrace(tracer, /*build_graph=*/true);
     CriticalAnalysis out;
-    out.metrics = std::move(s.metrics);
+    out.metrics = std::move(s.carry.metrics);
     CriticalPath &cp = out.path;
     cp.end_to_end = out.metrics.end_to_end;
 
@@ -643,7 +659,7 @@ analyzeCritical(const Tracer &tracer, const obs::Registry *obs,
         const auto ev = tracer.events();
         const std::size_t n = ev.size();
         cp.slack.assign(n, 0);
-        std::vector<SimTime> lf(n, s.last_nonfault_end);
+        std::vector<SimTime> lf(n, s.carry.last_nonfault_end);
         std::size_t se = s.sync_edges.size();
         for (std::uint32_t i2 = static_cast<std::uint32_t>(n);
              i2-- > 0;) {
@@ -677,7 +693,7 @@ analyzeCritical(const Tracer &tracer, const obs::Registry *obs,
                 ? PathCategory::Crypto
                 : PathCategory::Link;
         walkCritical(
-            tracer, s, s.tail,
+            tracer, s, s.carry.tail,
             [&](std::uint32_t e_idx, SimTime a, SimTime b,
                 PathCategory raw) {
                 cp.segments.push_back(
@@ -736,14 +752,64 @@ struct PrefixWalk
 struct ForkAnalyzer::Impl
 {
     std::size_t n_prefix = 0;
+    /** The prefix scan, unfinalized, its sample sets compacted to
+     *  their totals.  analyze() extends it over a cell's suffix in
+     *  place and rewind() truncates it back. */
     Scan base;
-    /** Per-cell working copy of `base`.  Copy-assigned (not
-     *  constructed) every analyze() call so its vectors keep their
-     *  full-trace capacity: after the first cell, extending the
-     *  prefix state is pure memcpy into warm pages — no allocation,
-     *  no first-touch page faults. */
-    Scan scratch;
+    /** What rewind() restores: base's carry and the sizes of its
+     *  append-only arrays, as captured. */
+    struct Mark
+    {
+        Scan::Carry carry;
+        std::size_t launch_flat = 0;
+        std::size_t sync_edges = 0;
+        std::size_t fault_spans = 0;
+        std::size_t sync_spans = 0;
+    } mark;
+    /** The suffix's correlation -> launch stores, for rewind(). */
+    LaunchUndo undo;
     std::unordered_map<std::uint32_t, PrefixWalk> walks;
+
+    /** Mark base as the capture (after capture() and every
+     *  extendCapture()).  Its per-launch samples fold into one
+     *  running total per set, so no prefix sample is kept. */
+    void
+    seal()
+    {
+        compactSampleMetrics(base.carry.metrics);
+        mark = {base.carry, base.launch_flat.size(),
+                base.sync_edges.size(), base.fault_spans.size(),
+                base.sync_spans.size()};
+    }
+
+    /** Take a cell's suffix scan back out of base.  Every vector
+     *  shrinks or is copied into capacity it already has. */
+    void
+    rewind()
+    {
+        Scan &s = base;
+        // Suffix launches take fresh correlation ids, so most stores
+        // land past the captured launch_flat and go with the resize;
+        // the log restores the rest, the map included, exactly.
+        for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
+            const auto [c, before] = *it;
+            if (c < s.launch_flat.size())
+                s.launch_flat[c] = before;
+            else if (before == kNone)
+                s.launch_of.erase(c);
+            else
+                s.launch_of[c] = before;
+        }
+        undo.clear();
+        s.carry = mark.carry;
+        s.chain.resize(n_prefix);
+        s.corr.resize(n_prefix);
+        s.launch_flat.resize(mark.launch_flat);
+        s.sync_edges.resize(mark.sync_edges);
+        s.fault_spans.resize(mark.fault_spans);
+        s.sync_spans.resize(mark.sync_spans);
+        s.faults = SpanCoverage{};
+    }
 
     const PrefixWalk &
     walkFrom(const Tracer &tracer, std::uint32_t entry)
@@ -764,7 +830,8 @@ struct ForkAnalyzer::Impl
         };
         // Prefix events and their edges are identical in every
         // cell's tracer, so recording against whichever cell asked
-        // first is sound.
+        // first is sound.  A suffix extension of base adds nothing
+        // the walk can read: it descends below @p entry only.
         walkCritical(
             tracer, base, entry,
             [&](std::uint32_t, SimTime a, SimTime b,
@@ -811,6 +878,7 @@ ForkAnalyzer::extendCapture(const Tracer &tracer)
     scanRange(impl_->base, tracer, impl_->n_prefix, tracer.size(),
               /*build_graph=*/true);
     impl_->n_prefix = tracer.size();
+    impl_->seal();
 }
 
 void
@@ -823,6 +891,7 @@ ForkAnalyzer::capture(const Tracer &prefix_tracer)
     // exactly like the one-shot scan would.
     scanRange(impl_->base, prefix_tracer, 0, impl_->n_prefix,
               /*build_graph=*/true);
+    impl_->seal();
 }
 
 CriticalAnalysis
@@ -834,38 +903,27 @@ ForkAnalyzer::analyze(const Tracer &tracer, const obs::Registry *obs)
     HCC_ASSERT(n >= im.n_prefix,
                "fork trace shorter than its captured prefix");
 
-    Scan &s = im.scratch;
-    s = im.base;
-    scanRange(s, tracer, im.n_prefix, n, /*build_graph=*/true);
+    // Extend the captured scan over the suffix in place.  The guard
+    // rewinds it on every exit path, so a cell that throws cannot
+    // leak its suffix into the next cell's prefix.
+    struct Rewind
+    {
+        Impl &im;
+        ~Rewind() { im.rewind(); }
+    } const rewind{im};
+    Scan &s = im.base;
+    scanRange(s, tracer, im.n_prefix, n, /*build_graph=*/true,
+              &im.undo);
     finalizeScan(s, tracer);
 
+    // Light metrics.  Each sample set holds the prefix total and the
+    // suffix's samples, so compacting it continues the prefix's left
+    // fold: the additions, in the order, of compacting a cold run's
+    // whole set (0.0 + total is total for any total a fold from 0.0
+    // yields), so the sums are bit-identical.
     CriticalAnalysis out;
-    // Light metrics: copy the scalars only, with the four sample
-    // vectors swapped aside so the struct copy is cheap and the
-    // scratch keeps its warm buffers for the next cell, then compact
-    // each set to its insertion-order total (bit-identical sums to
-    // compacting a cold run's full set — see compactSampleMetrics).
-    {
-        AppMetrics &sm = s.metrics;
-        SampleSet klo, lqt, kqt, ket;
-        std::swap(klo, sm.klo);
-        std::swap(lqt, sm.lqt);
-        std::swap(kqt, sm.kqt);
-        std::swap(ket, sm.ket);
-        out.metrics = sm;
-        std::swap(klo, sm.klo);
-        std::swap(lqt, sm.lqt);
-        std::swap(kqt, sm.kqt);
-        std::swap(ket, sm.ket);
-        const auto compact = [](const SampleSet &src, SampleSet &dst) {
-            if (!src.empty())
-                dst.add(src.sum());
-        };
-        compact(sm.klo, out.metrics.klo);
-        compact(sm.lqt, out.metrics.lqt);
-        compact(sm.kqt, out.metrics.kqt);
-        compact(sm.ket, out.metrics.ket);
-    }
+    out.metrics = s.carry.metrics;
+    compactSampleMetrics(out.metrics);
     CriticalPath &cp = out.path;
     cp.end_to_end = out.metrics.end_to_end;
     chargePath(cp, tracer, s, obs, [&](const ShareCharger &charge) {
@@ -904,14 +962,14 @@ ForkAnalyzer::analyze(const Tracer &tracer, const obs::Registry *obs)
             }
         };
 
-        if (s.tail < im.n_prefix) {
+        if (s.carry.tail < im.n_prefix) {
             // Degenerate suffix (fraction 1.0): the whole walk is the
             // memoized prefix replay.
-            applyPrefix(s.tail);
+            applyPrefix(s.carry.tail);
             return;
         }
         walkCritical(
-            tracer, s, s.tail,
+            tracer, s, s.carry.tail,
             [&](std::uint32_t, SimTime a, SimTime b,
                 PathCategory raw) {
                 ++cp.on_path_events;

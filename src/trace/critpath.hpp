@@ -163,16 +163,20 @@ CriticalAnalysis analyzeCritical(const Tracer &tracer,
  * suffixes on top of it; analyzeCritical() would rescan the full
  * trace for every cell even though the prefix events never change.
  * capture() scans the prefix once and keeps the scan state (metrics
- * accumulators, DAG chains, correlation map); analyze() then copies
- * that state, scans only the appended suffix events, and walks the
- * path backward until it crosses into the prefix, where a memoized
- * replay of the prefix walk (keyed by entry event, built on first
- * use) supplies the remaining shares.  The result is bit-identical
- * to analyzeCritical() with with_slack = false, except that
- * `segments` and `slack` stay empty (on_path_events still counts the
- * slices) and the metrics sample sets come back compacted to their
- * totals (compactSampleMetrics) — campaign cells only consume the
- * sums, shares, bottleneck and the published critpath.* counters.
+ * accumulators, DAG chains, correlation map), with the prefix's
+ * per-launch samples folded into running totals.  analyze() extends
+ * that state in place over the appended suffix events only, walks
+ * the path backward until it crosses into the prefix, where a
+ * memoized replay of the prefix walk (keyed by entry event, built on
+ * first use) supplies the remaining shares, and then truncates the
+ * state back to the capture.  Its host cost is therefore
+ * proportional to the suffix, not to the prefix.  The result is
+ * bit-identical to analyzeCritical() with with_slack = false, except
+ * that `segments` and `slack` stay empty (on_path_events still
+ * counts the slices) and the metrics sample sets come back compacted
+ * to their totals (compactSampleMetrics: the prefix totals folded on
+ * over the suffix's samples) — campaign cells only consume the sums,
+ * shares, bottleneck and the published critpath.* counters.
  *
  * Per-cell fault spans and crypto/link busy ratios are applied live,
  * so faulted cells that perturb the suffix (or even overlap cached
@@ -212,7 +216,8 @@ class ForkAnalyzer
     /**
      * Analyze a trace that extends the captured prefix.  @p tracer
      * must contain the prefix events unchanged (the restore-in-place
-     * snapshot engine guarantees this).
+     * snapshot engine guarantees this).  The capture is the same
+     * after the call as before it, also when the call throws.
      */
     CriticalAnalysis analyze(const Tracer &tracer,
                              const obs::Registry *obs);

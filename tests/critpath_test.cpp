@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
+#include <random>
 #include <sstream>
 
 #include "obs/registry.hpp"
@@ -312,6 +314,174 @@ TEST(CritPathFork, FaultsOverThePrefixWalkMatchAFullScan)
         EXPECT_EQ(p.share(PathCategory::Sync), 5);
         EXPECT_EQ(p.share(PathCategory::Fault), cell.fault);
         EXPECT_EQ(f.metrics.sync_time, 885 - 200);
+    }
+}
+
+/** A fork cell's analysis against the cold reference: the full scan
+ *  with its sample sets compacted, as campaign cells report it. */
+void
+expectSameAnalysis(const CriticalAnalysis &got,
+                   const CriticalAnalysis &want)
+{
+    const AppMetrics &g = got.metrics;
+    const AppMetrics &w = want.metrics;
+    EXPECT_EQ(g.klo.values(), w.klo.values());
+    EXPECT_EQ(g.lqt.values(), w.lqt.values());
+    EXPECT_EQ(g.kqt.values(), w.kqt.values());
+    EXPECT_EQ(g.ket.values(), w.ket.values());
+    EXPECT_EQ(g.copy_h2d, w.copy_h2d);
+    EXPECT_EQ(g.copy_d2h, w.copy_d2h);
+    EXPECT_EQ(g.sync_time, w.sync_time);
+    EXPECT_EQ(g.fault_time, w.fault_time);
+    EXPECT_EQ(g.end_to_end, w.end_to_end);
+    EXPECT_EQ(g.launches, w.launches);
+    EXPECT_EQ(g.kernels, w.kernels);
+    EXPECT_EQ(g.fault_recoveries, w.fault_recoveries);
+    EXPECT_EQ(got.path.end_to_end, want.path.end_to_end);
+    EXPECT_EQ(got.path.shares, want.path.shares);
+    EXPECT_EQ(got.path.on_path_ps, want.path.on_path_ps);
+    EXPECT_EQ(got.path.on_path_events, want.path.on_path_events);
+    EXPECT_EQ(got.path.bottleneck, want.path.bottleneck);
+}
+
+CriticalAnalysis
+coldReference(const Tracer &t, const obs::Registry *reg)
+{
+    auto full = analyzeCritical(t, reg, /*with_slack=*/false);
+    compactSampleMetrics(full.metrics);
+    return full;
+}
+
+/** Two launches and their kernels on stream 0; 5 events, and the
+ *  correlation ids 1..3, so the next fresh id (4) indexes a slot
+ *  inside the captured correlation table. */
+void
+recordTwoKernelPrefix(Tracer &t)
+{
+    t.record(mk(EventKind::MemcpyH2D, 0, 100), "memcpy");
+    const auto c1 = t.record(mk(EventKind::Launch, 100, 110), "k");
+    t.record(mk(EventKind::Kernel, 110, 1000, 0, c1, 10), "k");
+    const auto c2 =
+        t.record(mk(EventKind::Launch, 120, 130, -1, 0, 5), "k");
+    t.record(mk(EventKind::Kernel, 1000, 1500, 0, c2, 870), "k");
+}
+
+TEST(CritPathFork, AnalyzeLeavesTheCaptureUnchanged)
+{
+    obs::Registry reg;
+    reg.counter("sim.timeline.cc_crypto.busy_ps").add(3);
+    reg.counter("pcie.link.busy_ps_h2d").add(7);
+    Tracer prefix;
+    recordTwoKernelPrefix(prefix);
+    ForkAnalyzer fork;
+    fork.capture(prefix);
+
+    // Cell A: a new stream, launches with fresh correlation ids, a
+    // sync over every stream and fault spans, one of which reaches
+    // back into the memoized prefix walk.
+    Tracer a;
+    recordTwoKernelPrefix(a);
+    const auto fresh =
+        a.record(mk(EventKind::Launch, 140, 150, -1, 0, 7), "k");
+    a.record(mk(EventKind::Kernel, 1500, 1800, 2, fresh, 1350), "k");
+    a.record(mk(EventKind::Sync, 150, 1850), "sync");
+    a.record(mk(EventKind::Fault, 105, 125), "fault");
+    a.record(mk(EventKind::Fault, 1600, 1700), "fault");
+    const auto c = a.record(mk(EventKind::Launch, 1850, 1860), "k");
+    a.record(mk(EventKind::Kernel, 1860, 2000, 0, c), "k");
+
+    // Cell B, unfaulted: had A's suffix stayed in the capture, its
+    // stream-2 kernel and its store of `fresh` would hand B's orphan
+    // kernel two predecessors it does not have.
+    Tracer b;
+    recordTwoKernelPrefix(b);
+    b.record(mk(EventKind::MemcpyH2D, 140, 1600), "memcpy");
+    b.record(mk(EventKind::MemcpyH2D, 1600, 1650), "memcpy");
+    b.record(mk(EventKind::Kernel, 1700, 1900, 2, fresh), "k");
+
+    // Cell C: its sync sits at the index of A's, so A's join edge to
+    // its stream-2 kernel, had it stayed, would bind C's sync to C's
+    // later-ending kernel instead of the prefix kernel it waits on.
+    Tracer c3;
+    recordTwoKernelPrefix(c3);
+    c3.record(mk(EventKind::MemcpyH2D, 140, 200), "memcpy");
+    c3.record(mk(EventKind::Kernel, 1500, 1900, 2), "k");
+    c3.record(mk(EventKind::Sync, 210, 1950, 0), "sync");
+
+    const auto a1 = fork.analyze(a, &reg);
+    const auto b1 = fork.analyze(b, &reg);
+    const auto c1 = fork.analyze(c3, &reg);
+    const auto a2 = fork.analyze(a, &reg);
+    expectSameAnalysis(a1, coldReference(a, &reg));
+    expectSameAnalysis(b1, coldReference(b, &reg));
+    expectSameAnalysis(c1, coldReference(c3, &reg));
+    expectSameAnalysis(a2, a1);
+    expectSameAnalysis(a2, coldReference(a, &reg));
+    EXPECT_EQ(b1.path.share(PathCategory::Other), 1700);
+    EXPECT_EQ(c1.path.share(PathCategory::Compute), 1390);
+}
+
+TEST(CritPathFork, FoldedPrefixSumsMatchAWholeScanBitForBit)
+{
+    // Queue waits near 1e15 ps push every running sum past 2^53, so
+    // the totals round: only the same additions in the same order
+    // give the same bits.  Seeded, so a failure reproduces.
+    std::mt19937_64 rng(20261018);
+    std::uniform_int_distribution<SimTime> wait(SimTime{1} << 48,
+                                                SimTime{1} << 51);
+    std::uniform_int_distribution<SimTime> len(1, 1000);
+    std::vector<TraceEvent> events;
+    SimTime t = 0;
+    for (std::uint64_t i = 1; i <= 300; ++i) {
+        const SimTime launch_end = t + len(rng);
+        events.push_back(mk(EventKind::Launch, t, launch_end, -1, i,
+                            wait(rng)));
+        const SimTime kernel_end = launch_end + len(rng);
+        events.push_back(mk(EventKind::Kernel, launch_end, kernel_end,
+                            0, i, wait(rng)));
+        t = launch_end;
+    }
+    const auto traceOf = [&](std::size_t n) {
+        Tracer tr;
+        for (std::size_t i = 0; i < n; ++i)
+            tr.record(events[i], "k");
+        return tr;
+    };
+    const Tracer whole = traceOf(events.size());
+    const auto want = coldReference(whole, nullptr);
+
+    // The fold is order-sensitive here: summing backwards differs.
+    const auto kqt = analyzeCritical(whole).metrics.kqt.values();
+    const double backward =
+        std::accumulate(kqt.rbegin(), kqt.rend(), 0.0);
+    ASSERT_NE(std::bit_cast<std::uint64_t>(backward),
+              std::bit_cast<std::uint64_t>(want.metrics.kqt.values()[0]));
+
+    const auto bits = [](const SampleSet &set) {
+        EXPECT_EQ(set.count(), 1u);
+        return set.empty() ? 0 : std::bit_cast<std::uint64_t>(
+                                     set.values()[0]);
+    };
+    std::uniform_int_distribution<std::size_t> cut(0, events.size());
+    for (int round = 0; round < 8; ++round) {
+        std::size_t k1 = cut(rng);
+        std::size_t k2 = cut(rng);
+        if (k1 > k2)
+            std::swap(k1, k2);
+        // A root capture at k1, and a tree node cloned from it and
+        // extended to k2: both fold their prefix once.
+        ForkAnalyzer root;
+        root.capture(traceOf(k1));
+        ForkAnalyzer node = root.clone();
+        node.extendCapture(traceOf(k2));
+        for (ForkAnalyzer *fork : {&root, &node}) {
+            const auto got = fork->analyze(whole, nullptr);
+            EXPECT_EQ(bits(got.metrics.klo), bits(want.metrics.klo));
+            EXPECT_EQ(bits(got.metrics.lqt), bits(want.metrics.lqt));
+            EXPECT_EQ(bits(got.metrics.kqt), bits(want.metrics.kqt));
+            EXPECT_EQ(bits(got.metrics.ket), bits(want.metrics.ket));
+            EXPECT_EQ(got.path.shares, want.path.shares);
+        }
     }
 }
 

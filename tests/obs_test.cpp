@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <sstream>
 
 #include "common/log.hpp"
 #include "obs/json.hpp"
@@ -161,6 +163,48 @@ TEST(StatsIo, DumpEscapesControlCharactersInNames)
     const auto text = statsJson(reg);
     EXPECT_NE(text.find("\"odd\\tname\\u0001\""), std::string::npos)
         << text;
+}
+
+TEST(StatsIo, BufferedWriterEscapesPrefixAndName)
+{
+    // The section prefix is escaped once and the name on its own;
+    // the two must read as one escaped key.
+    Registry reg;
+    reg.counter("n\"a\\m\ne\x01").add(5);
+    reg.gauge("plain").set(-2, 10);
+    std::ostringstream os;
+    writeStatsJson(os, {{"p\"r\\e\nf\x01.", &reg}});
+    EXPECT_EQ(os.str(),
+              "{\n  \"hccsim_stats_version\": 1,\n  \"stats\": {\n"
+              "    \"p\\\"r\\\\e\\nf\\u0001.n\\\"a\\\\m\\ne\\u0001\": "
+              "{\"type\": \"counter\", \"value\": 5},\n"
+              "    \"p\\\"r\\\\e\\nf\\u0001.plain\": {\"type\": \"gauge\", "
+              "\"value\": -2, \"min\": -2, \"max\": -2, \"samples\": 1}"
+              "\n  }\n}\n");
+}
+
+TEST(StatsIo, BufferedWriterFlushesEveryBlock)
+{
+    // ~300 KiB of stat lines: several buffer flushes, no byte lost
+    // or repeated at a block boundary.
+    Registry reg;
+    std::string want = "{\n  \"hccsim_stats_version\": 1,\n"
+                       "  \"stats\": {";
+    for (int i = 0; i < 5000; ++i) {
+        char name[32];
+        std::snprintf(name, sizeof(name), "sec.c%05d", i);
+        reg.counter(name).add(static_cast<std::uint64_t>(i) * 977);
+        want += i == 0 ? "\n" : ",\n";
+        want += "    \"cell0.x." + std::string(name)
+            + "\": {\"type\": \"counter\", \"value\": "
+            + std::to_string(static_cast<std::uint64_t>(i) * 977)
+            + "}";
+    }
+    want += "\n  }\n}\n";
+    std::ostringstream os;
+    writeStatsJson(os, {{"cell0.x.", &reg}});
+    EXPECT_GT(want.size(), std::size_t{300} << 10);
+    EXPECT_EQ(os.str(), want);
 }
 
 TEST(StatsIo, DumpParsesBackWithMatchingFields)

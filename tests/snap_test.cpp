@@ -266,6 +266,32 @@ TEST(SnapRegistry, CloneIsADeepValueCopy)
     EXPECT_EQ(reg.counter("x").value(), 107);
 }
 
+TEST(SnapRegistry, CloneKeepsGaugeCountsNotSeries)
+{
+    // Past kMaxSamples the gauge has decimated: the clone must carry
+    // the retained count, the dropped count and the stride, so every
+    // dump field matches, but none of the series.
+    obs::Registry reg;
+    obs::Gauge &g = reg.gauge("runtime.launch_queue.depth");
+    const std::size_t total = obs::Gauge::kMaxSamples + 1234;
+    for (std::size_t i = 0; i < total; ++i)
+        g.set(static_cast<std::int64_t>(i % 7) - 3,
+              static_cast<SimTime>(i));
+    reg.distribution("x.latency").add(2.5);
+    ASSERT_GT(g.sampleStride(), 1u);
+
+    const auto clone = reg.clone();
+    const obs::Gauge &c = clone->gauge("runtime.launch_queue.depth");
+    EXPECT_TRUE(c.samples().empty());
+    EXPECT_EQ(c.sampleCount(), g.samples().size());
+    EXPECT_EQ(c.droppedSamples(), g.droppedSamples());
+    EXPECT_EQ(c.sampleStride(), g.sampleStride());
+    EXPECT_EQ(c.value(), g.value());
+    EXPECT_EQ(c.min(), -3);
+    EXPECT_EQ(c.max(), 3);
+    EXPECT_EQ(obs::statsJson(*clone), obs::statsJson(reg));
+}
+
 // ------------------------------------------- event arena slab trim
 
 TEST(EventArena, ReleaseFreeSlabsTrimsToTheActiveSlab)
@@ -435,6 +461,59 @@ TEST(SnapshotFile, FlagByteOtherThanZeroOrOneIsAParseError)
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), ErrorCode::ParseError);
     std::remove(path.c_str());
+}
+
+TEST(SnapshotFile, EveryFlippedByteIsAParseError)
+{
+    Snapshot snap;
+    snap.meta.cc = true;
+    snap.meta.seed = 42;
+    snap.meta.sim_time = 9876;
+    snap.meta.app = "atax";
+    snap.meta.fork_point = "auto/0.5";
+    snap.meta.parent = "auto";
+    snap.add("runtime") = {1, 2, 3};
+    snap.add("trace") = {9, 8, 7, 6};
+    const std::string path =
+        testing::TempDir() + "snap_whole.hccsnap";
+    ASSERT_TRUE(writeSnapshotFile(path, snap).ok());
+    std::vector<char> bytes;
+    {
+        std::FILE *f = std::fopen(path.c_str(), "rb");
+        ASSERT_NE(f, nullptr);
+        int c = 0;
+        while ((c = std::fgetc(f)) != EOF)
+            bytes.push_back(static_cast<char>(c));
+        std::fclose(f);
+    }
+
+    // Magic, version, meta, section table, header digest and every
+    // payload byte: each corruption must be reported, not loaded.
+    const std::string flip = testing::TempDir() + "snap_flip.hccsnap";
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        std::vector<char> bad = bytes;
+        bad[i] = static_cast<char>(bad[i] ^ 0xff);
+        std::FILE *f = std::fopen(flip.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fwrite(bad.data(), 1, bad.size(), f),
+                  bad.size());
+        std::fclose(f);
+        const auto loaded = readSnapshotFile(flip);
+        ASSERT_FALSE(loaded.ok()) << "flipped byte " << i;
+        EXPECT_EQ(loaded.status().code(), ErrorCode::ParseError)
+            << "flipped byte " << i;
+        EXPECT_NE(loaded.status().message().find(flip),
+                  std::string::npos)
+            << loaded.status().message();
+        if (i + 1 == bytes.size()) {
+            // The last byte is the "trace" payload's.
+            EXPECT_NE(loaded.status().message().find("'trace'"),
+                      std::string::npos)
+                << loaded.status().message();
+        }
+    }
+    std::remove(path.c_str());
+    std::remove(flip.c_str());
 }
 
 // ------------------------------------- the fork/replay property

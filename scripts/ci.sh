@@ -221,7 +221,11 @@ cmp "$tmp/fork.json" "$tmp/cold.json"
 
 # Snapshot subcommand smoke: capture a prefix snapshot to disk and
 # inspect it back (the file must carry the app and section table).
+# Archived types carry no padding bytes, so a second capture of the
+# same run must write the same file, digests included.
 "$hccsim" snapshot --app llm --cc --out "$tmp/llm.snap" >/dev/null
+"$hccsim" snapshot --app llm --cc --out "$tmp/llm2.snap" >/dev/null
+cmp "$tmp/llm.snap" "$tmp/llm2.snap"
 "$hccsim" snapshot --inspect "$tmp/llm.snap" | grep -q "app: *llm"
 "$hccsim" snapshot --inspect "$tmp/llm.snap" | grep -q "trace"
 

@@ -239,10 +239,10 @@ Context::mallocDevice(Bytes bytes)
     const SimTime start = host_now_;
     host_now_ += deviceAllocCost(bytes, tdx_);
     Buffer buf{next_buffer_id_++, MemSpace::Device, bytes, 0};
-    allocs_[buf.id] = {buf.space, bytes, 0};
-    tracer_.record({trace::EventKind::MallocDevice,
-                    labels_.malloc_device, start, host_now_, -1, 0,
-                    bytes, 0, false});
+    allocs_[buf.id] = {.space = buf.space, .bytes = bytes};
+    tracer_.record({.start = start, .end = host_now_, .bytes = bytes,
+                    .label = labels_.malloc_device,
+                    .kind = trace::EventKind::MallocDevice});
     return buf;
 }
 
@@ -253,10 +253,10 @@ Context::mallocHost(Bytes bytes)
     const SimTime start = host_now_;
     host_now_ += hostAllocCost(bytes, tdx_);
     Buffer buf{next_buffer_id_++, MemSpace::HostPinned, bytes, 0};
-    allocs_[buf.id] = {buf.space, bytes, 0};
-    tracer_.record({trace::EventKind::MallocHost,
-                    labels_.malloc_host, start, host_now_, -1, 0,
-                    bytes, 0, false});
+    allocs_[buf.id] = {.space = buf.space, .bytes = bytes};
+    tracer_.record({.start = start, .end = host_now_, .bytes = bytes,
+                    .label = labels_.malloc_host,
+                    .kind = trace::EventKind::MallocHost});
     return buf;
 }
 
@@ -268,10 +268,11 @@ Context::mallocManaged(Bytes bytes)
     host_now_ += managedAllocCost(bytes, tdx_);
     const std::uint64_t handle = gpu_.uvm().createAllocation(bytes);
     Buffer buf{next_buffer_id_++, MemSpace::Managed, bytes, handle};
-    allocs_[buf.id] = {buf.space, bytes, handle};
-    tracer_.record({trace::EventKind::MallocManaged,
-                    labels_.malloc_managed, start, host_now_, -1, 0,
-                    bytes, 0, false});
+    allocs_[buf.id] = {.space = buf.space, .bytes = bytes,
+                       .uvm_handle = handle};
+    tracer_.record({.start = start, .end = host_now_, .bytes = bytes,
+                    .label = labels_.malloc_managed,
+                    .kind = trace::EventKind::MallocManaged});
     return buf;
 }
 
@@ -280,7 +281,7 @@ Context::hostPageable(Bytes bytes)
 {
     // Plain malloc: no driver involvement, no trace event.
     Buffer buf{next_buffer_id_++, MemSpace::HostPageable, bytes, 0};
-    allocs_[buf.id] = {buf.space, bytes, 0};
+    allocs_[buf.id] = {.space = buf.space, .bytes = bytes};
     return buf;
 }
 
@@ -308,8 +309,9 @@ Context::free(Buffer &buffer)
     } else {
         host_now_ += freeCost(info.bytes, tdx_);
     }
-    tracer_.record({trace::EventKind::Free, labels_.free_buffer,
-                    start, host_now_, -1, 0, info.bytes, 0, false});
+    tracer_.record({.start = start, .end = host_now_, .bytes = info.bytes,
+                    .label = labels_.free_buffer,
+                    .kind = trace::EventKind::Free});
     buffer.id = 0;
 }
 
@@ -714,8 +716,9 @@ Context::eventSynchronize(const Event &event)
     const SimTime start = host_now_;
     host_now_ = std::max(host_now_, event.when_);
     host_now_ += calib::kSyncApiCost;
-    tracer_.record({trace::EventKind::Sync, labels_.event_sync,
-                    start, host_now_, -1, 0, 0, 0, false});
+    tracer_.record({.start = start, .end = host_now_,
+                    .label = labels_.event_sync,
+                    .kind = trace::EventKind::Sync});
 }
 
 // ------------------------------------------------------------- sync
@@ -729,8 +732,9 @@ Context::streamSynchronize(const Stream &stream)
     host_now_ = std::max(host_now_, s.device_ready);
     host_now_ += calib::kSyncApiCost;
     s.pending.clear();
-    tracer_.record({trace::EventKind::Sync, labels_.stream_sync,
-                    start, host_now_, stream.id(), 0, 0, 0, false});
+    tracer_.record({.start = start, .end = host_now_,
+                    .label = labels_.stream_sync, .stream = stream.id(),
+                    .kind = trace::EventKind::Sync});
 }
 
 void
@@ -744,8 +748,9 @@ Context::deviceSynchronize()
         s.pending.clear();
     }
     host_now_ = target + calib::kSyncApiCost;
-    tracer_.record({trace::EventKind::Sync, labels_.device_sync,
-                    start, host_now_, -1, 0, 0, 0, false});
+    tracer_.record({.start = start, .end = host_now_,
+                    .label = labels_.device_sync,
+                    .kind = trace::EventKind::Sync});
 }
 
 void

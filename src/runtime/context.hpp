@@ -312,10 +312,13 @@ class Context
         std::deque<SimTime> pending;
     };
 
+    /** Snapshotted as raw bytes: the explicit zero word fills what
+     *  would be padding after the 4-byte MemSpace. */
     struct AllocInfo
     {
-        MemSpace space;
-        Bytes bytes;
+        MemSpace space = MemSpace::HostPageable;
+        std::uint32_t reserved = 0;
+        Bytes bytes = 0;
         std::uint64_t uvm_handle = 0;
     };
 

@@ -293,7 +293,7 @@ runServeCell(const ServeSpec &spec, const ServeCell &cell)
     point.kv_migrated_bytes = ctx.device().uvm().totalMigrated();
 
     const trace::CriticalAnalysis crit = trace::analyzeCritical(
-        ctx.tracer(), &ctx.obs(), /*with_slack=*/false);
+        ctx.tracer(), &ctx.obs(), /*full=*/false);
     point.bottleneck = crit.path.bottleneck;
     point.critical_path_ps = crit.path.on_path_ps;
 

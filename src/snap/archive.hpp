@@ -31,6 +31,7 @@
 #ifndef HCC_SNAP_ARCHIVE_HPP
 #define HCC_SNAP_ARCHIVE_HPP
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -44,19 +45,43 @@
 namespace hcc::snap {
 
 /**
- * Bit-copyable for snapshot purposes.  std::pair of pods is admitted
- * explicitly: its assignment operators are formally non-trivial, but
- * a pair of trivially copyable members has no invariants a byte copy
- * could break, and interval maps snapshot as (key, value) pairs.
+ * Bit-copyable for snapshot purposes, and free of padding: every byte
+ * of the value is a value byte, so equal states write equal files
+ * (padding is never initialized and would copy garbage).  Floating-
+ * point scalars and arrays of them have no padding either and are
+ * admitted, although -0.0 and NaN payloads keep the trait from
+ * calling their bytes unique.  A std::pair is admitted when its
+ * members are and it has no padding between them: its assignment
+ * operators are formally non-trivial, but a pair of bit-copyable
+ * members has no invariants a byte copy could break, and interval
+ * maps snapshot as (key, value) pairs.  A type with padding needs an
+ * explicit layout (a named zero field, or a wider member) first.
  */
 template <typename T>
-struct IsSnapPod : std::is_trivially_copyable<T>
+struct IsSnapPod
+    : std::bool_constant<std::is_trivially_copyable_v<T>
+                         && (std::has_unique_object_representations_v<T>
+                             || std::is_floating_point_v<T>)>
+{
+};
+
+template <typename T, std::size_t N>
+struct IsSnapPod<T[N]> : IsSnapPod<T>
+{
+};
+
+template <typename T, std::size_t N>
+struct IsSnapPod<std::array<T, N>>
+    : std::bool_constant<IsSnapPod<T>::value
+                         && sizeof(std::array<T, N>) == N * sizeof(T)>
 {
 };
 
 template <typename A, typename B>
 struct IsSnapPod<std::pair<A, B>>
-    : std::bool_constant<IsSnapPod<A>::value && IsSnapPod<B>::value>
+    : std::bool_constant<IsSnapPod<A>::value && IsSnapPod<B>::value
+                         && sizeof(std::pair<A, B>)
+                                == sizeof(A) + sizeof(B)>
 {
 };
 

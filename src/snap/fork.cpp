@@ -29,9 +29,9 @@ namespace {
  * retains per-cell traces).  That keeps a 10k-cell campaign's memory
  * flat, and in fork mode it leaves the tracer's chunk pages and
  * intern table allocated so the next cell's restore is a plain
- * in-place overwrite instead of a reallocation.  The per-event slack
- * pass and the segment list are skipped too — no campaign output
- * reads them.
+ * in-place overwrite instead of a reallocation.  The analysis is
+ * the light one too: no slack pass, no segment list, and sample sets
+ * folded to their totals — no campaign output reads more.
  *
  * The result's registry is a value copy (obs::Registry::clone): in
  * fork mode the group's cells share one live registry that the next
@@ -64,21 +64,14 @@ collectCellResult(rt::Context &ctx, const workloads::Workload &w,
     result.name = w.name();
     result.cc = cc;
     result.uvm = params.uvm;
+    // The light result for both arms: campaign writers only read the
+    // integer counts, the sample sums and the shares.
     auto crit = analyzer != nullptr
         ? analyzer->analyze(ctx.tracer(), &ctx.obs())
         : trace::analyzeCritical(ctx.tracer(), &ctx.obs(),
-                                 /*with_slack=*/false);
+                                 /*full=*/false);
     result.metrics = std::move(crit.metrics);
-    // Light metrics for both arms: campaign writers only read the
-    // integer counts and the sample sums, so collapse each sample
-    // vector to its total (the analyzer already returns them
-    // compacted; this makes the cold arm byte-identical).
-    trace::compactSampleMetrics(result.metrics);
     result.critical = std::move(crit.path);
-    // The cold arm materializes segments (the analyzer never does);
-    // drop them for the same light-result contract either way.
-    result.critical.segments.clear();
-    result.critical.segments.shrink_to_fit();
     trace::publishCriticalPath(result.critical, ctx.obs());
     result.tdx = ctx.tdx().stats();
     result.end_to_end = result.metrics.end_to_end;

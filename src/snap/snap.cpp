@@ -15,7 +15,8 @@ namespace {
 constexpr char kMagic[8] = {'H', 'C', 'C', 'S', 'N', 'A', 'P', '1'};
 // v2: meta gained the parent link (chained-fork tree provenance).
 // v3: SHA-256 digests, one per section plus one over the header.
-constexpr std::uint32_t kVersion = 3;
+// v4: 48-byte trace events with no padding; files are deterministic.
+constexpr std::uint32_t kVersion = 4;
 
 void
 saveMeta(Saver &ar, const SnapshotMeta &meta)

@@ -102,16 +102,18 @@ class BounceBufferPool
         ar.podVec(held);
         if constexpr (Ar::kLoading)
             held_.assign(held.begin(), held.end());
-        std::vector<std::pair<SimTime, int>> busy;
+        // (release time, slot), the slot widened to 8 bytes so the
+        // pairs carry no padding bytes into the snapshot.
+        std::vector<std::pair<SimTime, std::int64_t>> busy;
         if constexpr (Ar::kLoading) {
             ar.podVec(busy);
             busy_until_heap_ = {};
-            for (const auto &b : busy)
-                busy_until_heap_.push(b);
+            for (const auto &[when, slot] : busy)
+                busy_until_heap_.emplace(when, static_cast<int>(slot));
         } else {
             auto copy = busy_until_heap_;
             while (!copy.empty()) {
-                busy.push_back(copy.top());
+                busy.emplace_back(copy.top());
                 copy.pop();
             }
             ar.podVec(busy);

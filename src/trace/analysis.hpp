@@ -65,11 +65,10 @@ AppMetrics analyze(const Tracer &tracer);
  * left-to-right accumulation sum() would have produced); counts,
  * means and percentiles over the individual samples are lost.
  *
- * Campaign cells use this: sweep/fault writers only consume the sums
- * and the integer launch/kernel counts, and dropping the vectors
- * keeps a 10k-cell campaign's result memory (and the per-cell
- * copy-out cost) flat.  The full-detail paths (`hccsim run`,
- * `critical`, reports) never compact.
+ * This is the contract of the light critical-path result
+ * (analyzeCritical with full = false), which serve and campaign
+ * cells consume: it folds each set to this form during its scan, so
+ * no sample is stored, and tests hold it to this function.
  */
 void compactSampleMetrics(AppMetrics &metrics);
 

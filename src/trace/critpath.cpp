@@ -8,7 +8,6 @@
 #include "trace/critpath.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -135,6 +134,29 @@ eventCategory(const Tracer &t, const TraceEvent &e)
     return PathCategory::Other;
 }
 
+/** What a scan keeps beyond the scalar metrics. */
+enum class ScanDetail
+{
+    Metrics, //!< every sample, no path (analyze())
+    Light,   //!< binding predecessors; samples folded to totals
+    Full,    //!< binding predecessors and every sample
+};
+
+/**
+ * The candidate edges of a full scan, kept for the CPM slack pass
+ * only.  Program-order and correlation candidates gate their target's
+ * start; join candidates gate a sync's end.
+ */
+struct SlackEdges
+{
+    /** Per event: its program-order candidate (kNone: none). */
+    std::vector<std::uint32_t> order;
+    /** Per event: a kernel's launch candidate (kNone: none). */
+    std::vector<std::uint32_t> corr;
+    /** (sync, waited-on device event), ascending sync index. */
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> joins;
+};
+
 /**
  * The single pass shared by analyze(), analyzeCritical() and
  * ForkAnalyzer.  Resumable: scanRange() keeps every piece of loop
@@ -146,10 +168,19 @@ eventCategory(const Tracer &t, const TraceEvent &e)
  */
 struct Scan
 {
+    explicit Scan(ScanDetail d) : detail(d) {}
+
+    ScanDetail detail;
     /** The state a resumed scan overwrites rather than appends to. */
     struct Carry
     {
         AppMetrics metrics;
+        /** Light scans: the left folds from 0.0, in scan order, of
+         *  the samples the four sets would hold. */
+        struct
+        {
+            double klo = 0.0, lqt = 0.0, kqt = 0.0, ket = 0.0;
+        } folds;
         /** Walk start: latest-ending non-fault event (tie: higher
          *  idx). */
         std::uint32_t tail = kNone;
@@ -158,12 +189,8 @@ struct Scan
         std::vector<std::uint32_t> last_dev; // per stream id
     };
     Carry carry;
-    /** Program-order predecessor (host chain or stream chain). */
-    std::vector<std::uint32_t> chain;
-    /** Kernel -> its Launch/GraphLaunch (via correlation). */
-    std::vector<std::uint32_t> corr;
-    /** (sync event, waited-on device event), ascending sync index. */
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> sync_edges;
+    /** The predecessor the walk binds each event to (kNone: none). */
+    std::vector<std::uint32_t> pred;
     /** Fault-recovery spans as scanned. */
     std::vector<std::pair<SimTime, SimTime>> fault_spans;
     /** Their coverage index, built by finalizeScan(). */
@@ -184,19 +211,33 @@ using LaunchUndo = std::vector<std::pair<std::uint64_t, std::uint32_t>>;
 
 /**
  * Scan events [from, to), resuming from @p s's carry state.  When
- * @p undo is given, every correlation -> launch store is logged there
- * first, so the caller can take the scan back.
+ * @p slack_edges is given, every candidate edge is recorded there.
+ * When @p undo is given, every correlation -> launch store is logged
+ * there first, so the caller can take the scan back.
  */
 void
 scanRange(Scan &s, const Tracer &tracer, std::size_t from,
-          std::size_t to, bool build_graph, LaunchUndo *undo = nullptr)
+          std::size_t to, SlackEdges *slack_edges = nullptr,
+          LaunchUndo *undo = nullptr)
 {
     AppMetrics &m = s.carry.metrics;
+    auto &folds = s.carry.folds;
+    const bool light = s.detail == ScanDetail::Light;
+    const bool graph = s.detail != ScanDetail::Metrics;
+    const auto sample = [&](SampleSet &set, double &fold, double x) {
+        if (light)
+            fold += x;
+        else
+            set.add(x);
+    };
     const auto ev = tracer.events();
-    if (build_graph) {
-        s.chain.resize(to, kNone);
-        s.corr.resize(to, kNone);
+    if (graph) {
+        s.pred.resize(to, kNone);
         s.launch_flat.resize(to + 2, kNone);
+    }
+    if (slack_edges != nullptr) {
+        slack_edges->order.resize(to, kNone);
+        slack_edges->corr.resize(to, kNone);
     }
     const auto launchLookup =
         [&](std::uint64_t c) -> std::uint32_t {
@@ -221,16 +262,17 @@ scanRange(Scan &s, const Tracer &tracer, std::size_t from,
         const auto i = static_cast<std::uint32_t>(pos);
         const TraceEvent &e = ev[pos];
         const auto d = static_cast<double>(e.duration());
+        const auto wait = static_cast<double>(e.queue_wait);
         switch (e.kind) {
           case EventKind::Launch:
           case EventKind::GraphLaunch:
-            m.klo.add(d);
-            m.lqt.add(static_cast<double>(e.queue_wait));
+            sample(m.klo, folds.klo, d);
+            sample(m.lqt, folds.lqt, wait);
             ++m.launches;
             break;
           case EventKind::Kernel:
-            m.kqt.add(static_cast<double>(e.queue_wait));
-            m.ket.add(d);
+            sample(m.kqt, folds.kqt, wait);
+            sample(m.ket, folds.ket, d);
             ++m.kernels;
             break;
           case EventKind::MemcpyH2D:
@@ -270,45 +312,67 @@ scanRange(Scan &s, const Tracer &tracer, std::size_t from,
             s.carry.tail = i;
             s.carry.last_nonfault_end = e.end;
         }
-        if (!build_graph)
+        if (!graph)
             continue;
 
-        // DAG edges.  Every edge source has a lower index than its
-        // target and is timestamp-consistent, so record order is a
-        // topological order.  Fault spans join no chain.
+        // Candidate predecessors.  Every candidate has a lower index
+        // than its target and ends no later than the target's start
+        // (program order, correlation) or its end (sync join), so
+        // record order is a topological order, and the walk, which
+        // stands at the target's end, can bind to any of them: it
+        // takes the latest-ending one (tie: higher index).  That
+        // choice is known here, so only it is kept.  Fault spans
+        // have no candidates.
+        std::uint32_t order = kNone;
+        std::uint32_t corr = kNone;
+        std::uint32_t best = kNone;
+        SimTime best_end = 0;
+        const auto consider = [&](std::uint32_t p) {
+            if (p == kNone)
+                return;
+            const SimTime pe = ev[p].end;
+            if (best == kNone || pe > best_end
+                || (pe == best_end && p > best)) {
+                best = p;
+                best_end = pe;
+            }
+        };
         if (isDeviceSide(e)) {
             const auto st = static_cast<std::size_t>(e.stream);
             if (st >= last_dev.size())
                 last_dev.resize(st + 1, kNone);
             if (last_dev[st] != kNone
                 && ev[last_dev[st]].end <= e.start)
-                s.chain[i] = last_dev[st];
+                order = last_dev[st];
             last_dev[st] = i;
             if (e.kind == EventKind::Kernel) {
                 const auto f = launchLookup(e.correlation);
                 if (f != kNone && ev[f].end <= e.start)
-                    s.corr[i] = f;
+                    corr = f;
             }
         } else if (isHostSerial(e)) {
             if (last_host != kNone
                 && ev[last_host].end <= e.start)
-                s.chain[i] = last_host;
+                order = last_host;
             if (e.kind == EventKind::Sync) {
-                // Join edges: the sync retires only after the device
-                // work it waits on.  These are finish-time edges —
-                // the predecessor gates e.end, not e.start.
+                // Join candidates: the sync retires only after the
+                // device work it waits on, so these gate e.end, not
+                // e.start.
+                const auto join = [&](std::uint32_t dv) {
+                    if (dv == kNone || ev[dv].end > e.end)
+                        return;
+                    consider(dv);
+                    if (slack_edges != nullptr)
+                        slack_edges->joins.emplace_back(i, dv);
+                };
                 if (e.stream >= 0) {
                     const auto st =
                         static_cast<std::size_t>(e.stream);
-                    if (st < last_dev.size()
-                        && last_dev[st] != kNone
-                        && ev[last_dev[st]].end <= e.end)
-                        s.sync_edges.emplace_back(i, last_dev[st]);
+                    if (st < last_dev.size())
+                        join(last_dev[st]);
                 } else {
-                    for (const auto dv : last_dev) {
-                        if (dv != kNone && ev[dv].end <= e.end)
-                            s.sync_edges.emplace_back(i, dv);
-                    }
+                    for (const auto dv : last_dev)
+                        join(dv);
                 }
             }
             last_host = i;
@@ -316,6 +380,13 @@ scanRange(Scan &s, const Tracer &tracer, std::size_t from,
                 || e.kind == EventKind::GraphLaunch)
                 launchStore(e.correlation, i);
         }
+        consider(order);
+        consider(corr);
+        if (slack_edges != nullptr) {
+            slack_edges->order[i] = order;
+            slack_edges->corr[i] = corr;
+        }
+        s.pred[i] = best;
     }
 }
 
@@ -332,13 +403,28 @@ finalizeScan(Scan &s, const Tracer &tracer)
     s.faults = SpanCoverage(s.fault_spans);
     for (const auto &[a, b] : s.sync_spans)
         m.sync_time -= s.faults.covered(a, b);
+
+    // A light scan's sets become what compactSampleMetrics() makes
+    // of the full ones: one sample, the same left fold from 0.0 in
+    // the same order, and an empty set stays empty.
+    if (s.detail == ScanDetail::Light) {
+        if (m.launches > 0) {
+            m.klo.add(s.carry.folds.klo);
+            m.lqt.add(s.carry.folds.lqt);
+        }
+        if (m.kernels > 0) {
+            m.kqt.add(s.carry.folds.kqt);
+            m.ket.add(s.carry.folds.ket);
+        }
+    }
 }
 
 Scan
-scanTrace(const Tracer &tracer, bool build_graph)
+scanTrace(const Tracer &tracer, ScanDetail detail,
+          SlackEdges *slack_edges = nullptr)
 {
-    Scan s;
-    scanRange(s, tracer, 0, tracer.size(), build_graph);
+    Scan s(detail);
+    scanRange(s, tracer, 0, tracer.size(), slack_edges);
     finalizeScan(s, tracer);
     return s;
 }
@@ -383,11 +469,13 @@ ccCopySplitBusy(const obs::Registry *obs)
 
 /**
  * The backward binding walk shared by analyzeCritical() and
- * ForkAnalyzer: from @p start_cur, repeatedly bind to the candidate
- * predecessor that released the current event (latest finishing end
- * <= the current path time; ties to the higher index).  The visited
- * segments and gaps telescope over [firstStart, lastEnd] with no
- * overlap, so the emitted charges sum exactly to the span.
+ * ForkAnalyzer: from @p start_cur, repeatedly bind to the event's
+ * predecessor as the scan fixed it.  The walk always stands at the
+ * current event's end, and every candidate the scan saw ends no
+ * later than that, so no candidate is ever out of reach and the scan's
+ * choice is the walk's.  The visited segments and gaps telescope over
+ * [firstStart, lastEnd] with no overlap, so the emitted charges sum
+ * exactly to the span.
  *
  * Hooks (all charging goes through them):
  *   segment(event, begin, end, raw_cat) — an on-path slice; the hook
@@ -406,50 +494,22 @@ walkCritical(const Tracer &tracer, const Scan &s,
 {
     const auto ev = tracer.events();
     std::uint32_t cur = start_cur;
-    SimTime cur_t = ev[cur].end;
     for (;;) {
         const TraceEvent &e = ev[cur];
-        std::uint32_t best = kNone;
-        SimTime best_end = std::numeric_limits<SimTime>::min();
-        const auto consider = [&](std::uint32_t p) {
-            if (p == kNone)
-                return;
-            const SimTime pe = ev[p].end;
-            if (pe > cur_t)
-                return;
-            if (best == kNone || pe > best_end
-                || (pe == best_end && p > best)) {
-                best = p;
-                best_end = pe;
-            }
-        };
-        consider(s.chain[cur]);
-        consider(s.corr[cur]);
-        if (e.kind == EventKind::Sync) {
-            const auto range = std::equal_range(
-                s.sync_edges.begin(), s.sync_edges.end(),
-                std::make_pair(cur, std::uint32_t{0}),
-                [](const auto &a, const auto &b) {
-                    return a.first < b.first;
-                });
-            for (auto it = range.first; it != range.second; ++it)
-                consider(it->second);
-        }
-
-        const SimTime seg_begin =
-            best == kNone ? e.start : std::max(e.start, best_end);
-        segment(cur, seg_begin, cur_t, eventCategory(tracer, e));
-
+        const std::uint32_t best = s.pred[cur];
         if (best == kNone) {
+            segment(cur, e.start, e.end, eventCategory(tracer, e));
             // Head: time before the walk's first event (other
             // streams' ramp-up, or fault spans before t0).
             share(tracer.firstStart(), e.start, PathCategory::Other);
             return;
         }
+        const SimTime a = ev[best].end;
+        segment(cur, std::max(e.start, a), e.end,
+                eventCategory(tracer, e));
 
         // Gap before the event: what the waiting event was blocked
         // on.
-        const SimTime a = best_end;
         const SimTime b = e.start;
         if (b > a) {
             switch (e.kind) {
@@ -488,7 +548,6 @@ walkCritical(const Tracer &tracer, const Scan &s,
         if (handoff(best))
             return;
         cur = best;
-        cur_t = best_end;
     }
 }
 
@@ -606,7 +665,7 @@ bottleneckName(Bottleneck bottleneck)
 AppMetrics
 analyze(const Tracer &tracer)
 {
-    return scanTrace(tracer, /*build_graph=*/false).carry.metrics;
+    return scanTrace(tracer, ScanDetail::Metrics).carry.metrics;
 }
 
 Bottleneck
@@ -642,9 +701,12 @@ classifyShares(const std::array<SimTime, kPathCategoryCount> &shares,
 
 CriticalAnalysis
 analyzeCritical(const Tracer &tracer, const obs::Registry *obs,
-                bool with_slack)
+                bool full)
 {
-    Scan s = scanTrace(tracer, /*build_graph=*/true);
+    SlackEdges edges;
+    Scan s = scanTrace(tracer,
+                       full ? ScanDetail::Full : ScanDetail::Light,
+                       full ? &edges : nullptr);
     CriticalAnalysis out;
     out.metrics = std::move(s.carry.metrics);
     CriticalPath &cp = out.path;
@@ -654,32 +716,30 @@ analyzeCritical(const Tracer &tracer, const obs::Registry *obs,
     // Record order is a topological order (all edge sources have
     // lower indices), so one reverse sweep relaxes every successor
     // before its predecessors are visited.  The binding walk below
-    // never reads lf/slack, so bulk callers skip this pass.
-    if (with_slack) {
+    // never reads lf/slack.
+    if (full) {
         const auto ev = tracer.events();
         const std::size_t n = ev.size();
         cp.slack.assign(n, 0);
         std::vector<SimTime> lf(n, s.carry.last_nonfault_end);
-        std::size_t se = s.sync_edges.size();
-        for (std::uint32_t i2 = static_cast<std::uint32_t>(n);
-             i2-- > 0;) {
-            const TraceEvent &e = ev[i2];
+        std::size_t next = edges.joins.size();
+        for (std::uint32_t i = static_cast<std::uint32_t>(n); i-- > 0;) {
+            const TraceEvent &e = ev[i];
             if (e.kind == EventKind::Fault)
                 continue;
-            const SimTime latest_start = lf[i2] - e.duration();
-            if (s.chain[i2] != kNone)
-                lf[s.chain[i2]] =
-                    std::min(lf[s.chain[i2]], latest_start);
-            if (s.corr[i2] != kNone)
-                lf[s.corr[i2]] =
-                    std::min(lf[s.corr[i2]], latest_start);
-            while (se > 0 && s.sync_edges[se - 1].first == i2) {
+            const SimTime latest_start = lf[i] - e.duration();
+            for (const auto p : {edges.order[i], edges.corr[i]}) {
+                if (p != kNone)
+                    lf[p] = std::min(lf[p], latest_start);
+            }
+            for (; next > 0 && edges.joins[next - 1].first == i;
+                 --next) {
                 // Finish-time edge: the waitee may grow by however
                 // much the sync's own finish could slip.
-                const auto p = s.sync_edges[--se].second;
-                lf[p] = std::min(lf[p], ev[p].end + (lf[i2] - e.end));
+                const auto p = edges.joins[next - 1].second;
+                lf[p] = std::min(lf[p], ev[p].end + (lf[i] - e.end));
             }
-            cp.slack[i2] = std::max<SimTime>(0, lf[i2] - e.end);
+            cp.slack[i] = std::max<SimTime>(0, lf[i] - e.end);
         }
     }
 
@@ -696,14 +756,16 @@ analyzeCritical(const Tracer &tracer, const obs::Registry *obs,
             tracer, s, s.carry.tail,
             [&](std::uint32_t e_idx, SimTime a, SimTime b,
                 PathCategory raw) {
-                cp.segments.push_back(
-                    {e_idx, a, b,
-                     raw == PathCategory::Link ? copy_display : raw});
-                charge(a, b, raw);
+                if (full)
+                    cp.segments.push_back(
+                        {e_idx, a, b,
+                         raw == PathCategory::Link ? copy_display
+                                                   : raw});
+                ++cp.on_path_events;
                 cp.on_path_ps += b - a;
+                charge(a, b, raw);
             },
             charge, [](std::uint32_t) { return false; });
-        cp.on_path_events = cp.segments.size();
         // The walk visits strictly decreasing indices; flip to
         // ascending time order for exporters.
         std::reverse(cp.segments.begin(), cp.segments.end());
@@ -718,8 +780,9 @@ namespace {
 /**
  * Memoized replay of the prefix portion of the walk, keyed by the
  * event where the walk crossed into the prefix.  The walk below an
- * entry event is a pure function of the prefix graph (all edges
- * point to lower indices), so it is recorded once; only the charges
+ * entry event is a pure function of the prefix's binding
+ * predecessors (pred[i] depends only on events below i), so it is
+ * recorded once; only the charges
  * depend on the cell (fault overlap, crypto/link split) and are
  * reapplied from the records.
  */
@@ -752,17 +815,16 @@ struct PrefixWalk
 struct ForkAnalyzer::Impl
 {
     std::size_t n_prefix = 0;
-    /** The prefix scan, unfinalized, its sample sets compacted to
-     *  their totals.  analyze() extends it over a cell's suffix in
-     *  place and rewind() truncates it back. */
-    Scan base;
+    /** The prefix scan, light and unfinalized.  analyze() extends
+     *  it over a cell's suffix in place and rewind() truncates it
+     *  back. */
+    Scan base{ScanDetail::Light};
     /** What rewind() restores: base's carry and the sizes of its
      *  append-only arrays, as captured. */
     struct Mark
     {
         Scan::Carry carry;
         std::size_t launch_flat = 0;
-        std::size_t sync_edges = 0;
         std::size_t fault_spans = 0;
         std::size_t sync_spans = 0;
     } mark;
@@ -771,15 +833,12 @@ struct ForkAnalyzer::Impl
     std::unordered_map<std::uint32_t, PrefixWalk> walks;
 
     /** Mark base as the capture (after capture() and every
-     *  extendCapture()).  Its per-launch samples fold into one
-     *  running total per set, so no prefix sample is kept. */
+     *  extendCapture()). */
     void
     seal()
     {
-        compactSampleMetrics(base.carry.metrics);
         mark = {base.carry, base.launch_flat.size(),
-                base.sync_edges.size(), base.fault_spans.size(),
-                base.sync_spans.size()};
+                base.fault_spans.size(), base.sync_spans.size()};
     }
 
     /** Take a cell's suffix scan back out of base.  Every vector
@@ -802,10 +861,8 @@ struct ForkAnalyzer::Impl
         }
         undo.clear();
         s.carry = mark.carry;
-        s.chain.resize(n_prefix);
-        s.corr.resize(n_prefix);
+        s.pred.resize(n_prefix);
         s.launch_flat.resize(mark.launch_flat);
-        s.sync_edges.resize(mark.sync_edges);
         s.fault_spans.resize(mark.fault_spans);
         s.sync_spans.resize(mark.sync_spans);
         s.faults = SpanCoverage{};
@@ -828,10 +885,10 @@ struct ForkAnalyzer::Impl
             else
                 w.sums[idx(cat)] += b - a;
         };
-        // Prefix events and their edges are identical in every
-        // cell's tracer, so recording against whichever cell asked
-        // first is sound.  A suffix extension of base adds nothing
-        // the walk can read: it descends below @p entry only.
+        // Prefix events and their predecessors are identical in
+        // every cell's tracer, so recording against whichever cell
+        // asked first is sound.  A suffix extension of base adds
+        // nothing the walk can read: it descends below @p entry only.
         walkCritical(
             tracer, base, entry,
             [&](std::uint32_t, SimTime a, SimTime b,
@@ -875,8 +932,7 @@ ForkAnalyzer::extendCapture(const Tracer &tracer)
                "ForkAnalyzer extended before capture");
     HCC_ASSERT(tracer.size() >= impl_->n_prefix,
                "fork trace shorter than its captured prefix");
-    scanRange(impl_->base, tracer, impl_->n_prefix, tracer.size(),
-              /*build_graph=*/true);
+    scanRange(impl_->base, tracer, impl_->n_prefix, tracer.size());
     impl_->n_prefix = tracer.size();
     impl_->seal();
 }
@@ -889,8 +945,7 @@ ForkAnalyzer::capture(const Tracer &prefix_tracer)
     // Unfinalized on purpose: the fault index and the sync-overlap
     // fixup are built once per cell over the complete span sets,
     // exactly like the one-shot scan would.
-    scanRange(impl_->base, prefix_tracer, 0, impl_->n_prefix,
-              /*build_graph=*/true);
+    scanRange(impl_->base, prefix_tracer, 0, impl_->n_prefix);
     impl_->seal();
 }
 
@@ -912,18 +967,13 @@ ForkAnalyzer::analyze(const Tracer &tracer, const obs::Registry *obs)
         ~Rewind() { im.rewind(); }
     } const rewind{im};
     Scan &s = im.base;
-    scanRange(s, tracer, im.n_prefix, n, /*build_graph=*/true,
-              &im.undo);
+    scanRange(s, tracer, im.n_prefix, n, nullptr, &im.undo);
     finalizeScan(s, tracer);
 
-    // Light metrics.  Each sample set holds the prefix total and the
-    // suffix's samples, so compacting it continues the prefix's left
-    // fold: the additions, in the order, of compacting a cold run's
-    // whole set (0.0 + total is total for any total a fold from 0.0
-    // yields), so the sums are bit-identical.
+    // Light metrics: the suffix continued the prefix's sample folds,
+    // so they are the additions, in the order, of a cold light scan.
     CriticalAnalysis out;
     out.metrics = s.carry.metrics;
-    compactSampleMetrics(out.metrics);
     CriticalPath &cp = out.path;
     cp.end_to_end = out.metrics.end_to_end;
     chargePath(cp, tracer, s, obs, [&](const ShareCharger &charge) {

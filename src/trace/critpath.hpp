@@ -7,28 +7,33 @@
  * actually *gated* the end-to-end span once streams overlap.  This
  * layer answers that question from the recorded trace alone:
  *
- *  1. A DAG over the events of one run, built in a single pass over
- *     the chunk-paged EventView.  Edges:
- *       - per-stream program order (kernels/async copies serialize on
- *         their stream),
- *       - Launch -> Kernel via the `correlation` id (GraphLaunch
- *         fans out to every node kernel),
- *       - Sync join points (a synchronize cannot retire before the
- *         device work it waits on),
+ *  1. One binding predecessor per event, fixed in a single pass over
+ *     the chunk-paged EventView.  An event's candidates are
+ *       - its per-stream program-order predecessor (kernels/async
+ *         copies serialize on their stream),
+ *       - for a Kernel, its Launch via the `correlation` id
+ *         (GraphLaunch fans out to every node kernel),
+ *       - for a Sync, the device work it joins (a synchronize cannot
+ *         retire before the device work it waits on),
  *       - timestamp-implied host serialization (the host API chain:
  *         launches, allocs, frees, syncs and blocking copies).
- *     Fault recovery spans are annotations *inside* other events and
- *     join no chain; their time is re-attributed by overlap instead.
+ *     Its predecessor is the latest-ending candidate (ties break to
+ *     the higher event index, so the walk is deterministic).  Fault
+ *     recovery spans are annotations *inside* other events and get
+ *     no predecessor; their time is re-attributed by overlap instead.
  *
  *  2. A longest-path walk: starting from the event that ends last,
- *     repeatedly bind to the predecessor that released it (latest
- *     finishing candidate; ties break to the higher event index, so
- *     the walk is deterministic).  The walk telescopes the full
- *     [firstStart, lastEnd] span into integer-picosecond segments, so
- *     the per-category shares sum *exactly* to `end_to_end`.
+ *     repeatedly bind to the event's predecessor.  Every candidate
+ *     ends no later than the event does, so the predecessor the walk
+ *     binds to is the one the scan fixed.  The walk telescopes the
+ *     full [firstStart, lastEnd] span into integer-picosecond
+ *     segments, so the per-category shares sum *exactly* to
+ *     `end_to_end`.
  *
  *  3. CPM-style slack per event (how much an event could grow
- *     without moving the end of the run) for overlap what-ifs.
+ *     without moving the end of the run) for overlap what-ifs.  Only
+ *     this pass needs the candidate edges; the full analysis keeps
+ *     them for it, and nothing else does.
  *
  *  4. A deterministic rule-based classifier mapping the shares to a
  *     bottleneck label (crypto-bound, link-bound, launch-bound,
@@ -115,15 +120,15 @@ struct CriticalPath
     /** Exact partition of end_to_end by category (sums to it). */
     std::array<SimTime, kPathCategoryCount> shares{};
     Bottleneck bottleneck = Bottleneck::ComputeBound;
-    /** Number of on-path slices.  Equals segments.size() when the
-     *  segment list is materialized; ForkAnalyzer counts without
-     *  building the list. */
+    /** Number of on-path slices.  Equals segments.size() in a full
+     *  result; light results count without building the list. */
     std::size_t on_path_events = 0;
-    /** On-path slices, ascending in time and event index.  Left
-     *  empty by ForkAnalyzer (campaign cells never export them). */
+    /** On-path slices, ascending in time and event index.  Empty in
+     *  a light result (serve and campaign cells never export them). */
     std::vector<PathSegment> segments;
     /** Per-event slack (ps an event can grow without moving the
-     *  end), indexed like Tracer::events(). */
+     *  end), indexed like Tracer::events().  Empty in a light
+     *  result. */
     std::vector<SimTime> slack;
 
     SimTime share(PathCategory c) const
@@ -145,16 +150,20 @@ struct CriticalAnalysis
  *        busy ratio used to split CC copy time and the UVM fault
  *        signal for the classifier; counters are only read, never
  *        created.
- * @param with_slack also run the CPM latest-finish sweep that fills
- *        CriticalPath::slack.  The path, shares and bottleneck never
- *        depend on it — only the slack report tables and the JSON
- *        export do — so bulk consumers (the campaign fork engine,
- *        which analyzes thousands of cells) pass false and skip one
- *        full O(events) pass; `slack` is then left empty.
+ * @param full the full result, for reports and exports: every metric
+ *        sample, the on-path `segments` and the per-event `slack`
+ *        (the CPM latest-finish pass).  false gives the light result
+ *        bulk callers (serve and campaign cells) consume: the same
+ *        end_to_end, shares, on_path_ps, on_path_events and
+ *        bottleneck, with `segments` and `slack` left empty and each
+ *        metrics sample set folded during the scan to its total
+ *        exactly as compactSampleMetrics() would leave it (bit for
+ *        bit; an empty set stays empty).  The light scan keeps one
+ *        predecessor index per event and nothing per sample.
  */
 CriticalAnalysis analyzeCritical(const Tracer &tracer,
                                  const obs::Registry *obs = nullptr,
-                                 bool with_slack = true);
+                                 bool full = true);
 
 /**
  * Incremental re-analysis for the snapshot fork engine.
@@ -162,21 +171,17 @@ CriticalAnalysis analyzeCritical(const Tracer &tracer,
  * A fork group runs one shared prefix and replays N per-cell
  * suffixes on top of it; analyzeCritical() would rescan the full
  * trace for every cell even though the prefix events never change.
- * capture() scans the prefix once and keeps the scan state (metrics
- * accumulators, DAG chains, correlation map), with the prefix's
- * per-launch samples folded into running totals.  analyze() extends
- * that state in place over the appended suffix events only, walks
- * the path backward until it crosses into the prefix, where a
- * memoized replay of the prefix walk (keyed by entry event, built on
- * first use) supplies the remaining shares, and then truncates the
- * state back to the capture.  Its host cost is therefore
- * proportional to the suffix, not to the prefix.  The result is
- * bit-identical to analyzeCritical() with with_slack = false, except
- * that `segments` and `slack` stay empty (on_path_events still
- * counts the slices) and the metrics sample sets come back compacted
- * to their totals (compactSampleMetrics: the prefix totals folded on
- * over the suffix's samples) — campaign cells only consume the sums,
- * shares, bottleneck and the published critpath.* counters.
+ * capture() scans the prefix once, light, and keeps the scan state
+ * (metrics accumulators and sample folds, binding predecessors,
+ * correlation map).  analyze() extends that state in place over the
+ * appended suffix events only, walks the path backward until it
+ * crosses into the prefix, where a memoized replay of the prefix
+ * walk (keyed by entry event, built on first use) supplies the
+ * remaining shares, and then truncates the state back to the
+ * capture.  Its host cost is therefore proportional to the suffix,
+ * not to the prefix.  The result is bit-identical to the light
+ * analyzeCritical() (full = false) — campaign cells only consume the
+ * sums, shares, bottleneck and the published critpath.* counters.
  *
  * Per-cell fault spans and crypto/link busy ratios are applied live,
  * so faulted cells that perturb the suffix (or even overlap cached

@@ -23,8 +23,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -34,7 +36,7 @@
 namespace hcc::trace {
 
 /** Categories of traced events. */
-enum class EventKind
+enum class EventKind : std::uint8_t
 {
     Launch,        //!< host-side cudaLaunchKernel (duration = KLO)
     Kernel,        //!< device-side execution (duration = KET)
@@ -56,18 +58,16 @@ std::string_view eventKindName(EventKind kind);
 /** Id of an interned label string (see Tracer::intern). */
 using LabelId = std::uint32_t;
 
-/** One traced event.  Trivially copyable; labels are interned. */
+/**
+ * One traced event.  Trivially copyable; labels are interned.  The
+ * fields are ordered by size so the record packs into 48 bytes with
+ * no padding: every byte is a value byte, so copies, hashes and
+ * snapshot files of equal events are equal byte for byte.
+ */
 struct TraceEvent
 {
-    EventKind kind = EventKind::Launch;
-    /** Kernel or API label, interned in the owning Tracer (0: ""). */
-    LabelId label = 0;
     SimTime start = 0;
     SimTime end = 0;
-    /** Stream the event belongs to (-1: none). */
-    int stream = -1;
-    /** Links a Launch to its Kernel event. */
-    std::uint64_t correlation = 0;
     /** Payload size for memory events. */
     Bytes bytes = 0;
     /**
@@ -75,11 +75,24 @@ struct TraceEvent
      * for Launch events the LQT that preceded this launch.
      */
     SimTime queue_wait = 0;
+    /** Kernel or API label, interned in the owning Tracer (0: ""). */
+    LabelId label = 0;
+    /** Links a Launch to its Kernel event. */
+    std::uint32_t correlation = 0;
+    /** Stream the event belongs to (-1: none). */
+    std::int32_t stream = -1;
+    EventKind kind = EventKind::Launch;
     /** Copy reclassified as encrypted paging (Fig. 5 "managed"). */
     bool encrypted_paging = false;
+    /** Always 0: the tail bytes a compiler would leave as padding. */
+    std::uint16_t reserved = 0;
 
     SimTime duration() const { return end - start; }
 };
+
+static_assert(sizeof(TraceEvent) == 48);
+static_assert(std::has_unique_object_representations_v<TraceEvent>,
+              "TraceEvent must have no padding bytes");
 
 /**
  * Append-only event sink for one application run.
@@ -124,17 +137,27 @@ class Tracer
         return labelName(event.label);
     }
 
-    /** Record an event (label pre-set); returns its correlation id. */
+    /**
+     * Record an event (label pre-set); returns its correlation id.
+     * Ids are handed out at most one per recorded event, so they fit
+     * the event's 32-bit field for any trace that fits in memory.
+     */
     std::uint64_t
     record(TraceEvent event)
     {
         HCC_ASSERT(event.end >= event.start,
                    "event ends before it starts");
-        if (event.correlation == 0)
-            event.correlation = next_correlation_++;
-        else
-            next_correlation_ = std::max(next_correlation_,
-                                         event.correlation + 1);
+        if (event.correlation == 0) {
+            HCC_ASSERT(next_correlation_
+                           <= std::numeric_limits<std::uint32_t>::max(),
+                       "trace correlation ids exhausted");
+            event.correlation =
+                static_cast<std::uint32_t>(next_correlation_++);
+        } else {
+            next_correlation_ =
+                std::max(next_correlation_,
+                         std::uint64_t{event.correlation} + 1);
+        }
         if (chunks_.empty()
             || chunks_.back().size() == kChunkEvents)
             addChunk();

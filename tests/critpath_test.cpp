@@ -6,12 +6,17 @@
  * the crypto/link split, the classifier rules, and the end-to-end
  * classification claim on real workload cells (native copy cells are
  * link-bound, the same cells under CC are crypto-bound, the ML cells
- * stay compute-bound — the paper's Fig. 4/13/14 story).
+ * stay compute-bound — the paper's Fig. 4/13/14 story).  A
+ * differential test holds the binding-predecessor walk, the light
+ * result and the fork analyzer to a reference DAG walk on seeded
+ * random traces.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <map>
 #include <numeric>
 #include <random>
 #include <sstream>
@@ -347,7 +352,7 @@ expectSameAnalysis(const CriticalAnalysis &got,
 CriticalAnalysis
 coldReference(const Tracer &t, const obs::Registry *reg)
 {
-    auto full = analyzeCritical(t, reg, /*with_slack=*/false);
+    auto full = analyzeCritical(t, reg);
     compactSampleMetrics(full.metrics);
     return full;
 }
@@ -483,6 +488,467 @@ TEST(CritPathFork, FoldedPrefixSumsMatchAWholeScanBitForBit)
             EXPECT_EQ(got.path.shares, want.path.shares);
         }
     }
+}
+
+// ------------------------------------ differential: reference walk
+
+/**
+ * Test-local reference: the DAG engine the binding-predecessor scan
+ * replaced.  It keeps every candidate edge (program order,
+ * correlation, sync joins) and picks each step's predecessor in the
+ * walk, among the candidates that end by the walk's current time.
+ */
+namespace ref {
+
+constexpr std::uint32_t kNone = 0xffffffffu;
+
+bool
+hostSerial(const TraceEvent &e)
+{
+    switch (e.kind) {
+      case EventKind::Kernel:
+      case EventKind::Fault:
+        return false;
+      case EventKind::MemcpyH2D:
+      case EventKind::MemcpyD2H:
+      case EventKind::MemcpyD2D:
+        return e.stream < 0;
+      default:
+        return true;
+    }
+}
+
+bool
+deviceSide(const TraceEvent &e)
+{
+    switch (e.kind) {
+      case EventKind::Kernel:
+        return true;
+      case EventKind::MemcpyH2D:
+      case EventKind::MemcpyD2H:
+      case EventKind::MemcpyD2D:
+        return e.stream >= 0;
+      default:
+        return false;
+    }
+}
+
+PathCategory
+copyCategory(const Tracer &t, const TraceEvent &e)
+{
+    if (e.encrypted_paging || t.name(e) == "memPrefetch"
+        || t.name(e) == "memcpy-managed")
+        return PathCategory::Uvm;
+    return e.kind == EventKind::MemcpyD2D ? PathCategory::Compute
+                                          : PathCategory::Link;
+}
+
+PathCategory
+category(const Tracer &t, const TraceEvent &e)
+{
+    switch (e.kind) {
+      case EventKind::Kernel:
+        return PathCategory::Compute;
+      case EventKind::MemcpyH2D:
+      case EventKind::MemcpyD2H:
+      case EventKind::MemcpyD2D:
+        return copyCategory(t, e);
+      case EventKind::Launch:
+      case EventKind::GraphLaunch:
+        return PathCategory::Launch;
+      case EventKind::Sync:
+        return PathCategory::Sync;
+      case EventKind::Fault:
+        return PathCategory::Fault;
+      default:
+        return PathCategory::Alloc;
+    }
+}
+
+struct Result
+{
+    std::vector<PathSegment> segments;
+    std::vector<SimTime> slack;
+    std::array<SimTime, kPathCategoryCount> shares{};
+    SimTime on_path_ps = 0;
+    Bottleneck bottleneck = Bottleneck::ComputeBound;
+};
+
+Result
+analyze(const Tracer &t, std::uint64_t crypto_busy,
+        std::uint64_t link_busy)
+{
+    const auto ev = t.events();
+    const std::size_t n = ev.size();
+    std::vector<std::uint32_t> chain(n, kNone), corr(n, kNone);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> sync_edges;
+    std::map<std::uint64_t, std::uint32_t> launch_of;
+    std::vector<std::uint32_t> last_dev;
+    std::vector<std::pair<SimTime, SimTime>> fault_spans;
+    std::uint32_t last_host = kNone, tail = kNone;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const TraceEvent &e = ev[i];
+        if (e.kind == EventKind::Fault) {
+            fault_spans.emplace_back(e.start, e.end);
+            continue;
+        }
+        if (tail == kNone || e.end >= ev[tail].end)
+            tail = i;
+        if (deviceSide(e)) {
+            const auto st = static_cast<std::size_t>(e.stream);
+            if (st >= last_dev.size())
+                last_dev.resize(st + 1, kNone);
+            if (last_dev[st] != kNone && ev[last_dev[st]].end <= e.start)
+                chain[i] = last_dev[st];
+            last_dev[st] = i;
+            const auto f = launch_of.find(e.correlation);
+            if (e.kind == EventKind::Kernel && f != launch_of.end()
+                && ev[f->second].end <= e.start)
+                corr[i] = f->second;
+        } else if (hostSerial(e)) {
+            if (last_host != kNone && ev[last_host].end <= e.start)
+                chain[i] = last_host;
+            if (e.kind == EventKind::Sync) {
+                for (std::size_t st = 0; st < last_dev.size(); ++st) {
+                    const auto dv = last_dev[st];
+                    if ((e.stream < 0
+                         || st == static_cast<std::size_t>(e.stream))
+                        && dv != kNone && ev[dv].end <= e.end)
+                        sync_edges.emplace_back(i, dv);
+                }
+            }
+            last_host = i;
+            if (e.kind == EventKind::Launch
+                || e.kind == EventKind::GraphLaunch)
+                launch_of[e.correlation] = i;
+        }
+    }
+
+    Result r;
+    r.slack.assign(n, 0);
+    if (tail != kNone) {
+        std::vector<SimTime> lf(n, ev[tail].end);
+        for (std::uint32_t i = static_cast<std::uint32_t>(n); i-- > 0;) {
+            const TraceEvent &e = ev[i];
+            if (e.kind == EventKind::Fault)
+                continue;
+            for (const auto p : {chain[i], corr[i]}) {
+                if (p != kNone)
+                    lf[p] = std::min(lf[p], lf[i] - e.duration());
+            }
+            for (const auto &[s, p] : sync_edges) {
+                if (s == i)
+                    lf[p] = std::min(lf[p], ev[p].end + (lf[i] - e.end));
+            }
+            r.slack[i] = std::max<SimTime>(0, lf[i] - e.end);
+        }
+    }
+
+    const SpanCoverage faults(fault_spans);
+    const SimTime e2e = t.span();
+    const auto book = [&](SimTime v, PathCategory c) {
+        const std::uint64_t den = crypto_busy + link_busy;
+        if (c == PathCategory::Link && den > 0) {
+            const auto crypto = static_cast<SimTime>(
+                static_cast<unsigned __int128>(v) * crypto_busy / den);
+            r.shares[static_cast<std::size_t>(PathCategory::Crypto)] +=
+                crypto;
+            v -= crypto;
+        }
+        r.shares[static_cast<std::size_t>(c)] += v;
+    };
+    const auto charge = [&](SimTime a, SimTime b, PathCategory c) {
+        if (b <= a)
+            return;
+        const SimTime f =
+            c == PathCategory::Fault ? 0 : faults.covered(a, b);
+        r.shares[static_cast<std::size_t>(PathCategory::Fault)] += f;
+        book(b - a - f, c);
+    };
+    if (tail == kNone) {
+        r.shares[static_cast<std::size_t>(PathCategory::Fault)] = e2e;
+    } else {
+        charge(ev[tail].end, t.lastEnd(), PathCategory::Fault);
+        const PathCategory display =
+            crypto_busy > 0 && crypto_busy >= link_busy
+                ? PathCategory::Crypto
+                : PathCategory::Link;
+        std::uint32_t cur = tail;
+        SimTime cur_t = ev[cur].end;
+        for (;;) {
+            const TraceEvent &e = ev[cur];
+            std::uint32_t best = kNone;
+            SimTime best_end = 0;
+            const auto consider = [&](std::uint32_t p) {
+                if (p == kNone || ev[p].end > cur_t)
+                    return;
+                if (best == kNone || ev[p].end > best_end
+                    || (ev[p].end == best_end && p > best)) {
+                    best = p;
+                    best_end = ev[p].end;
+                }
+            };
+            consider(chain[cur]);
+            consider(corr[cur]);
+            for (const auto &[s, p] : sync_edges) {
+                if (s == cur)
+                    consider(p);
+            }
+            const SimTime begin =
+                best == kNone ? e.start : std::max(e.start, best_end);
+            const PathCategory raw = category(t, e);
+            r.segments.push_back(
+                {cur, begin, cur_t,
+                 raw == PathCategory::Link ? display : raw});
+            r.on_path_ps += cur_t - begin;
+            charge(begin, cur_t, raw);
+            if (best == kNone) {
+                charge(t.firstStart(), e.start, PathCategory::Other);
+                break;
+            }
+            const SimTime a = best_end, b = e.start;
+            if (b > a) {
+                switch (e.kind) {
+                  case EventKind::Kernel:
+                    charge(a, b, PathCategory::Launch);
+                    break;
+                  case EventKind::Launch:
+                  case EventKind::GraphLaunch: {
+                    const SimTime lqt = std::min(
+                        b - a, std::max<SimTime>(0, e.queue_wait));
+                    charge(b - lqt, b, PathCategory::Launch);
+                    charge(a, b - lqt, PathCategory::Other);
+                    break;
+                  }
+                  case EventKind::Sync:
+                    charge(a, b, PathCategory::Sync);
+                    break;
+                  case EventKind::MemcpyH2D:
+                  case EventKind::MemcpyD2H:
+                  case EventKind::MemcpyD2D:
+                    charge(a, b, copyCategory(t, e));
+                    break;
+                  default:
+                    charge(a, b, PathCategory::Other);
+                    break;
+                }
+            }
+            cur = best;
+            cur_t = best_end;
+        }
+        std::reverse(r.segments.begin(), r.segments.end());
+    }
+    r.bottleneck = classifyShares(r.shares, e2e);
+    return r;
+}
+
+} // namespace ref
+
+/**
+ * A seeded random trace shaped like a runtime's: one host clock, 2-3
+ * streams, launches and GraphLaunch fan-out, blocking and async
+ * copies, stream and device syncs, allocations, fault spans, and a
+ * coarse time grid so equal end times are common.  A few events break
+ * the runtime's timing (kernels that start before their launch ends,
+ * kernels with no launch) to exercise the edges the scan refuses.
+ */
+Tracer
+randomTrace(std::mt19937_64 &rng, std::size_t ops)
+{
+    const auto pick = [&](int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    const auto len = [&] { return SimTime{10} * pick(0, 4); };
+    const int streams = pick(2, 3);
+    std::vector<SimTime> ready(static_cast<std::size_t>(streams), 0);
+    Tracer t;
+    SimTime h = 0;
+    const auto kernelOn = [&](int st, SimTime issued,
+                              std::uint64_t corr) {
+        auto &r = ready[static_cast<std::size_t>(st)];
+        SimTime start = std::max(issued, r) + len();
+        if (pick(0, 19) == 0)
+            start = std::max<SimTime>(0, issued - 10); // early start
+        const SimTime end = start + len() + 10;
+        t.record(mk(EventKind::Kernel, start, end, st,
+                    pick(0, 29) == 0 ? 0 : corr, start - issued),
+                 "k");
+        r = std::max(r, end);
+    };
+    for (std::size_t op = 0; op < ops; ++op) {
+        const int st = pick(0, streams - 1);
+        switch (pick(0, 11)) {
+          case 0:
+          case 1:
+          case 2: {
+            const SimTime end = h + len();
+            const auto c =
+                t.record(mk(EventKind::Launch, h, end, -1, 0, len()),
+                         "k");
+            h = end;
+            kernelOn(st, end, c);
+            break;
+          }
+          case 3: {
+            const SimTime end = h + len();
+            const auto c = t.record(
+                mk(EventKind::GraphLaunch, h, end, -1, 0, len()),
+                "graph");
+            h = end;
+            for (int k = pick(2, 4); k > 0; --k)
+                kernelOn(pick(0, streams - 1), end, c);
+            break;
+          }
+          case 4: {
+            // Async copy on a stream; the host only issues it.
+            auto &r = ready[static_cast<std::size_t>(st)];
+            const SimTime start = std::max(h, r);
+            TraceEvent e = mk(pick(0, 1) ? EventKind::MemcpyH2D
+                                         : EventKind::MemcpyD2H,
+                              start, start + len() + 10, st);
+            e.encrypted_paging = pick(0, 5) == 0;
+            t.record(e, pick(0, 4) == 0 ? "memPrefetch" : "memcpy");
+            r = e.end;
+            h += 10;
+            break;
+          }
+          case 5: {
+            const auto kind = pick(0, 2);
+            const SimTime end = h + len() + 10;
+            t.record(mk(kind == 0   ? EventKind::MemcpyH2D
+                        : kind == 1 ? EventKind::MemcpyD2H
+                                    : EventKind::MemcpyD2D,
+                        h, end),
+                     "memcpy");
+            h = end;
+            break;
+          }
+          case 6: {
+            const SimTime end =
+                std::max(h, ready[static_cast<std::size_t>(st)])
+                + len();
+            t.record(mk(EventKind::Sync, h, end, st), "sync");
+            h = end;
+            break;
+          }
+          case 7: {
+            const SimTime end =
+                std::max(h, *std::max_element(ready.begin(),
+                                              ready.end()))
+                + len();
+            t.record(mk(EventKind::Sync, h, end), "sync");
+            h = end;
+            break;
+          }
+          case 8:
+          case 9: {
+            const SimTime end = h + len();
+            t.record(mk(pick(0, 1) ? EventKind::MallocDevice
+                                   : EventKind::Free,
+                        h, end),
+                     "alloc");
+            h = end;
+            break;
+          }
+          case 10: {
+            const SimTime a = std::max<SimTime>(0, h - len() * 3);
+            t.record(mk(EventKind::Fault, a, a + len() * 2), "fault");
+            break;
+          }
+          default:
+            h += len();
+            break;
+        }
+    }
+    return t;
+}
+
+TEST(CritPathDifferential, MatchesTheReferenceWalkOnRandomTraces)
+{
+    std::mt19937_64 rng(20261018);
+    for (int round = 0; round < 300; ++round) {
+        const Tracer t = randomTrace(rng, 20 + round % 120);
+        obs::Registry reg;
+        const std::uint64_t crypto = round % 3 == 0 ? 0 : 7;
+        const std::uint64_t link = round % 5 == 0 ? 0 : 11;
+        reg.counter("sim.timeline.cc_crypto.busy_ps").add(crypto);
+        reg.counter("pcie.link.busy_ps_h2d").add(link);
+        const ref::Result want = ref::analyze(t, crypto, link);
+        SCOPED_TRACE("round " + std::to_string(round));
+
+        const auto full = analyzeCritical(t, &reg);
+        ASSERT_EQ(full.path.segments.size(), want.segments.size());
+        for (std::size_t i = 0; i < want.segments.size(); ++i) {
+            const PathSegment &g = full.path.segments[i];
+            const PathSegment &w = want.segments[i];
+            EXPECT_EQ(g.event, w.event) << "segment " << i;
+            EXPECT_EQ(g.begin, w.begin) << "segment " << i;
+            EXPECT_EQ(g.end, w.end) << "segment " << i;
+            EXPECT_EQ(g.category, w.category) << "segment " << i;
+        }
+        EXPECT_EQ(full.path.slack, want.slack);
+        EXPECT_EQ(full.path.shares, want.shares);
+        EXPECT_EQ(full.path.on_path_ps, want.on_path_ps);
+        EXPECT_EQ(full.path.bottleneck, want.bottleneck);
+
+        const auto light = analyzeCritical(t, &reg, false);
+        EXPECT_EQ(light.path.shares, want.shares);
+        EXPECT_EQ(light.path.on_path_ps, want.on_path_ps);
+        EXPECT_EQ(light.path.on_path_events, want.segments.size());
+        EXPECT_EQ(light.path.bottleneck, want.bottleneck);
+
+        // Fork analyzers cut at random points, one of them a tree
+        // node extended from its parent's capture.
+        std::uniform_int_distribution<std::size_t> cut(0, t.size());
+        std::size_t k1 = cut(rng), k2 = cut(rng);
+        if (k1 > k2)
+            std::swap(k1, k2);
+        const auto prefixOf = [&](std::size_t k) {
+            Tracer p;
+            const auto ev = t.events();
+            for (std::size_t i = 0; i < k; ++i)
+                p.record(ev[i], t.name(ev[i]));
+            return p;
+        };
+        ForkAnalyzer root;
+        root.capture(prefixOf(k1));
+        ForkAnalyzer node = root.clone();
+        node.extendCapture(prefixOf(k2));
+        for (ForkAnalyzer *fork : {&root, &node})
+            expectSameAnalysis(fork->analyze(t, &reg),
+                               coldReference(t, &reg));
+    }
+}
+
+TEST(CritPathLight, EqualsTheCompactedFullResultOnEveryEvaluationCell)
+{
+    const auto &registry = workloads::WorkloadRegistry::instance();
+    std::size_t cells = 0;
+    for (const auto &app : workloads::evaluationApps()) {
+        for (const bool uvm : {false, true}) {
+            if (uvm && !registry.get(app).supportsUvm())
+                continue;
+            for (const bool cc : {false, true}) {
+                SCOPED_TRACE(app + (cc ? " cc" : " base")
+                             + (uvm ? " uvm" : ""));
+                rt::SystemConfig sys;
+                sys.cc = cc;
+                workloads::WorkloadParams params;
+                params.uvm = uvm;
+                const auto r = workloads::runWorkload(app, sys, params);
+                const auto light =
+                    analyzeCritical(r.trace, r.stats.get(), false);
+                expectSameAnalysis(light,
+                                   coldReference(r.trace, r.stats.get()));
+                EXPECT_TRUE(light.path.segments.empty());
+                EXPECT_TRUE(light.path.slack.empty());
+                EXPECT_EQ(light.path.on_path_events,
+                          r.critical.segments.size());
+                ++cells;
+            }
+        }
+    }
+    EXPECT_GT(cells, 2 * workloads::evaluationApps().size());
 }
 
 // ------------------------------------------------------- classifier

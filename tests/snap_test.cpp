@@ -3,16 +3,19 @@
  * Tests for the snapshot/fork layer: the archive primitives, each
  * subsystem's snapState round-trip (RNG stream position, trace
  * intern table, stats registry erase-after-capture), the EventArena
- * slab-trim hook, the snapshot file format, and the headline
- * property — a forked cell is indistinguishable from a cold run —
- * exercised over every registered workload under base, CC and UVM.
+ * slab-trim hook, the snapshot file format (deterministic bytes, no
+ * padding in archived types), and the headline property — a forked
+ * cell is indistinguishable from a cold run — exercised over every
+ * registered workload under base, CC and UVM.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
@@ -347,6 +350,22 @@ TEST(EventArena, SnapshotCaptureReleasesFreeSlabs)
         << "capture must invoke releaseFreeSlabs()";
 }
 
+// ------------------------------------------- archived type layout
+
+// Padding bytes are never initialized, so a type with padding would
+// leak garbage into snapshot files; the archives reject it.
+struct PaddedAfterWord
+{
+    std::uint32_t word;
+    std::uint64_t wide;
+};
+static_assert(!kIsSnapPod<PaddedAfterWord>);
+static_assert(!kIsSnapPod<std::pair<SimTime, int>>);
+static_assert(kIsSnapPod<std::pair<SimTime, std::int64_t>>);
+static_assert(kIsSnapPod<std::array<double, 3>>);
+static_assert(kIsSnapPod<double[3]>);
+static_assert(kIsSnapPod<trace::TraceEvent>);
+
 // ------------------------------------------------ snapshot file I/O
 
 TEST(SnapshotFile, WriteReadRoundTrip)
@@ -514,6 +533,77 @@ TEST(SnapshotFile, EveryFlippedByteIsAParseError)
     }
     std::remove(path.c_str());
     std::remove(flip.c_str());
+}
+
+std::vector<char>
+readFile(const std::string &path)
+{
+    std::vector<char> bytes;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr)
+        return bytes;
+    int c = 0;
+    while ((c = std::fgetc(f)) != EOF)
+        bytes.push_back(static_cast<char>(c));
+    std::fclose(f);
+    return bytes;
+}
+
+TEST(SnapshotFile, OlderVersionIsAParseErrorNamingIt)
+{
+    Snapshot snap;
+    snap.meta.app = "atax";
+    const std::string path = testing::TempDir() + "snap_v3.hccsnap";
+    ASSERT_TRUE(writeSnapshotFile(path, snap).ok());
+    {
+        // The little-endian version word follows the 8-byte magic.
+        std::FILE *f = std::fopen(path.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);
+        const std::uint8_t v3[4] = {3, 0, 0, 0};
+        ASSERT_EQ(std::fwrite(v3, 1, sizeof(v3), f), sizeof(v3));
+        std::fclose(f);
+    }
+    const auto loaded = readSnapshotFile(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), ErrorCode::ParseError);
+    EXPECT_NE(loaded.status().message().find("version 3"),
+              std::string::npos)
+        << loaded.status().message();
+    std::remove(path.c_str());
+}
+
+TEST(SnapshotFile, TheSameRunWritesTheSameBytes)
+{
+    // Two runs of one configuration, each captured at its auto cut
+    // and written out: the files must be equal byte for byte, trace
+    // section and digests included.
+    const auto capture = [](const std::string &app,
+                            const std::string &path) {
+        const auto &w = workloads::WorkloadRegistry::instance().get(app);
+        rt::SystemConfig sys;
+        sys.cc = true;
+        workloads::WorkloadParams params;
+        rt::Context ctx(sys);
+        const auto cuts =
+            ForkPoint{ForkPoint::Mode::Auto, 0.0, {}}.resolvePath(w);
+        w.runPrefix(ctx, params, cuts[0]);
+        Snapshot snap;
+        ctx.captureSnapshot(snap);
+        snap.meta.app = app;
+        EXPECT_TRUE(writeSnapshotFile(path, snap).ok());
+        return readFile(path);
+    };
+    for (const std::string app : {"atax", "llm"}) {
+        const std::string a = testing::TempDir() + "snap_det_a.hccsnap";
+        const std::string b = testing::TempDir() + "snap_det_b.hccsnap";
+        const auto first = capture(app, a);
+        const auto second = capture(app, b);
+        ASSERT_FALSE(first.empty()) << app;
+        EXPECT_TRUE(first == second) << app;
+        std::remove(a.c_str());
+        std::remove(b.c_str());
+    }
 }
 
 // ------------------------------------- the fork/replay property

@@ -24,16 +24,20 @@ ctest --preset asan-ubsan -j"$jobs"
 # queues (grid_test pins the shared writers' bytes), so
 # TSan gates the pool's synchronization and the per-cell isolation
 # claim (each campaign cell owns its Context/Registry/Injector).
+# obs_test and snap_test cover the one state registries share across
+# threads: the process-wide stat-name pool.
 cmake --preset tsan
 cmake --build --preset tsan -j"$jobs" \
     --target sweep_test fault_test critpath_test overlap_test \
-        serve_test grid_test
+        serve_test grid_test obs_test snap_test
 build-tsan/tests/sweep_test
 build-tsan/tests/fault_test
 build-tsan/tests/critpath_test
 build-tsan/tests/overlap_test
 build-tsan/tests/serve_test
 build-tsan/tests/grid_test
+build-tsan/tests/obs_test
+build-tsan/tests/snap_test
 
 hccsim=build/tools/hccsim
 tmp="$(mktemp -d)"

@@ -145,17 +145,33 @@ applyInt(int &out, int min, const char *flag,
     return true;
 }
 
+/** A finite floating-point flag value (parseFinite). */
+bool
+applyFinite(double &out, const char *flag, const std::string &value,
+            std::string &error)
+{
+    const auto parsed = parseFinite(value);
+    if (!parsed.ok()) {
+        error = std::string("bad ") + flag + " value: "
+            + parsed.status().message();
+        return false;
+    }
+    out = *parsed;
+    return true;
+}
+
 /** Run a throwing list parser at the CLI boundary: a FatalError
- *  becomes the flag's error string, not a process abort. */
+ *  becomes the flag's error string, naming @p flag, not a process
+ *  abort. */
 template <typename Fn>
 bool
-applyParsed(std::string &error, Fn &&fn)
+applyParsed(std::string &error, const char *flag, Fn &&fn)
 {
     try {
         fn();
         return true;
     } catch (const FatalError &e) {
-        error = e.what();
+        error = std::string(flag) + ": " + e.what();
         return false;
     }
 }
@@ -203,12 +219,8 @@ const FlagSpec kFlags[] = {
      "problem-size multiplier (default 1.0)",
      [](Options &o, const std::string &v, std::string &error) {
          double scale = 0.0;
-         try {
-             scale = std::stod(v);
-         } catch (...) {
-             error = "bad --scale value '" + v + "'";
+         if (!applyFinite(scale, "--scale", v, error))
              return false;
-         }
          if (scale <= 0.0) {
              error = "--scale must be positive";
              return false;
@@ -297,7 +309,7 @@ const FlagSpec kFlags[] = {
          if (o.command == Command::Sweep
              || o.command == Command::Faults
              || o.command == Command::Serve) {
-             return applyParsed(error, [&] {
+             return applyParsed(error, "--overlap", [&] {
                  auto list = sweep::parseOverlapList(v);
                  if (o.command == Command::Sweep)
                      o.sweep.grid.overlaps = std::move(list);
@@ -368,12 +380,8 @@ const FlagSpec kFlags[] = {
          std::vector<double> rates;
          for (const auto &item : items) {
              double r = 0.0;
-             try {
-                 r = std::stod(item);
-             } catch (...) {
-                 error = "bad --rates value '" + item + "'";
+             if (!applyFinite(r, "--rates", item, error))
                  return false;
-             }
              if (r <= 0.0 || r > 1.0) {
                  error = "--rates values must be in (0, 1]";
                  return false;
@@ -423,14 +431,14 @@ const FlagSpec kFlags[] = {
     {"--apps", bit(Command::Sweep), "A,B|all",
      "apps to grid over (or --spec GRIDFILE)",
      [](Options &o, const std::string &v, std::string &error) {
-         return applyParsed(error, [&] {
+         return applyParsed(error, "--apps", [&] {
              o.sweep.grid.apps = sweep::parseAppList(v);
          });
      }},
     {"--cc-modes", bit(Command::Sweep) | bit(Command::Serve), "M",
      "on|off|both (default both)",
      [](Options &o, const std::string &v, std::string &error) {
-         return applyParsed(error, [&] {
+         return applyParsed(error, "--cc-modes", [&] {
              auto modes = sweep::parseModeList(v);
              if (o.command == Command::Sweep)
                  o.sweep.grid.cc_modes = std::move(modes);
@@ -441,21 +449,21 @@ const FlagSpec kFlags[] = {
     {"--uvm-modes", bit(Command::Sweep), "M",
      "on|off|both (default off)",
      [](Options &o, const std::string &v, std::string &error) {
-         return applyParsed(error, [&] {
+         return applyParsed(error, "--uvm-modes", [&] {
              o.sweep.grid.uvm_modes = sweep::parseModeList(v);
          });
      }},
     {"--scales", bit(Command::Sweep), "X,Y",
      "problem-size multipliers (default 1)",
      [](Options &o, const std::string &v, std::string &error) {
-         return applyParsed(error, [&] {
+         return applyParsed(error, "--scales", [&] {
              o.sweep.grid.scales = sweep::parseScaleList(v);
          });
      }},
     {"--seeds", bit(Command::Sweep) | bit(Command::Faults), "N,M",
      "RNG seeds (default 42)",
      [](Options &o, const std::string &v, std::string &error) {
-         return applyParsed(error, [&] {
+         return applyParsed(error, "--seeds", [&] {
              auto seeds = sweep::parseSeedList(v);
              if (o.command == Command::Sweep)
                  o.sweep.grid.seeds = std::move(seeds);
@@ -481,7 +489,8 @@ const FlagSpec kFlags[] = {
      [](Options &o, const std::string &v, std::string &error) {
          const auto parsed = snap::parseForkPoint(v);
          if (!parsed.ok()) {
-             error = parsed.status().message();
+             error = "bad --fork-point value: "
+                 + parsed.status().message();
              return false;
          }
          if (o.command == Command::Sweep)
@@ -520,7 +529,7 @@ const FlagSpec kFlags[] = {
     {"--loads", bit(Command::Serve), "R1,R2",
      "offered loads in requests/s (default 8,24,48,96)",
      [](Options &o, const std::string &v, std::string &error) {
-         return applyParsed(error, [&] {
+         return applyParsed(error, "--loads", [&] {
              o.serve.spec.loads = sweep::parseScaleList(v);
          });
      }},
@@ -571,7 +580,7 @@ const FlagSpec kFlags[] = {
      "arrival burst windows over the request-index fraction, e.g. "
      "0.5:0.8:4 (default: plain Poisson)",
      [](Options &o, const std::string &v, std::string &error) {
-         return applyParsed(error, [&] {
+         return applyParsed(error, "--bursts", [&] {
              o.serve.spec.bursts = serve::parseBurstList(v);
          });
      }},
@@ -632,12 +641,9 @@ const FlagSpec kFlags[] = {
     {"--tolerance", bit(Command::StatsDiff), "X",
      "relative tolerance before a change is drift",
      [](Options &o, const std::string &v, std::string &error) {
-         try {
-             o.stats_diff.tolerance = std::stod(v);
-         } catch (...) {
-             error = "bad --tolerance value '" + v + "'";
+         if (!applyFinite(o.stats_diff.tolerance, "--tolerance", v,
+                          error))
              return false;
-         }
          if (o.stats_diff.tolerance < 0.0) {
              error = "--tolerance must be >= 0";
              return false;
@@ -647,12 +653,9 @@ const FlagSpec kFlags[] = {
     {"--ms", bit(Command::CryptoCalibrate), "N",
      "wall-clock budget per algorithm in ms (default 50)",
      [](Options &o, const std::string &v, std::string &error) {
-         try {
-             o.crypto_calibrate.budget_ms = std::stod(v);
-         } catch (...) {
-             error = "bad --ms value '" + v + "'";
+         if (!applyFinite(o.crypto_calibrate.budget_ms, "--ms", v,
+                          error))
              return false;
-         }
          if (o.crypto_calibrate.budget_ms <= 0.0) {
              error = "--ms must be positive";
              return false;

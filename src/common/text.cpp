@@ -1,7 +1,9 @@
 #include "common/text.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace hcc {
 
@@ -86,6 +88,21 @@ splitList(std::string_view csv)
             return out;
         csv.remove_prefix(comma + 1);
     }
+}
+
+Result<double>
+parseFinite(std::string_view text)
+{
+    const std::string s(text);
+    char *end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    if (end == s.c_str() || end != s.c_str() + s.size())
+        return errorf(ErrorCode::ParseError, "'%s' is not a number",
+                      s.c_str());
+    if (!std::isfinite(v))
+        return errorf(ErrorCode::ParseError,
+                      "'%s' is not a finite number", s.c_str());
+    return v;
 }
 
 } // namespace hcc

@@ -2,7 +2,8 @@
  * @file
  * Text helpers shared by every output writer and list parser: JSON
  * string escaping, RFC-4180 CSV field quoting, the two deterministic
- * renderings of a double, and comma-list splitting.
+ * renderings of a double, comma-list splitting, and the one parser
+ * of a floating-point input.
  */
 
 #ifndef HCC_COMMON_TEXT_HPP
@@ -11,6 +12,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/status.hpp"
 
 namespace hcc {
 
@@ -33,6 +36,15 @@ std::string trim(std::string_view s);
 
 /** Comma-split @p csv; items are trimmed and empty items dropped. */
 std::vector<std::string> splitList(std::string_view csv);
+
+/**
+ * All of @p text as a finite double (strtod syntax; leading spaces
+ * allowed, nothing after the number).  A ParseError for anything
+ * else, including "nan", "inf" and a value too large for a double:
+ * range checks written as `v <= 0.0` let NaN through, so every
+ * floating-point flag and file field is read here.
+ */
+Result<double> parseFinite(std::string_view text);
 
 } // namespace hcc
 

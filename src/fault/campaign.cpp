@@ -9,24 +9,6 @@
 
 namespace hcc::fault {
 
-namespace {
-
-/**
- * Read a counter out of a finished cell's registry without creating
- * it: rate-zero cells never inject, so their registries must stay
- * untouched for the byte-identity guarantee.
- */
-std::uint64_t
-counterValue(const obs::Registry &reg, const std::string &name)
-{
-    const auto it = reg.entries().find(name);
-    if (it == reg.entries().end() || !it->second.counter)
-        return 0;
-    return it->second.counter->value();
-}
-
-} // namespace
-
 std::size_t
 CampaignSpec::cellCount() const
 {
@@ -179,11 +161,13 @@ runFaultCampaign(const CampaignSpec &spec, int jobs,
         if (!c.cell.baseline && c.result.stats) {
             const std::string prefix =
                 std::string("fault.") + siteName(c.cell.site);
+            // Read without creating: rate-zero cells never inject,
+            // and their registries must stay untouched for the
+            // byte-identity guarantee.
             const auto &reg = *c.result.stats;
-            c.injected = counterValue(reg, prefix + ".injected");
-            c.recovered = counterValue(reg, prefix + ".recovered");
-            c.retry_time_ps =
-                counterValue(reg, prefix + ".retry_time_ps");
+            c.injected = reg.counterValue(prefix + ".injected");
+            c.recovered = reg.counterValue(prefix + ".recovered");
+            c.retry_time_ps = reg.counterValue(prefix + ".retry_time_ps");
         }
         const auto it = baseline_e2e.find(
             {static_cast<int>(c.cell.overlap), c.cell.seed});

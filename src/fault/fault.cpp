@@ -1,8 +1,7 @@
 #include "fault/fault.hpp"
 
-#include <cstdlib>
-
 #include "common/log.hpp"
+#include "common/text.hpp"
 #include "trace/tracer.hpp"
 
 namespace hcc::fault {
@@ -74,13 +73,13 @@ parseFaultSpec(const std::string &spec)
         if (!site)
             return errorf(ErrorCode::ParseError,
                           "unknown fault site '%s'", name.c_str());
-        const std::string rate_text = item.substr(eq + 1);
-        char *end = nullptr;
-        const double rate = std::strtod(rate_text.c_str(), &end);
-        if (rate_text.empty() || end == nullptr || *end != '\0')
+        const auto parsed = parseFinite(item.substr(eq + 1));
+        if (!parsed.ok())
             return errorf(ErrorCode::ParseError,
-                          "bad fault rate '%s' for site '%s'",
-                          rate_text.c_str(), name.c_str());
+                          "bad fault rate for site '%s': %s",
+                          name.c_str(),
+                          parsed.status().message().c_str());
+        const double rate = *parsed;
         if (rate < 0.0 || rate > 1.0)
             return errorf(ErrorCode::InvalidArgument,
                           "fault rate %g for site '%s' outside [0, 1]",

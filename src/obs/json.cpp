@@ -1,6 +1,7 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 namespace hcc::obs::json {
@@ -188,6 +189,12 @@ class Parser
         if (end == token.c_str() || *end != '\0') {
             pos_ = start;
             return fail("bad number");
+        }
+        // strtod turns a literal beyond a double's range into ±inf,
+        // and inf against inf compares as NaN drift: never a change.
+        if (!std::isfinite(out.number)) {
+            pos_ = start;
+            return fail("number out of range");
         }
         out.type = Value::Type::Number;
         return true;

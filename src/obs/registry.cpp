@@ -1,6 +1,9 @@
 #include "obs/registry.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <mutex>
+#include <set>
 
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
@@ -34,84 +37,251 @@ kindName(Registry::Kind kind)
     return "?";
 }
 
+[[noreturn]] void
+kindConflict(std::string_view name, Registry::Kind have,
+             Registry::Kind want)
+{
+    fatal("stat '%s' already registered as a %s, requested as %s",
+          std::string(name).c_str(), kindName(have), kindName(want));
+}
+
+/** First row whose name is not less than @p name. */
+template <class It>
+It
+lowerBound(It first, It last, std::string_view name)
+{
+    return std::lower_bound(first, last, name,
+                            [](const Registry::Row &row,
+                               std::string_view n) {
+                                return row.first < n;
+                            });
+}
+
+/** Archive one stat's value state (either direction). */
+template <class Ar>
+void
+snapValues(Ar &ar, const Registry::Entry &e)
+{
+    switch (e.kind) {
+      case Registry::Kind::Counter: e.counter->snapState(ar); break;
+      case Registry::Kind::Gauge: e.gauge->snapState(ar); break;
+      case Registry::Kind::Distribution:
+        e.distribution->snapState(ar);
+        break;
+    }
+}
+
+/**
+ * The process-wide copy of stat name @p name, as a view valid for the
+ * life of the process.  The only state registries on different
+ * threads share, hence the lock.
+ */
+std::string_view
+internStatName(std::string_view name)
+{
+    // Node-based, so a name's bytes never move once inserted (short
+    // names live inside their node).  Never freed: views handed out
+    // must outlive every registry, including thread-local ones.
+    static std::mutex mu;
+    static auto *pool = new std::set<std::string, std::less<>>;
+    const std::lock_guard<std::mutex> lock(mu);
+    auto it = pool->find(name);
+    if (it == pool->end())
+        it = pool->emplace(name).first;
+    return *it;
+}
+
 } // namespace
 
-Registry::Entry &
-Registry::entry(const std::string &name, Kind kind)
+template <class T>
+T *
+Registry::Store<T>::make()
 {
-    if (name.empty())
-        fatal("stat name must not be empty");
-    auto [it, inserted] = stats_.try_emplace(name);
-    Entry &e = it->second;
-    if (inserted) {
-        e.kind = kind;
-        switch (kind) {
-          case Kind::Counter:
-            e.counter = std::make_unique<Counter>();
-            break;
-          case Kind::Gauge:
-            e.gauge = std::make_unique<Gauge>();
-            break;
-          case Kind::Distribution:
-            e.distribution = std::make_unique<Distribution>();
-            break;
-        }
-    } else if (e.kind != kind) {
-        fatal("stat '%s' already registered as a %s, requested as %s",
-              name.c_str(), kindName(e.kind), kindName(kind));
+    if (free.empty())
+        return &items.emplace_back();
+    T *stat = free.back();
+    free.pop_back();
+    return stat;
+}
+
+template <class T>
+void
+Registry::Store<T>::release(T *stat)
+{
+    // Reset now, so a stat created later in this slot starts from
+    // zero and the slot holds no memory (a gauge's series) meanwhile.
+    std::destroy_at(stat);
+    std::construct_at(stat);
+    free.push_back(stat);
+}
+
+Registry::Table::const_iterator
+Registry::Table::find(std::string_view name) const
+{
+    const auto it = lowerBound(rows_.begin(), rows_.end(), name);
+    return it != rows_.end() && it->first == name ? it : rows_.end();
+}
+
+Registry::Entry
+Registry::makeEntry(Kind kind)
+{
+    Entry e;
+    e.kind = kind;
+    switch (kind) {
+      case Kind::Counter:
+        e.counter = Handle<Counter>(counters_.make());
+        break;
+      case Kind::Gauge:
+        e.gauge = Handle<Gauge>(gauges_.make());
+        break;
+      case Kind::Distribution:
+        e.distribution = Handle<Distribution>(distributions_.make());
+        break;
     }
     return e;
 }
 
+void
+Registry::release(const Entry &e)
+{
+    switch (e.kind) {
+      case Kind::Counter: counters_.release(e.counter.get()); break;
+      case Kind::Gauge: gauges_.release(e.gauge.get()); break;
+      case Kind::Distribution:
+        distributions_.release(e.distribution.get());
+        break;
+    }
+}
+
+Registry::Entry &
+Registry::entry(std::string_view name, Kind kind)
+{
+    auto &rows = table_.rows_;
+    auto it = lowerBound(rows.begin(), rows.end(), name);
+    if (it != rows.end() && it->first == name) {
+        if (it->second.kind != kind)
+            kindConflict(name, it->second.kind, kind);
+        return it->second;
+    }
+    if (name.empty())
+        fatal("stat name must not be empty");
+    return rows.insert(it, Row{internStatName(name), makeEntry(kind)})
+        ->second;
+}
+
 Counter &
-Registry::counter(const std::string &name)
+Registry::counter(std::string_view name)
 {
     return *entry(name, Kind::Counter).counter;
 }
 
 Gauge &
-Registry::gauge(const std::string &name)
+Registry::gauge(std::string_view name)
 {
     return *entry(name, Kind::Gauge).gauge;
 }
 
 Distribution &
-Registry::distribution(const std::string &name)
+Registry::distribution(std::string_view name)
 {
     return *entry(name, Kind::Distribution).distribution;
 }
 
 bool
-Registry::contains(const std::string &name) const
+Registry::contains(std::string_view name) const
 {
-    return stats_.find(name) != stats_.end();
+    return table_.count(name) != 0;
+}
+
+std::uint64_t
+Registry::counterValue(std::string_view name) const
+{
+    const auto it = table_.find(name);
+    if (it == table_.end() || !it->second.counter)
+        return 0;
+    return it->second.counter->value();
+}
+
+void
+Registry::snapState(snap::Saver &ar)
+{
+    ar.size(table_.size());
+    for (const auto &[name, e] : table_) {
+        ar.str(name);
+        std::uint32_t kind = static_cast<std::uint32_t>(e.kind);
+        ar.pod(kind);
+        snapValues(ar, e);
+    }
+}
+
+void
+Registry::snapState(snap::Loader &ar)
+{
+    // Merge two name-sorted sequences in one pass.  rows[0, kept) is
+    // the restored table so far, rows[next, end) the live rows not yet
+    // reached; the rows between were erased and are free to overwrite.
+    // Archived names are views into the snapshot bytes: a row whose
+    // name matches is loaded in place, and only a name the live table
+    // lacks is interned.
+    auto &rows = table_.rows_;
+    const std::size_t n = ar.size(0);
+    std::size_t kept = 0;
+    std::size_t next = 0;
+    std::string_view prev;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::string_view name = ar.strView();
+        std::uint32_t raw_kind = 0;
+        ar.pod(raw_kind);
+        HCC_ASSERT(i == 0 || prev < name,
+                   "snapshot stats are not in name order");
+        HCC_ASSERT(raw_kind <= static_cast<std::uint32_t>(
+                                   Kind::Distribution),
+                   "snapshot stat has an unknown kind");
+        prev = name;
+        const auto kind = static_cast<Kind>(raw_kind);
+        while (next < rows.size() && rows[next].first < name)
+            release(rows[next++].second);
+        if (next < rows.size() && rows[next].first == name) {
+            if (rows[next].second.kind != kind)
+                kindConflict(name, rows[next].second.kind, kind);
+            rows[kept++] = rows[next++];
+        } else if (kept < next) {
+            rows[kept++] = Row{internStatName(name), makeEntry(kind)};
+        } else {
+            rows.insert(rows.begin() + static_cast<std::ptrdiff_t>(next),
+                        Row{internStatName(name), makeEntry(kind)});
+            ++kept;
+            ++next;
+        }
+        snapValues(ar, rows[kept - 1].second);
+    }
+    while (next < rows.size())
+        release(rows[next++].second);
+    rows.resize(kept);
 }
 
 std::unique_ptr<Registry>
 Registry::clone() const
 {
-    // Direct copy (the cell engine clones once per campaign cell,
-    // so this skips the archive round-trip).  Entries arrive in map
-    // order, so inserting with an end() hint is O(1) each.
+    // Direct copy (the cell engine clones once per campaign cell, so
+    // this skips the archive round-trip): the rows keep their names'
+    // views, the stats go into the copy's own storage.
     auto out = std::make_unique<Registry>();
-    for (const auto &[name, e] : stats_) {
-        Entry copy;
-        copy.kind = e.kind;
+    out->table_.rows_.reserve(table_.size());
+    for (const auto &[name, e] : table_) {
+        Entry copy = out->makeEntry(e.kind);
         switch (e.kind) {
           case Kind::Counter:
-            copy.counter = std::make_unique<Counter>();
             copy.counter->bump(e.counter->value());
             break;
           case Kind::Gauge:
-            copy.gauge = std::make_unique<Gauge>(e.gauge->valueCopy());
+            *copy.gauge = e.gauge->valueCopy();
             break;
           case Kind::Distribution:
-            copy.distribution =
-                std::make_unique<Distribution>(*e.distribution);
+            *copy.distribution = *e.distribution;
             break;
         }
-        out->stats_.emplace_hint(out->stats_.end(), name,
-                                 std::move(copy));
+        out->table_.rows_.emplace_back(name, copy);
     }
     return out;
 }

@@ -26,8 +26,10 @@
  * dumps: they profile the simulator itself, not the simulation.
  *
  * Thread safety: stat *creation* (counter()/gauge()/...) is not
- * thread-safe — components grab their handles up front on the main
- * thread.  Counter *updates* are atomic (relaxed), because the
+ * thread-safe within one registry — components grab their handles up
+ * front on the main thread.  Registries on different threads may
+ * create stats at once: the stat-name pool they share is locked.
+ * Counter *updates* are atomic (relaxed), because the
  * SecureChannel crypto worker pool bumps seal/open counters from
  * multiple threads; Gauge and Distribution updates remain
  * main-thread-only.
@@ -40,13 +42,20 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
 #include "common/units.hpp"
+
+namespace hcc::snap {
+class Saver;
+class Loader;
+} // namespace hcc::snap
 
 namespace hcc::obs {
 
@@ -254,9 +263,22 @@ class Distribution
 };
 
 /**
- * Name -> stat map with gem5-style dotted paths.  Stats are created
- * on first access and live as long as the registry; handles returned
- * by counter()/gauge()/distribution() are stable.
+ * Name -> stat table with gem5-style dotted paths.  Stats are created
+ * on first access and live until a restore erases them or the
+ * registry dies; handles returned by counter()/gauge()/distribution()
+ * are stable across every other call.
+ *
+ * Storage: one name-sorted vector of rows, each a name and an Entry
+ * pointing at the stat, with the stat objects themselves in one
+ * std::deque per kind that the registry owns (a deque never moves
+ * its elements).  Names are interned: one copy per process, in a
+ * pool behind a mutex, and a row's name is a view of that copy,
+ * valid for the life of the process.  Stat names are built by code
+ * (component paths, fault sites, path categories), so the pool is
+ * bounded.  A clone() copies the rows and fills three fresh deques,
+ * a restore in place rewrites the rows it shares with the snapshot,
+ * and destroying a registry frees a few blocks instead of one node,
+ * one name and one stat per entry.
  */
 class Registry
 {
@@ -264,30 +286,80 @@ class Registry
     /** Stat kinds, as stored and as serialized ("type" field). */
     enum class Kind { Counter, Gauge, Distribution };
 
+    Registry() = default;
+    /** Rows point into this registry's storage: copy with clone(). */
+    Registry(const Registry &) = delete;
+    Registry &operator=(const Registry &) = delete;
+
     /** Get or create; fatal if @p name exists with another kind. */
-    Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
-    Distribution &distribution(const std::string &name);
+    Counter &counter(std::string_view name);
+    Gauge &gauge(std::string_view name);
+    Distribution &distribution(std::string_view name);
 
     /** Whether any stat named @p name exists. */
-    bool contains(const std::string &name) const;
+    bool contains(std::string_view name) const;
 
-    std::size_t size() const { return stats_.size(); }
+    /** The value of counter @p name, or 0 when no counter has that
+     *  name.  Never creates the stat, so reading a finished run
+     *  leaves its dump unchanged. */
+    std::uint64_t counterValue(std::string_view name) const;
 
-    /** One registered stat (exactly one pointer is non-null). */
+    std::size_t size() const { return table_.size(); }
+
+    /** Non-owning pointer to a stat stored by the registry. */
+    template <class T>
+    class Handle
+    {
+      public:
+        Handle() = default;
+        explicit Handle(T *p) : p_(p) {}
+
+        T *get() const { return p_; }
+        T *operator->() const { return p_; }
+        T &operator*() const { return *p_; }
+        explicit operator bool() const { return p_ != nullptr; }
+
+      private:
+        T *p_ = nullptr;
+    };
+
+    /** One registered stat (exactly one handle is non-null). */
     struct Entry
     {
         Kind kind = Kind::Counter;
-        std::unique_ptr<Counter> counter;
-        std::unique_ptr<Gauge> gauge;
-        std::unique_ptr<Distribution> distribution;
+        Handle<Counter> counter;
+        Handle<Gauge> gauge;
+        Handle<Distribution> distribution;
     };
 
-    /** Stats in name order (std::map iteration is sorted). */
-    const std::map<std::string, Entry> &entries() const
+    /** One table row: the interned name (valid for the life of the
+     *  process) and its stat. */
+    using Row = std::pair<std::string_view, Entry>;
+
+    /** The rows in name order (std::string byte order). */
+    class Table
     {
-        return stats_;
-    }
+      public:
+        using const_iterator = std::vector<Row>::const_iterator;
+
+        const_iterator begin() const { return rows_.begin(); }
+        const_iterator end() const { return rows_.end(); }
+        std::size_t size() const { return rows_.size(); }
+        bool empty() const { return rows_.empty(); }
+        /** The row named @p name, or end(). */
+        const_iterator find(std::string_view name) const;
+        std::size_t count(std::string_view name) const
+        {
+            return find(name) == end() ? 0 : 1;
+        }
+
+      private:
+        friend class Registry;
+        std::vector<Row> rows_;
+    };
+
+    /** Stats in name order. */
+    const Table &entries() const { return table_; }
 
     /**
      * Per-thread sink for components constructed without a registry:
@@ -299,61 +371,19 @@ class Registry
 
     /**
      * Snapshot support.  Saving records every entry's name, kind and
-     * value state.  Restoring writes the captured values back into
-     * the *same* entries — handles returned before the capture stay
-     * valid — and erases entries created after the capture (lazily
-     * registered fault.* or critpath.* stats from a replayed
-     * suffix), so a restored run can never see or dump a stat its
-     * prefix did not create.  Holders of handles to post-capture
-     * entries must drop them on restore (fault::Injector does).
+     * value state, in name order.  Restoring writes the captured
+     * values back into the *same* stats — handles returned before
+     * the capture stay valid — and erases entries created after the
+     * capture (lazily registered fault.* or critpath.* stats from a
+     * replayed suffix), so a restored run can never see or dump a
+     * stat its prefix did not create.  An erased stat's slot is
+     * reset and reused by the next stat of its kind, so holders of
+     * handles to post-capture entries must drop them on restore
+     * (fault::Injector does).  When the registry already holds the
+     * snapshot's names, a restore allocates nothing.
      */
-    template <class Ar>
-    void
-    snapState(Ar &ar)
-    {
-        if constexpr (Ar::kLoading) {
-            const std::size_t n = ar.size(0);
-            // Names arrive in map (sorted) order; walk both sorted
-            // sequences and drop live entries the archive lacks.
-            auto it = stats_.begin();
-            for (std::size_t i = 0; i < n; ++i) {
-                std::string name;
-                std::uint32_t kind = 0;
-                ar.str(name);
-                ar.pod(kind);
-                while (it != stats_.end() && it->first < name)
-                    it = stats_.erase(it);
-                Entry &e = entry(name, static_cast<Kind>(kind));
-                if (it == stats_.end() || it->first != name)
-                    it = stats_.find(name);
-                ++it;
-                switch (e.kind) {
-                  case Kind::Counter: e.counter->snapState(ar); break;
-                  case Kind::Gauge: e.gauge->snapState(ar); break;
-                  case Kind::Distribution:
-                    e.distribution->snapState(ar);
-                    break;
-                }
-            }
-            while (it != stats_.end())
-                it = stats_.erase(it);
-        } else {
-            ar.size(stats_.size());
-            for (auto &[name, e] : stats_) {
-                std::string n = name;
-                ar.str(n);
-                std::uint32_t kind = static_cast<std::uint32_t>(e.kind);
-                ar.pod(kind);
-                switch (e.kind) {
-                  case Kind::Counter: e.counter->snapState(ar); break;
-                  case Kind::Gauge: e.gauge->snapState(ar); break;
-                  case Kind::Distribution:
-                    e.distribution->snapState(ar);
-                    break;
-                }
-            }
-        }
-    }
+    void snapState(snap::Saver &ar);
+    void snapState(snap::Loader &ar);
 
     /**
      * Value copy (fresh Counter/Gauge/Distribution objects) for a
@@ -364,13 +394,32 @@ class Registry
      * and cold cells' registries die with their Context, so the cell
      * engine clones into every WorkloadResult; a campaign of 10k
      * cells then holds values, not 10k copies of per-launch series.
+     * The copy is independent of this registry: either may die first.
      */
     std::unique_ptr<Registry> clone() const;
 
   private:
-    Entry &entry(const std::string &name, Kind kind);
+    /** One kind's stats at stable addresses, plus the slots a
+     *  restore released (reset to a fresh stat) for reuse. */
+    template <class T>
+    struct Store
+    {
+        std::deque<T> items;
+        std::vector<T *> free;
 
-    std::map<std::string, Entry> stats_;
+        T *make();
+        void release(T *stat);
+    };
+
+    Entry &entry(std::string_view name, Kind kind);
+    /** A fresh stat of @p kind in this registry's storage. */
+    Entry makeEntry(Kind kind);
+    void release(const Entry &e);
+
+    Table table_;
+    Store<Counter> counters_;
+    Store<Gauge> gauges_;
+    Store<Distribution> distributions_;
 };
 
 /** Resolve an optional registry to a usable one. */

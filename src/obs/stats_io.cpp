@@ -17,7 +17,7 @@ namespace hcc::obs {
 namespace {
 
 bool
-isHostStat(const std::string &name)
+isHostStat(std::string_view name)
 {
     return name.rfind("host.", 0) == 0;
 }

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/log.hpp"
@@ -101,14 +100,24 @@ parseBurstList(const std::string &csv)
 {
     std::vector<BurstWindow> out;
     for (const std::string &item : splitList(csv)) {
-        BurstWindow w;
-        char tail = 0;
-        if (std::sscanf(item.c_str(), "%lf:%lf:%lf%c", &w.begin,
-                        &w.end, &w.multiplier, &tail)
-            != 3)
+        std::vector<double> field;
+        for (std::size_t begin = 0;;) {
+            const std::size_t colon = item.find(':', begin);
+            const auto v = parseFinite(
+                std::string_view(item).substr(begin, colon - begin));
+            if (!v.ok())
+                fatal("serve: bad burst window '%s': %s", item.c_str(),
+                      v.status().message().c_str());
+            field.push_back(*v);
+            if (colon == std::string::npos)
+                break;
+            begin = colon + 1;
+        }
+        if (field.size() != 3)
             fatal("serve: bad burst window '%s' "
                   "(want begin:end:multiplier)",
                   item.c_str());
+        const BurstWindow w{field[0], field[1], field[2]};
         if (!(w.begin >= 0.0 && w.begin < w.end && w.end <= 1.0)
             || w.multiplier <= 0.0)
             fatal("serve: burst window '%s' out of range "

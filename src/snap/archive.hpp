@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -106,7 +107,7 @@ class Saver
     }
 
     void
-    str(const std::string &s)
+    str(std::string_view s)
     {
         pod(static_cast<std::uint64_t>(s.size()));
         bytes_.insert(bytes_.end(), s.begin(), s.end());
@@ -187,6 +188,21 @@ class Loader
         s.assign(reinterpret_cast<const char *>(bytes_ + pos_),
                  static_cast<std::size_t>(n));
         pos_ += static_cast<std::size_t>(n);
+    }
+
+    /** A str() field as a view into the archive bytes, valid while
+     *  they are: reading it copies and allocates nothing. */
+    std::string_view
+    strView()
+    {
+        std::uint64_t n = 0;
+        pod(n);
+        HCC_ASSERT(n <= len_ - pos_, "snapshot archive underrun");
+        const std::string_view s(
+            reinterpret_cast<const char *>(bytes_ + pos_),
+            static_cast<std::size_t>(n));
+        pos_ += static_cast<std::size_t>(n);
+        return s;
     }
 
     template <typename T>

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <stdexcept>
 
 #include "common/log.hpp"
 #include "common/text.hpp"
@@ -544,17 +543,12 @@ parseForkPoint(const std::string &text)
     } else if (head == "auto") {
         fp.mode = ForkPoint::Mode::Auto;
     } else {
-        double v = 0.0;
-        try {
-            std::size_t pos = 0;
-            v = std::stod(head, &pos);
-            if (pos != head.size())
-                throw std::invalid_argument(head);
-        } catch (...) {
+        const auto parsed = parseFinite(head);
+        if (!parsed.ok())
             return errorf(ErrorCode::ParseError,
                           "bad fork point '%s' (none|auto|fraction)",
                           head.c_str());
-        }
+        const double v = *parsed;
         if (v < 0.0 || v > 1.0)
             return errorf(ErrorCode::ParseError,
                           "fork point fraction %g out of [0, 1]", v);
@@ -572,20 +566,13 @@ parseForkPoint(const std::string &text)
     double prev = fp.fraction;
     for (std::size_t i = 1; i < parts.size(); ++i) {
         const std::string &comp = parts[i];
-        double v = 0.0;
-        try {
-            if (comp.empty())
-                throw std::invalid_argument(comp);
-            std::size_t pos = 0;
-            v = std::stod(comp, &pos);
-            if (pos != comp.size())
-                throw std::invalid_argument(comp);
-        } catch (...) {
+        const auto parsed = parseFinite(comp);
+        if (!parsed.ok())
             return errorf(ErrorCode::ParseError,
                           "bad fork point path component '%s' in "
                           "'%s' (fraction)",
                           comp.c_str(), text.c_str());
-        }
+        const double v = *parsed;
         if (v < 0.0 || v > 1.0)
             return errorf(ErrorCode::ParseError,
                           "fork point fraction %g out of [0, 1]", v);

@@ -201,15 +201,12 @@ parseScaleList(const std::string &csv)
 {
     std::vector<double> out;
     for (const auto &item : splitList(csv)) {
-        double v = 0.0;
-        try {
-            v = std::stod(item);
-        } catch (...) {
-            fatal("bad scale '%s'", item.c_str());
-        }
-        if (v <= 0.0)
+        const auto v = parseFinite(item);
+        if (!v.ok())
+            fatal("bad scale: %s", v.status().message().c_str());
+        if (*v <= 0.0)
             fatal("scale must be positive, got '%s'", item.c_str());
-        out.push_back(v);
+        out.push_back(*v);
     }
     if (out.empty())
         fatal("empty scale list '%s'", csv.c_str());

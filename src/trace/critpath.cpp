@@ -429,17 +429,6 @@ scanTrace(const Tracer &tracer, ScanDetail detail,
     return s;
 }
 
-std::uint64_t
-counterValue(const obs::Registry *reg, const std::string &name)
-{
-    if (reg == nullptr)
-        return 0;
-    const auto it = reg->entries().find(name);
-    if (it == reg->entries().end() || !it->second.counter)
-        return 0;
-    return it->second.counter->value();
-}
-
 /**
  * Crypto vs link busy time for the CC copy split.  Crypto is the CPU
  * seal plus GPU open engines, minus the seal time the pipelined
@@ -454,16 +443,18 @@ counterValue(const obs::Registry *reg, const std::string &name)
 std::pair<std::uint64_t, std::uint64_t>
 ccCopySplitBusy(const obs::Registry *obs)
 {
+    if (obs == nullptr)
+        return {0, 0};
     std::uint64_t crypto =
-        counterValue(obs, "sim.timeline.cc_crypto.busy_ps")
-        + counterValue(obs, "sim.timeline.cc_gpu_crypto.busy_ps");
-    const std::uint64_t hidden = counterValue(
-        obs, "tee.channel.pipeline.hidden_crypto_ps");
+        obs->counterValue("sim.timeline.cc_crypto.busy_ps")
+        + obs->counterValue("sim.timeline.cc_gpu_crypto.busy_ps");
+    const std::uint64_t hidden =
+        obs->counterValue("tee.channel.pipeline.hidden_crypto_ps");
     crypto -= std::min(crypto, hidden);
     const std::uint64_t link =
-        counterValue(obs, "pcie.link.busy_ps_h2d")
-        + counterValue(obs, "pcie.link.busy_ps_d2h")
-        + counterValue(obs, "sim.timeline.cc_stage.busy_ps");
+        obs->counterValue("pcie.link.busy_ps_h2d")
+        + obs->counterValue("pcie.link.busy_ps_d2h")
+        + obs->counterValue("sim.timeline.cc_stage.busy_ps");
     return {crypto, link};
 }
 
@@ -626,7 +617,7 @@ chargePath(CriticalPath &cp, const Tracer &tracer, const Scan &s,
     cp.bottleneck = classifyShares(
         cp.shares, cp.end_to_end,
         static_cast<SimTime>(
-            counterValue(obs, "gpu.uvm.fault_time_ps")));
+            obs ? obs->counterValue("gpu.uvm.fault_time_ps") : 0));
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/log.hpp"
+#include "common/text.hpp"
 
 namespace hcc::workloads {
 
@@ -21,15 +22,23 @@ splitNumberUnit(const std::string &token, double &value,
                || token[i] == '.' || token[i] == '-')) {
         ++i;
     }
-    if (i == 0)
+    const auto number = parseFinite(std::string_view(token).substr(0, i));
+    if (!number.ok())
         return false;
-    try {
-        value = std::stod(token.substr(0, i));
-    } catch (...) {
-        return false;
-    }
+    value = *number;
     unit = token.substr(i);
     return true;
+}
+
+/** A finite floating-point field of spec line @p lineno. */
+double
+finiteField(const std::string &token, const char *what, int lineno)
+{
+    const auto v = parseFinite(token);
+    if (!v.ok())
+        fatal("line %d: bad %s: %s", lineno, what,
+              v.status().message().c_str());
+    return *v;
 }
 
 bool
@@ -157,7 +166,7 @@ parseSpecTextImpl(const std::string &text)
             phase.ket = parseDuration(need("a kernel time"));
             std::string tok;
             if (ls >> tok)
-                phase.jitter_sigma = std::stod(tok);
+                phase.jitter_sigma = finiteField(tok, "jitter", lineno);
             if (ls >> tok)
                 phase.d2h_per_iter = parseSize(tok);
             if (ls >> tok)
@@ -169,10 +178,11 @@ parseSpecTextImpl(const std::string &text)
             phase.kernel = need("a kernel name");
             try {
                 phase.launches = std::stoi(need("a launch count"));
-                phase.gflops = std::stod(need("a GFLOP count"));
             } catch (...) {
                 fatal("line %d: bad rphase numbers", lineno);
             }
+            phase.gflops =
+                finiteField(need("a GFLOP count"), "GFLOP count", lineno);
             if (phase.launches <= 0 || phase.gflops < 0.0)
                 fatal("line %d: bad rphase values", lineno);
             phase.mem_bytes = parseSize(need("an HBM byte count"));

@@ -85,6 +85,43 @@ TEST(CliParse, BadNumericValues)
     EXPECT_FALSE(parse({"run", "--app", "sc", "--scale"}));
 }
 
+TEST(CliParse, NonFiniteNumbersAreRejectedNamingTheFlag)
+{
+    // NaN slips past range checks written as `v <= 0.0`; every
+    // floating-point flag reads through one finite-number parser,
+    // so each of these is an argument error (exit 2), not an abort,
+    // a hang or a cell labelled "nan".
+    const struct
+    {
+        std::vector<std::string> args;
+        const char *flag;
+    } cases[] = {
+        {{"faults", "--app", "atax", "--rates", "nan", "--seeds", "1"},
+         "--rates"},
+        {{"run", "--app", "atax", "--faults",
+          "channel.tag_mismatch=nan"},
+         "--faults"},
+        {{"run", "--app", "atax", "--scale", "inf"}, "--scale"},
+        {{"run", "--app", "atax", "--scale", "nan"}, "--scale"},
+        {{"run", "--app", "atax", "--scale", "1e999"}, "--scale"},
+        {{"sweep", "--apps", "atax", "--scales", "inf"}, "--scales"},
+        {{"sweep", "--apps", "atax", "--scales", "nan"}, "--scales"},
+        {{"faults", "--app", "atax", "--fork-point", "nan"},
+         "--fork-point"},
+        {{"faults", "--app", "atax", "--fork-point", "0.5/nan"},
+         "--fork-point"},
+        {{"serve", "--loads", "nan", "--requests", "4"}, "--loads"},
+        {{"serve", "--bursts", "0:0.5:inf"}, "--bursts"},
+        {{"stats-diff", "a", "b", "--tolerance", "nan"}, "--tolerance"},
+        {{"crypto-calibrate", "--ms", "-inf"}, "--ms"},
+    };
+    for (const auto &c : cases) {
+        std::string err;
+        EXPECT_FALSE(parseArgs(c.args, err)) << c.flag;
+        EXPECT_NE(err.find(c.flag), std::string::npos) << err;
+    }
+}
+
 TEST(CliParse, BadFormat)
 {
     EXPECT_FALSE(parse({"trace", "--app", "sc", "--format", "xml"}));

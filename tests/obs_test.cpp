@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <random>
 #include <set>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/log.hpp"
 #include "obs/json.hpp"
@@ -33,6 +38,86 @@ TEST(Registry, CounterHandlesAreStableAndShared)
     EXPECT_EQ(reg.size(), 1u);
     EXPECT_TRUE(reg.contains("x.calls"));
     EXPECT_FALSE(reg.contains("x.other"));
+}
+
+TEST(Registry, CounterValueReadsWithoutCreating)
+{
+    Registry reg;
+    reg.counter("x.calls").bump(3);
+    reg.gauge("x.level").set(9);
+    EXPECT_EQ(reg.counterValue("x.calls"), 3u);
+    EXPECT_EQ(reg.counterValue("x.level"), 0u) << "not a counter";
+    EXPECT_EQ(reg.counterValue("x.missing"), 0u);
+    EXPECT_FALSE(reg.contains("x.missing"));
+    EXPECT_EQ(reg.size(), 2u);
+}
+
+TEST(Registry, NamesIterateInStringByteOrder)
+{
+    // '.' < digits < upper case < '_' < lower case in ASCII; the
+    // table must order every name as std::string comparison does,
+    // prefixes first, whatever order they were created in.
+    std::vector<std::string> names;
+    for (const char *stem : {"gpu", "gpu.", "gpu.x"})
+        for (const char *tail : {"", ".a", "_a", "0a", "9", "Aa", "Z",
+                                 "a", "a.b", "a_b", "a0"})
+            names.push_back(std::string(stem) + tail);
+    std::sort(names.begin(), names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+    for (unsigned seed = 1; seed <= 5; ++seed) {
+        std::vector<std::string> order = names;
+        std::shuffle(order.begin(), order.end(), std::mt19937(seed));
+        Registry reg;
+        for (std::size_t i = 0; i < order.size(); ++i) {
+            if (i % 3 == 0)
+                reg.counter(order[i]).bump(i);
+            else if (i % 3 == 1)
+                reg.gauge(order[i]).set(static_cast<std::int64_t>(i));
+            else
+                reg.distribution(order[i]).add(static_cast<double>(i));
+        }
+        std::vector<std::string> seen;
+        for (const auto &[name, entry] : reg.entries())
+            seen.emplace_back(name);
+        EXPECT_EQ(seen, names) << "seed " << seed;
+
+        // The dump prints them in the same order.
+        const std::string dump = statsJson(reg);
+        std::size_t at = 0;
+        for (const auto &name : names) {
+            const std::size_t pos = dump.find("\"" + name + "\": ", at);
+            ASSERT_NE(pos, std::string::npos) << name;
+            at = pos + 1;
+        }
+    }
+}
+
+TEST(Registry, ParallelRegistriesShareTheNamePool)
+{
+    // Registries on different threads create stats at once; the name
+    // pool is the only state they share.
+    std::vector<std::string> names;
+    for (int i = 0; i < 500; ++i)
+        names.push_back("pool.stat_" + std::to_string(i * 7919 % 1000)
+                        + (i % 2 ? ".busy_ps" : ".count"));
+    std::vector<std::string> dumps(4);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < dumps.size(); ++t) {
+        threads.emplace_back([&, t] {
+            std::vector<std::string> order = names;
+            std::shuffle(order.begin(), order.end(),
+                         std::mt19937(t + 1));
+            Registry reg;
+            for (const auto &name : order)
+                reg.counter(name).bump(name.size());
+            dumps[t] = statsJson(reg);
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    for (const auto &dump : dumps)
+        EXPECT_EQ(dump, dumps[0]);
+    EXPECT_NE(dumps[0].find("pool.stat_0.count"), std::string::npos);
 }
 
 TEST(Registry, KindConflictIsFatal)
@@ -279,8 +364,8 @@ TEST(Json, RejectsMalformedInput)
 {
     json::Value v;
     std::string err;
-    for (const char *bad :
-         {"", "{", "[1,]", "{\"a\" 1}", "nul", "1 2", "\"\\x\""}) {
+    for (const char *bad : {"", "{", "[1,]", "{\"a\" 1}", "nul", "1 2",
+                            "\"\\x\"", "1e999", "-1e999"}) {
         EXPECT_FALSE(json::parse(bad, v, err)) << bad;
         EXPECT_FALSE(err.empty());
     }
@@ -316,6 +401,25 @@ TEST(StatsDiff, ValueDriftFailsAndToleranceForgives)
     EXPECT_NE(strict.report().find("tee.bounce.acquires"),
               std::string::npos);
     EXPECT_TRUE(diffStats(mapOf(a), mapOf(b), 0.5).pass());
+}
+
+TEST(StatsDiff, OutOfRangeNumberIsAParseErrorNotAPass)
+{
+    // 1e999 would parse as inf, and inf/inf drift is NaN, which no
+    // tolerance comparison ever reports.
+    const auto doc = [](const char *value) {
+        return std::string("{\"stats\": {\"a\": {\"type\": ")
+            + "\"counter\", \"value\": " + value + "}}}";
+    };
+    ASSERT_TRUE(parseStatsJson(doc("5")).ok());
+    for (const char *value : {"1e999", "-1e999"}) {
+        const auto parsed = parseStatsJson(doc(value));
+        ASSERT_FALSE(parsed.ok()) << value;
+        EXPECT_EQ(parsed.status().code(), ErrorCode::ParseError);
+        EXPECT_NE(parsed.status().message().find("out of range"),
+                  std::string::npos)
+            << parsed.status().message();
+    }
 }
 
 TEST(StatsDiff, MissingAddedAndRetypedStatsAlwaysFail)

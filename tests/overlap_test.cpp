@@ -25,15 +25,6 @@
 namespace hcc::tee {
 namespace {
 
-std::uint64_t
-counterOf(const obs::Registry &reg, const std::string &name)
-{
-    const auto it = reg.entries().find(name);
-    if (it == reg.entries().end() || !it->second.counter)
-        return 0;
-    return it->second.counter->value();
-}
-
 // ------------------------------------------------------------ parsing
 
 TEST(OverlapMode, NamesRoundTrip)
@@ -79,20 +70,20 @@ TEST_F(OverlapChannelTest, StageOccupancyIdentities)
     // own.
     obs::Registry reg;
     transferTime(OverlapMode::Speculative, size::mib(64), &reg);
-    EXPECT_EQ(counterOf(reg, "tee.channel.pipeline.seal_busy_ps"),
-              counterOf(reg, "sim.timeline.cc_crypto.busy_ps"));
-    EXPECT_EQ(counterOf(reg, "tee.channel.pipeline.stage_busy_ps"),
-              counterOf(reg, "sim.timeline.cc_stage.busy_ps"));
-    EXPECT_EQ(counterOf(reg, "tee.channel.pipeline.open_busy_ps"),
-              counterOf(reg, "sim.timeline.cc_gpu_crypto.busy_ps"));
-    EXPECT_EQ(counterOf(reg, "tee.channel.pipeline.dma_busy_ps"),
-              counterOf(reg, "pcie.link.busy_ps_h2d"));
+    EXPECT_EQ(reg.counterValue("tee.channel.pipeline.seal_busy_ps"),
+              reg.counterValue("sim.timeline.cc_crypto.busy_ps"));
+    EXPECT_EQ(reg.counterValue("tee.channel.pipeline.stage_busy_ps"),
+              reg.counterValue("sim.timeline.cc_stage.busy_ps"));
+    EXPECT_EQ(reg.counterValue("tee.channel.pipeline.open_busy_ps"),
+              reg.counterValue("sim.timeline.cc_gpu_crypto.busy_ps"));
+    EXPECT_EQ(reg.counterValue("tee.channel.pipeline.dma_busy_ps"),
+              reg.counterValue("pcie.link.busy_ps_h2d"));
     // 64 MiB in 4 MiB chunks: every chunk is a speculative attempt.
-    EXPECT_EQ(counterOf(reg, "tee.channel.pipeline.spec_hits"), 16u);
-    EXPECT_EQ(counterOf(reg, "tee.channel.pipeline.spec_misses"), 0u);
-    EXPECT_LE(counterOf(reg, "tee.channel.pipeline.hidden_crypto_ps"),
-              counterOf(reg, "tee.channel.pipeline.seal_busy_ps"));
-    EXPECT_GT(counterOf(reg, "tee.channel.pipeline.hidden_crypto_ps"),
+    EXPECT_EQ(reg.counterValue("tee.channel.pipeline.spec_hits"), 16u);
+    EXPECT_EQ(reg.counterValue("tee.channel.pipeline.spec_misses"), 0u);
+    EXPECT_LE(reg.counterValue("tee.channel.pipeline.hidden_crypto_ps"),
+              reg.counterValue("tee.channel.pipeline.seal_busy_ps"));
+    EXPECT_GT(reg.counterValue("tee.channel.pipeline.hidden_crypto_ps"),
               0u);
 }
 
@@ -154,16 +145,16 @@ TEST_F(OverlapChannelTest, SpecMissesReSealAndSlowTheTransfer)
         transferTime(OverlapMode::Speculative, b, &reg, &inj);
     const SimTime clean = transferTime(OverlapMode::Speculative, b);
     const auto misses =
-        counterOf(reg, "tee.channel.pipeline.spec_misses");
+        reg.counterValue("tee.channel.pipeline.spec_misses");
     EXPECT_GT(misses, 0u);
-    EXPECT_EQ(misses, counterOf(reg, "fault.spec.miss.injected"));
-    EXPECT_EQ(misses, counterOf(reg, "fault.spec.miss.recovered"))
+    EXPECT_EQ(misses, reg.counterValue("fault.spec.miss.injected"));
+    EXPECT_EQ(misses, reg.counterValue("fault.spec.miss.recovered"))
         << "every miss re-seals and completes";
-    EXPECT_EQ(counterOf(reg, "tee.channel.pipeline.spec_hits")
+    EXPECT_EQ(reg.counterValue("tee.channel.pipeline.spec_hits")
                   + misses,
               16u)
         << "every chunk's first attempt is a hit or a miss";
-    EXPECT_GT(counterOf(reg, "fault.spec.miss.retry_time_ps"), 0u);
+    EXPECT_GT(reg.counterValue("fault.spec.miss.retry_time_ps"), 0u);
     EXPECT_GT(faulted, clean) << "re-seals cost pipeline time";
 }
 

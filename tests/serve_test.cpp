@@ -104,6 +104,11 @@ TEST(ServeArrivals, ParseBurstList)
     EXPECT_THROW(parseBurstList("0.5:1.5:2"), hcc::FatalError);
     EXPECT_THROW(parseBurstList("0.5:0.8"), hcc::FatalError);
     EXPECT_THROW(parseBurstList("nonsense"), hcc::FatalError);
+    EXPECT_THROW(parseBurstList("0.5:0.8:nan"), hcc::FatalError);
+    EXPECT_THROW(parseBurstList("0.5:0.8:inf"), hcc::FatalError);
+    EXPECT_THROW(parseBurstList("nan:0.8:2"), hcc::FatalError);
+    EXPECT_THROW(parseBurstList("0.5:0.8:2:3"), hcc::FatalError);
+    EXPECT_THROW(parseBurstList("0.5:0.8:2x"), hcc::FatalError);
 }
 
 // ----------------------------------------------------- percentiles

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -257,6 +258,113 @@ TEST(SnapRegistry, RestoreErasesEntriesCreatedAfterCapture)
     EXPECT_FALSE(reg.contains("fault.late.injected"));
     EXPECT_TRUE(reg.contains("early"));
     EXPECT_EQ(reg.size(), 1u);
+}
+
+TEST(SnapRegistry, RestoreMergesInterleavedNamesInPlace)
+{
+    // Archive-only names before, between and after the live ones
+    // (a, d, h), live-only names in the same positions (b, e, g, z),
+    // and names both hold (c, f), across all three kinds.
+    obs::Registry captured;
+    captured.counter("a.counter").bump(1);
+    captured.counter("c.counter").bump(30);
+    captured.gauge("d.gauge").set(-4, 7);
+    captured.distribution("f.dist").add(2.5);
+    captured.distribution("h.dist").add(8.0);
+    Saver saver;
+    captured.snapState(saver);
+    const auto bytes = saver.take();
+
+    obs::Registry live;
+    live.counter("b.counter").bump(2);
+    obs::Counter &c = live.counter("c.counter");
+    c.bump(99);
+    obs::Gauge &e = live.gauge("e.gauge");
+    e.set(5, 1);
+    e.set(6, 2);
+    obs::Distribution &f = live.distribution("f.dist");
+    f.add(100.0);
+    f.add(200.0);
+    live.counter("g.counter").bump(3);
+    live.gauge("z.gauge").set(4, 3);
+
+    Loader loader(bytes);
+    live.snapState(loader);
+    EXPECT_TRUE(loader.exhausted());
+    EXPECT_EQ(obs::statsJson(live), obs::statsJson(captured));
+    EXPECT_EQ(live.size(), 5u);
+    for (const char *gone :
+         {"b.counter", "e.gauge", "g.counter", "z.gauge"})
+        EXPECT_FALSE(live.contains(gone)) << gone;
+
+    // Surviving stats are the same objects, holding captured values.
+    EXPECT_EQ(&live.counter("c.counter"), &c);
+    EXPECT_EQ(c.value(), 30u);
+    EXPECT_EQ(&live.distribution("f.dist"), &f);
+    EXPECT_EQ(f.count(), 1u);
+    EXPECT_EQ(f.sum(), 2.5);
+    EXPECT_EQ(live.gauge("d.gauge").samples().size(), 1u);
+
+    // An erased stat created again starts from zero, whichever freed
+    // slot it lands in.
+    EXPECT_EQ(live.counter("b.counter").value(), 0u);
+    const obs::Gauge &again = live.gauge("e.gauge");
+    EXPECT_EQ(again.value(), 0);
+    EXPECT_EQ(again.sampleCount(), 0u);
+    EXPECT_EQ(again.droppedSamples(), 0u);
+    EXPECT_EQ(live.counter("g.counter").value(), 0u);
+    EXPECT_EQ(live.gauge("z.gauge").sampleCount(), 0u);
+    EXPECT_EQ(live.gauge("z.gauge").max(), 0);
+
+    // Restoring again erases them once more and keeps the handles.
+    Loader again_loader(bytes);
+    live.snapState(again_loader);
+    EXPECT_EQ(obs::statsJson(live), obs::statsJson(captured));
+    EXPECT_EQ(&live.counter("c.counter"), &c);
+}
+
+TEST(SnapRegistry, RestoreIntoAnEmptyRegistryRebuildsIt)
+{
+    obs::Registry captured;
+    captured.gauge("x.level").set(3, 1);
+    captured.counter("y.count").bump(4);
+    Saver saver;
+    captured.snapState(saver);
+    const auto bytes = saver.take();
+
+    obs::Registry empty;
+    Loader loader(bytes);
+    empty.snapState(loader);
+    EXPECT_EQ(obs::statsJson(empty), obs::statsJson(captured));
+    EXPECT_EQ(empty.gauge("x.level").samples().size(), 1u);
+
+    // The saved bytes do not depend on which registry holds the
+    // stats: a rebuilt registry saves what the original saved.
+    Saver resaver;
+    empty.snapState(resaver);
+    EXPECT_EQ(resaver.bytes(), bytes);
+}
+
+TEST(SnapRegistry, CloneOfACloneOutlivesItsSources)
+{
+    auto source = std::make_unique<obs::Registry>();
+    source->counter("a.count").bump(11);
+    source->gauge("b.level").set(-2, 5);
+    source->distribution("c.lat").add(0.75);
+    const std::string dump = obs::statsJson(*source);
+
+    auto first = source->clone();
+    auto second = first->clone();
+    source.reset();
+    first.reset();
+    EXPECT_EQ(obs::statsJson(*second), dump);
+    EXPECT_EQ(second->gauge("b.level").sampleCount(), 1u);
+
+    // The survivor is a working registry of its own.
+    second->counter("a.count").bump(1);
+    second->counter("d.new").bump(2);
+    EXPECT_EQ(second->counter("a.count").value(), 12u);
+    EXPECT_EQ(second->size(), 4u);
 }
 
 TEST(SnapRegistry, CloneIsADeepValueCopy)

@@ -134,6 +134,25 @@ TEST(SpecParse, Errors)
                                "phase k 1 1us\n").ok());
 }
 
+TEST(SpecParse, NonFiniteNumbersAreParseErrors)
+{
+    // A NaN passes a `< 0.0` range check; each one must be a typed
+    // error, never a thrown std::invalid_argument or a NaN phase.
+    for (const char *text : {
+             "name x\nphase k 1 1us nan\n",
+             "name x\nphase k 1 1us inf\n",
+             "name x\nphase k 1 1us lots\n",
+             "name r\nrphase k 1 nan 1MiB\n",
+             "name r\nrphase k 1 -inf 1MiB\n",
+             "name r\nrphase k 1 1e999 1MiB\n",
+             "name x\ninput 1.2.3MiB\nphase k 1 1us\n",
+         }) {
+        const auto spec = parseSpecText(text);
+        ASSERT_FALSE(spec.ok()) << text;
+        EXPECT_EQ(spec.status().code(), ErrorCode::ParseError);
+    }
+}
+
 TEST(SpecParse, MissingFileIsIoError)
 {
     const auto spec = loadSpecFile("/nonexistent/path.spec");

@@ -184,9 +184,12 @@ TEST(ParseGridSpec, RejectsUnknownKeys)
 TEST(ParseGridSpec, RejectsBadValues)
 {
     EXPECT_FALSE(parseGridSpec("apps = atax\nscales = -1\n").ok());
+    EXPECT_FALSE(parseGridSpec("apps = atax\nscales = nan\n").ok());
+    EXPECT_FALSE(parseGridSpec("apps = atax\nscales = 1,inf\n").ok());
     EXPECT_FALSE(parseGridSpec("apps = atax\ncc = maybe\n").ok());
     EXPECT_THROW(parseModeList("sideways"), FatalError);
     EXPECT_THROW(parseScaleList(""), FatalError);
+    EXPECT_THROW(parseScaleList("2x"), FatalError);
     EXPECT_THROW(parseAppList(""), FatalError);
 }
 

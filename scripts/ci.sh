@@ -173,6 +173,19 @@ if "$hccsim" stats-diff "$tmp/a.json" "$tmp/faulted.json" \
     exit 1
 fi
 
+# Channel fault paths in every overlap tier: tag-mismatch retries and
+# re-attestation, bounce stalls and speculation misses on bigxfer must
+# reproduce the committed per-cell CSV exactly, for any --jobs.  The
+# other baselines pin faults under `none` only, or no faults at all.
+for j in 1 4; do
+    "$hccsim" faults --app bigxfer --overlap all \
+        --sites channel.tag_mismatch,bounce.exhausted,spec.miss \
+        --rates 0.05,0.5 --seeds 1 --jobs "$j" \
+        --out "$tmp/channel_tiers$j.csv" --format csv >/dev/null
+    cmp bench/baselines/faults_channel_tiers.csv \
+        "$tmp/channel_tiers$j.csv"
+done
+
 # Serving smoke + determinism + the saturation gate: the open-loop
 # goodput curve must merge byte-identically for any --jobs and
 # reproduce the committed baseline exactly — the committed stats

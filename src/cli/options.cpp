@@ -5,6 +5,7 @@
 #include <exception>
 #include <fstream>
 #include <ostream>
+#include <string_view>
 
 #include "common/calibration.hpp"
 #include "common/log.hpp"
@@ -127,21 +128,18 @@ struct FlagSpec
                   std::string &error);
 };
 
+/** An integer flag value >= @p min (parseInt). */
 bool
 applyInt(int &out, int min, const char *flag,
          const std::string &value, std::string &error)
 {
-    try {
-        out = std::stoi(value);
-    } catch (...) {
-        error = std::string("bad ") + flag + " value '" + value + "'";
+    const auto parsed = parseInt(value, min);
+    if (!parsed.ok()) {
+        error = std::string("bad ") + flag + " value: "
+            + parsed.status().message();
         return false;
     }
-    if (out < min) {
-        error = std::string(flag) + " must be >= "
-            + std::to_string(min);
-        return false;
-    }
+    out = *parsed;
     return true;
 }
 
@@ -234,17 +232,15 @@ const FlagSpec kFlags[] = {
     {"--seed", kRunLike | bit(Command::Snapshot) | bit(Command::Serve),
      "N", "RNG seed (default 42)",
      [](Options &o, const std::string &v, std::string &error) {
-         std::uint64_t seed = 0;
-         try {
-             seed = std::stoull(v);
-         } catch (...) {
-             error = "bad --seed value '" + v + "'";
+         const auto seed = parseInt<std::uint64_t>(v);
+         if (!seed.ok()) {
+             error = "bad --seed value: " + seed.status().message();
              return false;
          }
          if (SimShape *sim = simOf(o))
-             sim->seed = seed;
+             sim->seed = *seed;
          else
-             o.serve.spec.seed = seed;
+             o.serve.spec.seed = *seed;
          return true;
      }},
     {"--format",
@@ -811,6 +807,7 @@ parseArgs(const std::vector<std::string> &args, std::string &error)
         return std::nullopt;
     }
 
+    std::vector<std::string_view> given;
     for (std::size_t i = 1; i < args.size(); ++i) {
         const std::string &a = args[i];
         if (a == "--help" || a == "-h") {
@@ -851,6 +848,7 @@ parseArgs(const std::vector<std::string> &args, std::string &error)
         }
         if (!flag->apply(opt, value, error))
             return std::nullopt;
+        given.push_back(flag->name);
     }
 
     switch (opt.command) {
@@ -867,10 +865,20 @@ parseArgs(const std::vector<std::string> &args, std::string &error)
             error = "sweep requires --apps or --spec GRIDFILE";
             return std::nullopt;
         }
-        if (!opt.sweep.grid.apps.empty()
-            && !opt.sweep.spec_file.empty()) {
-            error = "--apps and --spec are mutually exclusive";
-            return std::nullopt;
+        // A grid file replaces the whole grid, so an axis flag beside
+        // it would be dropped; the snapshot flags compose with it.
+        if (!opt.sweep.spec_file.empty()) {
+            for (const char *axis :
+                 {"--apps", "--cc-modes", "--uvm-modes", "--scales",
+                  "--seeds", "--overlap", "--crypto-workers",
+                  "--tee-io"}) {
+                if (std::find(given.begin(), given.end(), axis)
+                    != given.end()) {
+                    error = std::string(axis)
+                        + " and --spec are mutually exclusive";
+                    return std::nullopt;
+                }
+            }
         }
         break;
       case Command::Faults:
@@ -1394,7 +1402,7 @@ runCli(const Options &opt, std::ostream &os)
         const ProjectOptions &po = opt.project;
         const auto base = runOnce(po.workload, po.sim, false);
         const auto projection = perfmodel::projectCc(base.trace);
-        os << "projecting '" << po.workload.app
+        os << "projecting '" << base.name
            << "' from a base (non-CC) run into CC mode:\n"
            << projection.report();
         const auto actual = runOnce(po.workload, po.sim, true);

@@ -3,12 +3,15 @@
  * Text helpers shared by every output writer and list parser: JSON
  * string escaping, RFC-4180 CSV field quoting, the two deterministic
  * renderings of a double, comma-list splitting, and the one parser
- * of a floating-point input.
+ * each of a floating-point and of an integer input.
  */
 
 #ifndef HCC_COMMON_TEXT_HPP
 #define HCC_COMMON_TEXT_HPP
 
+#include <charconv>
+#include <concepts>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,6 +48,32 @@ std::vector<std::string> splitList(std::string_view csv);
  * floating-point flag and file field is read here.
  */
 Result<double> parseFinite(std::string_view text);
+
+/**
+ * All of @p text as a decimal integer in [@p lo, @p hi]:
+ * std::from_chars over the whole token, so no spaces, no '+', no
+ * sign for an unsigned T and nothing after the digits.  A ParseError
+ * for anything else, including "-1" as a seed, "1e3", "3abc" and a
+ * value out of range: std::stoi and friends take a numeric prefix
+ * and std::stoull wraps a negative value, so every integer flag and
+ * file field is read here.
+ */
+template <std::integral T>
+Result<T>
+parseInt(std::string_view text, T lo = std::numeric_limits<T>::min(),
+         T hi = std::numeric_limits<T>::max())
+{
+    T v{};
+    const char *last = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+    if (ec != std::errc() || ptr != last || v < lo || v > hi)
+        return errorf(ErrorCode::ParseError,
+                      "'%s' is not an integer in [%s, %s]",
+                      std::string(text).c_str(),
+                      std::to_string(lo).c_str(),
+                      std::to_string(hi).c_str());
+    return v;
+}
 
 } // namespace hcc
 

@@ -34,7 +34,7 @@
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/registry.hpp"
-#include "obs/report.hpp"
+#include "obs/stats_io.hpp"
 #include "snap/fork.hpp"
 
 namespace hcc::grid {
@@ -362,7 +362,7 @@ void
 writeStats(const Schema<Result> &schema, const Result &result,
            std::ostream &os)
 {
-    obs::ReportWriter report;
+    obs::StatsSections sections;
     std::string rows = "[";
     for (const auto &row : result.cells) {
         if (schema.rows_member != nullptr) {
@@ -371,14 +371,15 @@ writeStats(const Schema<Result> &schema, const Result &result,
             rows += jsonRow(schema, result, row);
         }
         if (row.ok)
-            report.addSection("cell" + std::to_string(row.cell.index)
-                                  + "." + schema.label(result, row)
-                                  + ".",
-                              schema.stats(row));
+            sections.emplace_back("cell" + std::to_string(row.cell.index)
+                                      + "." + schema.label(result, row)
+                                      + ".",
+                                  schema.stats(row));
     }
-    if (schema.rows_member != nullptr)
-        report.addMember(schema.rows_member, rows + "]");
-    report.write(os);
+    const std::string member = schema.rows_member == nullptr
+        ? std::string()
+        : std::string("\"") + schema.rows_member + "\": " + rows + "]";
+    obs::writeStatsJson(os, sections, false, member);
 }
 
 } // namespace hcc::grid

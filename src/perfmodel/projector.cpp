@@ -17,7 +17,7 @@ namespace {
 using namespace calib;
 
 /** Effective CC transfer rate per direction (the pipeline
- *  bottleneck at the serial baseline, see
+ *  bottleneck of the `none` tier, the fused seal + copy worker; see
  *  SecureChannel::workerChunkCost). */
 double
 ccRateGbps(bool d2h)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -238,11 +239,10 @@ parseSeedList(const std::string &csv)
 {
     std::vector<std::uint64_t> out;
     for (const auto &item : splitList(csv)) {
-        try {
-            out.push_back(std::stoull(item));
-        } catch (...) {
-            fatal("bad seed '%s'", item.c_str());
-        }
+        const auto v = parseInt<std::uint64_t>(item);
+        if (!v.ok())
+            fatal("bad seed: %s", v.status().message().c_str());
+        out.push_back(*v);
     }
     if (out.empty())
         fatal("empty seed list '%s'", csv.c_str());
@@ -293,17 +293,11 @@ parseGridSpecImpl(const std::string &text)
         } else if (key == "overlap") {
             grid.overlaps = parseOverlapList(value);
         } else if (key == "crypto-workers") {
-            int v = 0;
-            try {
-                v = std::stoi(value);
-            } catch (...) {
-                fatal("grid spec line %d: bad crypto-workers '%s'",
-                      lineno, value.c_str());
-            }
-            if (v < 1)
-                fatal("grid spec line %d: crypto-workers must be "
-                      ">= 1", lineno);
-            grid.crypto_workers = v;
+            const auto v = parseInt(value, 1);
+            if (!v.ok())
+                fatal("grid spec line %d: bad crypto-workers: %s",
+                      lineno, v.status().message().c_str());
+            grid.crypto_workers = *v;
         } else if (key == "fork-point") {
             const auto fp = snap::parseForkPoint(value);
             if (!fp.ok())
@@ -319,18 +313,13 @@ parseGridSpecImpl(const std::string &text)
                 fatal("grid spec line %d: snapshot must be on|off",
                       lineno);
         } else if (key == "snapshot-budget") {
-            long long v = -1;
-            try {
-                v = std::stoll(value);
-            } catch (...) {
-                v = -1;
-            }
-            if (v < 0)
-                fatal("grid spec line %d: snapshot-budget must be a "
-                      "MiB count >= 0 (0 = unlimited), got '%s'",
-                      lineno, value.c_str());
-            grid.snapshot_budget_bytes =
-                static_cast<std::size_t>(v) << 20;
+            // A MiB count (0 = unlimited) whose byte count fits.
+            const auto mib = parseInt<std::size_t>(
+                value, 0, std::numeric_limits<std::size_t>::max() >> 20);
+            if (!mib.ok())
+                fatal("grid spec line %d: bad snapshot-budget: %s",
+                      lineno, mib.status().message().c_str());
+            grid.snapshot_budget_bytes = *mib << 20;
         } else if (key == "tee-io") {
             if (value == "on")
                 grid.tee_io = true;

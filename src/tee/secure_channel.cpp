@@ -118,24 +118,28 @@ SecureChannel::SecureChannel(const ChannelConfig &config,
         obs_bytes_h2d_ = &obs->counter("tee.bounce.bytes_h2d");
         obs_bytes_d2h_ = &obs->counter("tee.bounce.bytes_d2h");
         obs_gcm_blocks_ = &obs->counter("crypto.aes_gcm.blocks");
-        if (config_.overlap != OverlapMode::None) {
+        if (config_.overlap != OverlapMode::None)
             stage_.attachObs(obs, "sim.timeline.cc_stage");
-            obs_pipe_seal_ =
-                &obs->counter("tee.channel.pipeline.seal_busy_ps");
-            obs_pipe_stage_ =
-                &obs->counter("tee.channel.pipeline.stage_busy_ps");
-            obs_pipe_dma_ =
-                &obs->counter("tee.channel.pipeline.dma_busy_ps");
-            obs_pipe_open_ =
-                &obs->counter("tee.channel.pipeline.open_busy_ps");
-            obs_pipe_hidden_ = &obs->counter(
-                "tee.channel.pipeline.hidden_crypto_ps");
-            obs_pipe_spec_hits_ =
-                &obs->counter("tee.channel.pipeline.spec_hits");
-            obs_pipe_spec_misses_ =
-                &obs->counter("tee.channel.pipeline.spec_misses");
-        }
     }
+    bindPipelineCounters();
+}
+
+void
+SecureChannel::bindPipelineCounters()
+{
+    // Created only under the pipelined overlap modes, so
+    // OverlapMode::None dumps carry no tee.channel.pipeline.* stats.
+    const bool on = obs_ != nullptr && config_.overlap != OverlapMode::None;
+    const auto bind = [&](const char *name) {
+        return on ? &obs_->counter(name) : nullptr;
+    };
+    obs_pipe_seal_ = bind("tee.channel.pipeline.seal_busy_ps");
+    obs_pipe_stage_ = bind("tee.channel.pipeline.stage_busy_ps");
+    obs_pipe_dma_ = bind("tee.channel.pipeline.dma_busy_ps");
+    obs_pipe_open_ = bind("tee.channel.pipeline.open_busy_ps");
+    obs_pipe_hidden_ = bind("tee.channel.pipeline.hidden_crypto_ps");
+    obs_pipe_spec_hits_ = bind("tee.channel.pipeline.spec_hits");
+    obs_pipe_spec_misses_ = bind("tee.channel.pipeline.spec_misses");
 }
 
 SimTime
@@ -203,35 +207,45 @@ SecureChannel::scheduleTransfer(SimTime ready, Bytes bytes,
         return timing;
     }
 
-    const SimTime done = config_.overlap == OverlapMode::None
-        ? scheduleSerial(timing, t, bytes, dir, link)
-        : schedulePipelined(timing, t, bytes, dir, link);
-    timing.total = {ready, done};
+    timing.total = {ready, scheduleChunks(timing, t, bytes, dir, link)};
     return timing;
 }
 
 SimTime
-SecureChannel::scheduleSerial(TransferTiming &timing, SimTime t,
+SecureChannel::scheduleChunks(TransferTiming &timing, SimTime t,
                               Bytes bytes, pcie::Direction dir,
                               pcie::PcieLink &link)
 {
-    // Chunked pipeline: worker (encrypt+copy) -> DMA -> GPU crypto.
-    // For D2H the stages run in the reverse order with the same
-    // bottleneck structure; we model both with the same three-stage
-    // chain since only the bottleneck and fill time matter.
+    // Chunked pipeline: seal -> bounce-stage -> DMA -> GPU open, each
+    // stage on its own timeline so successive chunks overlap per
+    // stage.  D2H runs the stages in the reverse order with the same
+    // bottleneck structure; one chain models both, since only the
+    // bottleneck and fill time matter.  The tier decides three
+    // things: None fuses the staging copy into the seal (steps b+c on
+    // one worker) and reserves nothing on stage_; DoubleBuffer makes
+    // each seal wait for the previous one (seal_tail_); Speculative
+    // seals at chunk readiness under predicted IVs, so up to the
+    // widened worker-pool depth run ahead of the link, and draws
+    // spec.miss on a chunk's first attempt.
+    const OverlapMode mode = config_.overlap;
+    const bool fused = mode == OverlapMode::None;
     SimTime done = t;
+    sim::Interval prev_dma{0, 0};
     Bytes remaining = bytes;
     while (remaining > 0) {
         const Bytes chunk =
             std::min<Bytes>(remaining, config_.chunk_bytes);
         remaining -= chunk;
         ++timing.chunks;
+        const SimTime seal_cost = fused
+            ? workerChunkCost(chunk, dir)
+            : cpu_model_.cost(config_.algo, chunk, 1);
 
         // A chunk whose tag fails authentication on the GPU is
-        // re-encrypted (fresh IV), re-staged and re-sent, so every
-        // attempt re-occupies all three stages; retries start after
-        // an exponential backoff, and exhaustion tears the session
-        // down for a full re-attestation before the channel moves on.
+        // re-sealed (fresh IV), re-staged and re-sent, so every
+        // attempt re-occupies every stage; retries start after an
+        // exponential backoff, and exhaustion tears the session down
+        // for a full re-attestation before the channel moves on.
         SimTime chunk_ready = t;
         SimTime first_try_end = 0;
         for (int attempt = 1;; ++attempt) {
@@ -243,17 +257,48 @@ SecureChannel::scheduleSerial(TransferTiming &timing, SimTime t,
                 obs_gcm_blocks_->add((chunk + 15) / 16);
             }
 
-            const auto worker = crypto_workers_.reserve(
-                chunk_ready, workerChunkCost(chunk, dir));
-            timing.encrypt_busy += worker.duration();
+            // Step b (with step c when fused): seal on a crypto worker.
+            const SimTime seal_ready = mode == OverlapMode::DoubleBuffer
+                ? std::max(chunk_ready, seal_tail_)
+                : chunk_ready;
+            auto seal = crypto_workers_.reserve(seal_ready, seal_cost);
+            if (mode == OverlapMode::Speculative && attempt == 1) {
+                if (fault_
+                    && fault_->shouldInject(fault::Site::SpecMiss)) {
+                    // The predicted IV/sequence number was wrong: the
+                    // speculatively sealed ciphertext is useless and
+                    // the chunk re-seals under the real IV.  The
+                    // wasted pass stays charged to the worker pool.
+                    const auto reseal =
+                        crypto_workers_.reserve(seal.end, seal_cost);
+                    fault_->recordRecoverySpan(fault::Site::SpecMiss,
+                                               seal.end, reseal.end);
+                    timing.encrypt_busy += seal.duration();
+                    if (obs_pipe_spec_misses_)
+                        obs_pipe_spec_misses_->add(1);
+                    seal = reseal;
+                } else if (obs_pipe_spec_hits_) {
+                    obs_pipe_spec_hits_->add(1);
+                }
+            }
+            timing.encrypt_busy += seal.duration();
+            if (!fused) {
+                seal_tail_ = std::max(seal_tail_, seal.end);
+                // Seal time hidden behind the wire: the part of this
+                // seal overlapping the previous chunk's DMA interval.
+                const SimTime lo = std::max(seal.start, prev_dma.start);
+                const SimTime hi = std::min(seal.end, prev_dma.end);
+                if (hi > lo)
+                    timing.hidden_crypto += hi - lo;
+            }
 
-            // The ciphertext needs a bounce slot from the moment the
-            // copy lands until the DMA drains it.
-            auto slot = pool_.acquire(worker.end);
+            // Step c: the ciphertext needs a bounce slot from the
+            // moment the copy starts until the DMA drains it.
+            auto slot = pool_.acquire(seal.end);
             if (fault_
                 && fault_->shouldInject(fault::Site::BounceExhausted)) {
                 // Slot exhaustion: the swiotlb allocator found no
-                // slot and the driver stalls until the whole pool
+                // slot and the channel stalls until the whole pool
                 // has drained before retrying the mapping.
                 const SimTime drained = std::max(
                     slot.acquired_at, pool_.latestRelease());
@@ -264,137 +309,16 @@ SecureChannel::scheduleSerial(TransferTiming &timing, SimTime t,
                     slot.acquired_at = drained;
                 }
             }
-            const auto dma = link.dma(slot.acquired_at, chunk, dir);
-            timing.dma_busy += dma.duration();
-            pool_.release(slot, dma.end);
-
-            const auto gpu = gpu_crypto_.reserve(
-                dma.end, transferTime(chunk, config_.gpu_crypto_gbps));
-            timing.gpu_crypto_busy += gpu.duration();
-
-            const bool tag_failed = fault_
-                && fault_->shouldInject(fault::Site::ChannelTagMismatch);
-            if (!tag_failed) {
-                if (attempt > 1)
-                    fault_->recordRecoverySpan(
-                        fault::Site::ChannelTagMismatch,
-                        first_try_end, gpu.end);
-                done = std::max(done, gpu.end);
-                break;
+            SimTime dma_ready = slot.acquired_at;
+            if (!fused) {
+                const auto stg = stage_.reserve(
+                    slot.acquired_at, stageCopyCost(chunk, dir));
+                timing.stage_busy += stg.duration();
+                dma_ready = stg.end;
             }
-            if (attempt == 1)
-                first_try_end = gpu.end;
-            if (attempt >= fault::kMaxTransferAttempts) {
-                // Give up on the session key: full re-attestation
-                // blocks the channel before any further chunk.
-                const SimTime resume =
-                    gpu.end + SpdmSession::kHandshakeCost;
-                fault_->recordRecoverySpan(
-                    fault::Site::ChannelTagMismatch,
-                    first_try_end, resume);
-                t = resume;
-                done = std::max(done, resume);
-                break;
-            }
-            chunk_ready = gpu.end + fault::retryBackoff(attempt);
-        }
-    }
-
-    return done;
-}
-
-SimTime
-SecureChannel::schedulePipelined(TransferTiming &timing, SimTime t,
-                                 Bytes bytes, pcie::Direction dir,
-                                 pcie::PcieLink &link)
-{
-    // Explicit staged pipeline: seal -> bounce-stage -> DMA -> GPU
-    // open, each stage on its own timeline so successive chunks
-    // overlap per stage.  DoubleBuffer keeps seals serialized behind
-    // each other (the classic one-buffer-ahead scheme); Speculative
-    // seals at chunk readiness under predicted IVs, so up to the
-    // widened worker-pool depth run concurrently ahead of the link.
-    const bool speculative =
-        config_.overlap == OverlapMode::Speculative;
-    SimTime done = t;
-    sim::Interval prev_dma{0, 0};
-    Bytes remaining = bytes;
-    while (remaining > 0) {
-        const Bytes chunk =
-            std::min<Bytes>(remaining, config_.chunk_bytes);
-        remaining -= chunk;
-        ++timing.chunks;
-
-        // Retry structure mirrors the serial path: an authentication
-        // failure re-runs all stages after an exponential backoff,
-        // and exhaustion tears the session down for re-attestation.
-        SimTime chunk_ready = t;
-        SimTime first_try_end = 0;
-        for (int attempt = 1;; ++attempt) {
-            if (obs_chunks_) {
-                obs_chunks_->add(1);
-                obs_gcm_blocks_->add((chunk + 15) / 16);
-            }
-
-            // Step b: seal on a crypto worker (encryption only; the
-            // staging copy is its own stage below).
-            const SimTime seal_cost =
-                cpu_model_.cost(config_.algo, chunk, 1);
-            SimTime seal_ready = chunk_ready;
-            if (!speculative)
-                seal_ready = std::max(seal_ready, seal_tail_);
-            auto seal =
-                crypto_workers_.reserve(seal_ready, seal_cost);
-            if (speculative && attempt == 1 && fault_
-                && fault_->shouldInject(fault::Site::SpecMiss)) {
-                // The predicted IV/sequence number was wrong: the
-                // speculatively sealed ciphertext is useless and the
-                // chunk re-seals under the real IV.  The wasted pass
-                // stays charged to the worker pool.
-                const auto reseal =
-                    crypto_workers_.reserve(seal.end, seal_cost);
-                fault_->recordRecoverySpan(fault::Site::SpecMiss,
-                                           seal.end, reseal.end);
-                timing.encrypt_busy += seal.duration();
-                if (obs_pipe_spec_misses_)
-                    obs_pipe_spec_misses_->add(1);
-                seal = reseal;
-            } else if (speculative && attempt == 1
-                       && obs_pipe_spec_hits_) {
-                obs_pipe_spec_hits_->add(1);
-            }
-            seal_tail_ = std::max(seal_tail_, seal.end);
-            timing.encrypt_busy += seal.duration();
-            // Seal time hidden behind the wire: the part of this
-            // seal overlapping the previous chunk's DMA interval.
-            if (prev_dma.end > prev_dma.start) {
-                const SimTime lo =
-                    std::max(seal.start, prev_dma.start);
-                const SimTime hi = std::min(seal.end, prev_dma.end);
-                if (hi > lo)
-                    timing.hidden_crypto += hi - lo;
-            }
-
-            // Step c: copy the ciphertext into a bounce slot; the
-            // slot is pinned from the copy until the DMA drains it.
-            auto slot = pool_.acquire(seal.end);
-            if (fault_
-                && fault_->shouldInject(fault::Site::BounceExhausted)) {
-                const SimTime drained = std::max(
-                    slot.acquired_at, pool_.latestRelease());
-                if (drained > slot.acquired_at) {
-                    fault_->recordRecoverySpan(
-                        fault::Site::BounceExhausted,
-                        slot.acquired_at, drained);
-                    slot.acquired_at = drained;
-                }
-            }
-            const auto stg = stage_.reserve(
-                slot.acquired_at, stageCopyCost(chunk, dir));
-            timing.stage_busy += stg.duration();
 
             // Step d: DMA out of the slot.
-            const auto dma = link.dma(stg.end, chunk, dir);
+            const auto dma = link.dma(dma_ready, chunk, dir);
             timing.dma_busy += dma.duration();
             pool_.release(slot, dma.end);
 
@@ -417,6 +341,8 @@ SecureChannel::schedulePipelined(TransferTiming &timing, SimTime t,
             if (attempt == 1)
                 first_try_end = gpu.end;
             if (attempt >= fault::kMaxTransferAttempts) {
+                // Give up on the session key: full re-attestation
+                // blocks the channel before any further chunk.
                 const SimTime resume =
                     gpu.end + SpdmSession::kHandshakeCost;
                 fault_->recordRecoverySpan(
@@ -451,37 +377,28 @@ SecureChannel::steadyStateGbps(const pcie::PcieLink &link,
 {
     if (config_.tee_io)
         return link.config().effective_gbps * calib::kTeeIoEfficiency;
-    const double link_gbps = link.config().effective_gbps;
-    const double chunk = static_cast<double>(config_.chunk_bytes);
-    if (config_.overlap == OverlapMode::None) {
-        // One worker processes a chunk in workerChunkCost; with w
-        // workers w chunks are in flight, scaling the stage rate by w.
-        const double one_worker_gbps = chunk
-            / (static_cast<double>(
-                   workerChunkCost(config_.chunk_bytes, dir))
-               * 1e-3);
-        const double worker_stage = one_worker_gbps
-            * static_cast<double>(crypto_workers_.size());
-        return std::min(
-            {worker_stage, link_gbps, config_.gpu_crypto_gbps});
-    }
-    // Pipelined modes: seal and staging copy are separate stages.
-    // DoubleBuffer serializes seals (one in flight); Speculative
-    // runs one per worker-pool lane.
-    const double seal_one = chunk
-        / (static_cast<double>(
-               cpu_model_.cost(config_.algo, config_.chunk_bytes, 1))
-           * 1e-3);
-    const double seal_stage =
-        config_.overlap == OverlapMode::Speculative
-        ? seal_one * static_cast<double>(crypto_workers_.size())
-        : seal_one;
-    const double copy_stage = chunk
-        / (static_cast<double>(
-               stageCopyCost(config_.chunk_bytes, dir))
-           * 1e-3);
-    return std::min({seal_stage, copy_stage, link_gbps,
-                     config_.gpu_crypto_gbps});
+    // The bottleneck stage of scheduleChunks.  Seals run one per
+    // worker-pool lane, except that DoubleBuffer serializes them; the
+    // staging copy is a stage of its own unless None fuses it into
+    // the seal.
+    const bool fused = config_.overlap == OverlapMode::None;
+    const Bytes chunk = config_.chunk_bytes;
+    const auto rate = [&](SimTime cost) {
+        return static_cast<double>(chunk)
+            / (static_cast<double>(cost) * 1e-3);
+    };
+    const SimTime seal_cost = fused
+        ? workerChunkCost(chunk, dir)
+        : cpu_model_.cost(config_.algo, chunk, 1);
+    const double lanes = config_.overlap == OverlapMode::DoubleBuffer
+        ? 1.0
+        : static_cast<double>(crypto_workers_.size());
+    double gbps = std::min({rate(seal_cost) * lanes,
+                            link.config().effective_gbps,
+                            config_.gpu_crypto_gbps});
+    if (!fused)
+        gbps = std::min(gbps, rate(stageCopyCost(chunk, dir)));
+    return gbps;
 }
 
 SimTime

@@ -50,10 +50,16 @@ namespace hcc::tee {
 /**
  * Transfer/compute overlap tier of the channel scheduler.
  *
- *  - None: the serial baseline of Sec. VI-A — chunk N+1's encryption
- *    starts only once chunk N has fully landed on the GPU.
- *  - DoubleBuffer: the paper's coarse mitigation — the next chunk may
- *    seal while the previous one occupies the wire, but seals stay
+ * Every tier pipelines chunks across the crypto workers, the PCIe
+ * link and the GPU crypto engine; the tiers differ in what a chunk
+ * reserves on the CPU side.
+ *
+ *  - None: the stock CC path of Sec. VI-A — steps b+c (seal, then the
+ *    bounce copy) are fused on one worker per chunk, so the CPU-side
+ *    stage runs at the fused rate, ~3.03 GB/s per worker.
+ *  - DoubleBuffer: the paper's coarse mitigation — the bounce copy
+ *    becomes a stage of its own, so the next chunk may seal while
+ *    the previous one is staged or on the wire, but seals stay
  *    serialized (one staging buffer ahead).
  *  - Speculative: PipeLLM-style IV/sequence-number prediction — up to
  *    spec_depth chunks seal concurrently ahead of the link; a missed
@@ -122,7 +128,8 @@ struct TransferTiming
     SimTime dma_busy = 0;       //!< link occupancy (step d)
     SimTime gpu_crypto_busy = 0;//!< GPU engine busy time (step e)
     SimTime fixed_overhead = 0; //!< hypercalls, doorbell, setup
-    /** Seal time hidden behind the previous chunk's DMA interval. */
+    /** Seal time hidden behind the previous chunk's DMA interval
+     *  (pipelined modes only; 0 under OverlapMode::None). */
     SimTime hidden_crypto = 0;
     int chunks = 0;
 };
@@ -247,33 +254,8 @@ class SecureChannel
         // so counter() resolves against restored state.  Dropping
         // the handles instead would silently lose the replayed
         // suffix's pipeline accounting in fork/replay campaigns.
-        if constexpr (Ar::kLoading) {
-            if (obs_ != nullptr
-                && config_.overlap != OverlapMode::None) {
-                obs_pipe_seal_ = &obs_->counter(
-                    "tee.channel.pipeline.seal_busy_ps");
-                obs_pipe_stage_ = &obs_->counter(
-                    "tee.channel.pipeline.stage_busy_ps");
-                obs_pipe_dma_ = &obs_->counter(
-                    "tee.channel.pipeline.dma_busy_ps");
-                obs_pipe_open_ = &obs_->counter(
-                    "tee.channel.pipeline.open_busy_ps");
-                obs_pipe_hidden_ = &obs_->counter(
-                    "tee.channel.pipeline.hidden_crypto_ps");
-                obs_pipe_spec_hits_ = &obs_->counter(
-                    "tee.channel.pipeline.spec_hits");
-                obs_pipe_spec_misses_ = &obs_->counter(
-                    "tee.channel.pipeline.spec_misses");
-            } else {
-                obs_pipe_seal_ = nullptr;
-                obs_pipe_stage_ = nullptr;
-                obs_pipe_dma_ = nullptr;
-                obs_pipe_open_ = nullptr;
-                obs_pipe_hidden_ = nullptr;
-                obs_pipe_spec_hits_ = nullptr;
-                obs_pipe_spec_misses_ = nullptr;
-            }
-        }
+        if constexpr (Ar::kLoading)
+            bindPipelineCounters();
     }
 
   private:
@@ -283,15 +265,15 @@ class SecureChannel
     /** Bounce-copy (+ D2H scrub) time for @p bytes: step c alone. */
     SimTime stageCopyCost(Bytes bytes, pcie::Direction dir) const;
 
-    /** The serial (OverlapMode::None) chunk loop; returns done time. */
-    SimTime scheduleSerial(TransferTiming &timing, SimTime t,
+    /** The chunk pipeline of every overlap tier; returns done time. */
+    SimTime scheduleChunks(TransferTiming &timing, SimTime t,
                            Bytes bytes, pcie::Direction dir,
                            pcie::PcieLink &link);
 
-    /** The per-stage overlapped chunk pipeline; returns done time. */
-    SimTime schedulePipelined(TransferTiming &timing, SimTime t,
-                              Bytes bytes, pcie::Direction dir,
-                              pcie::PcieLink &link);
+    /** Bind the tee.channel.pipeline.* handles: the seven counters
+     *  under the pipelined overlap modes with a registry, null
+     *  otherwise. */
+    void bindPipelineCounters();
 
     /**
      * Seal/stage/open one chunk, starting at @p first_attempt of the

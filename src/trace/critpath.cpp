@@ -16,7 +16,6 @@
 
 #include "common/log.hpp"
 #include "common/table.hpp"
-#include "obs/report.hpp"
 
 namespace hcc::trace {
 namespace {
@@ -1071,8 +1070,9 @@ criticalPathJson(const CriticalPath &path)
 std::string
 criticalPathJsonMember(const CriticalPath &path)
 {
-    return obs::ReportWriter::member("critical_path",
-                                     criticalPathJson(path));
+    std::string member = "\"critical_path\": ";
+    member += criticalPathJson(path);
+    return member;
 }
 
 namespace {

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/log.hpp"
@@ -35,6 +36,20 @@ double
 finiteField(const std::string &token, const char *what, int lineno)
 {
     const auto v = parseFinite(token);
+    if (!v.ok())
+        fatal("line %d: bad %s: %s", lineno, what,
+              v.status().message().c_str());
+    return *v;
+}
+
+/** A whole-token integer field of spec line @p lineno in
+ *  [@p lo, @p hi]. */
+template <typename T>
+T
+intField(const std::string &token, const char *what, int lineno, T lo,
+         T hi = std::numeric_limits<T>::max())
+{
+    const auto v = parseInt(token, lo, hi);
     if (!v.ok())
         fatal("line %d: bad %s: %s", lineno, what,
               v.status().message().c_str());
@@ -156,13 +171,8 @@ parseSpecTextImpl(const std::string &text)
         } else if (key == "phase") {
             KernelPhase phase;
             phase.kernel = need("a kernel name");
-            try {
-                phase.launches = std::stoi(need("a launch count"));
-            } catch (...) {
-                fatal("line %d: bad launch count", lineno);
-            }
-            if (phase.launches <= 0)
-                fatal("line %d: launches must be positive", lineno);
+            phase.launches = intField(need("a launch count"),
+                                      "launch count", lineno, 1);
             phase.ket = parseDuration(need("a kernel time"));
             std::string tok;
             if (ls >> tok)
@@ -176,25 +186,20 @@ parseSpecTextImpl(const std::string &text)
             // rphase <kernel> <launches> <gflops> <mem> [threads]
             KernelPhase phase;
             phase.kernel = need("a kernel name");
-            try {
-                phase.launches = std::stoi(need("a launch count"));
-            } catch (...) {
-                fatal("line %d: bad rphase numbers", lineno);
-            }
+            phase.launches = intField(need("a launch count"),
+                                      "launch count", lineno, 1);
             phase.gflops =
                 finiteField(need("a GFLOP count"), "GFLOP count", lineno);
-            if (phase.launches <= 0 || phase.gflops < 0.0)
+            if (phase.gflops < 0.0)
                 fatal("line %d: bad rphase values", lineno);
             phase.mem_bytes = parseSize(need("an HBM byte count"));
             phase.ket = 0;  // roofline-derived
             std::string tok;
-            if (ls >> tok) {
-                try {
-                    phase.threads = std::stoll(tok);
-                } catch (...) {
-                    fatal("line %d: bad thread count", lineno);
-                }
-            }
+            // The kernel's grid, threads / 256 blocks, is an int.
+            if (ls >> tok)
+                phase.threads = intField<std::int64_t>(
+                    tok, "thread count", lineno, 1,
+                    std::int64_t{256} * std::numeric_limits<int>::max());
             spec.phases.push_back(std::move(phase));
         } else {
             fatal("line %d: unknown key '%s'", lineno, key.c_str());

@@ -90,7 +90,9 @@ TEST(CliParse, NonFiniteNumbersAreRejectedNamingTheFlag)
     // NaN slips past range checks written as `v <= 0.0`; every
     // floating-point flag reads through one finite-number parser,
     // so each of these is an argument error (exit 2), not an abort,
-    // a hang or a cell labelled "nan".
+    // a hang or a cell labelled "nan".  Integer flags read whole
+    // tokens the same way: std::stoi took the "1" of "1e3" and
+    // std::stoull wrapped "-1" to 2^64 - 1.
     const struct
     {
         std::vector<std::string> args;
@@ -114,6 +116,12 @@ TEST(CliParse, NonFiniteNumbersAreRejectedNamingTheFlag)
         {{"serve", "--bursts", "0:0.5:inf"}, "--bursts"},
         {{"stats-diff", "a", "b", "--tolerance", "nan"}, "--tolerance"},
         {{"crypto-calibrate", "--ms", "-inf"}, "--ms"},
+        {{"run", "--app", "atax", "--seed", "-1"}, "--seed"},
+        {{"sweep", "--apps", "atax", "--seeds", "1,-2"}, "--seeds"},
+        {{"sweep", "--apps", "atax", "--jobs", "4x"}, "--jobs"},
+        {{"serve", "--requests", "1e3"}, "--requests"},
+        {{"run", "--app", "atax", "--crypto-workers", "2.5"},
+         "--crypto-workers"},
     };
     for (const auto &c : cases) {
         std::string err;
@@ -322,6 +330,25 @@ TEST(CliRun, RunPrintsSummaryAndModel)
     EXPECT_NE(out.find("P (model)"), std::string::npos);
 }
 
+TEST(CliRun, ProjectNamesASpecWorkload)
+{
+    const std::string path =
+        std::string(::testing::TempDir()) + "project_named.spec";
+    {
+        std::ofstream out(path);
+        out << "name projected_app\ninput 1MiB\nphase k 2 10us\n";
+    }
+    Options o;
+    o.command = Command::Project;
+    o.project.workload.spec_file = path;
+    std::ostringstream oss;
+    EXPECT_EQ(runCli(o, oss), 0);
+    std::remove(path.c_str());
+    EXPECT_NE(oss.str().find("projecting 'projected_app'"),
+              std::string::npos)
+        << oss.str();
+}
+
 TEST(CliRun, CompareShowsSlowdown)
 {
     Options o;
@@ -515,6 +542,34 @@ TEST(CliParse, SweepRequiresAppsOrSpec)
     EXPECT_FALSE(parse({"sweep", "--apps", "a", "--spec", "g.grid"},
                        &err));
     EXPECT_TRUE(parse({"sweep", "--spec", "g.grid"}));
+    // A grid file replaces the whole grid: an axis flag beside it
+    // would be silently dropped, so each one is an argument error.
+    const struct
+    {
+        const char *flag;
+        const char *value;
+    } axes[] = {
+        {"--apps", "a"},         {"--cc-modes", "both"},
+        {"--uvm-modes", "both"}, {"--scales", "1,2"},
+        {"--seeds", "5,6"},      {"--overlap", "all"},
+        {"--crypto-workers", "4"}, {"--tee-io", nullptr},
+    };
+    for (const auto &axis : axes) {
+        std::vector<std::string> args = {"sweep", "--spec", "g.grid",
+                                         axis.flag};
+        if (axis.value != nullptr)
+            args.emplace_back(axis.value);
+        EXPECT_FALSE(parseArgs(args, err)) << axis.flag;
+        EXPECT_NE(err.find(axis.flag), std::string::npos) << err;
+    }
+    // The snapshot flags compose with a grid file.
+    const auto o = parse({"sweep", "--spec", "g.grid", "--fork-point",
+                          "auto", "--no-snapshot", "--snapshot-budget",
+                          "8"});
+    ASSERT_TRUE(o);
+    EXPECT_TRUE(o->sweep.snapshot.fork_point.has_value());
+    EXPECT_TRUE(o->sweep.snapshot.no_snapshot);
+    EXPECT_EQ(o->sweep.snapshot.budget_bytes, std::size_t{8} << 20);
 }
 
 TEST(CliParse, SweepRejectsBadValues)

@@ -138,7 +138,14 @@ TEST(SpecParse, NonFiniteNumbersAreParseErrors)
 {
     // A NaN passes a `< 0.0` range check; each one must be a typed
     // error, never a thrown std::invalid_argument or a NaN phase.
+    // Integer fields read whole tokens: std::stoi ran "3abc" as 3.
     for (const char *text : {
+             "name x\nphase k 3abc 1us\n",
+             "name x\nphase k 1e3 1us\n",
+             "name r\nrphase k 2x 1 1MiB\n",
+             "name r\nrphase k 1 1 1MiB 4x\n",
+             "name r\nrphase k 1 1 1MiB -256\n",
+             "name r\nrphase k 1 1 1MiB 999999999999999\n",
              "name x\nphase k 1 1us nan\n",
              "name x\nphase k 1 1us inf\n",
              "name x\nphase k 1 1us lots\n",

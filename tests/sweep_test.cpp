@@ -187,9 +187,24 @@ TEST(ParseGridSpec, RejectsBadValues)
     EXPECT_FALSE(parseGridSpec("apps = atax\nscales = nan\n").ok());
     EXPECT_FALSE(parseGridSpec("apps = atax\nscales = 1,inf\n").ok());
     EXPECT_FALSE(parseGridSpec("apps = atax\ncc = maybe\n").ok());
+    // Integer keys read whole tokens, in range; each error names its
+    // line.
+    for (const char *text : {
+             "apps = atax\ncrypto-workers = 2x\n",
+             "apps = atax\nsnapshot-budget = 99999999999999\n",
+             "apps = atax\nsnapshot-budget = 64MiB\n",
+         }) {
+        const auto grid = parseGridSpec(text);
+        ASSERT_FALSE(grid.ok()) << text;
+        EXPECT_NE(grid.status().message().find("line 2"),
+                  std::string::npos)
+            << grid.status().message();
+    }
     EXPECT_THROW(parseModeList("sideways"), FatalError);
     EXPECT_THROW(parseScaleList(""), FatalError);
     EXPECT_THROW(parseScaleList("2x"), FatalError);
+    EXPECT_THROW(parseSeedList("1,-2"), FatalError);
+    EXPECT_THROW(parseSeedList("7abc"), FatalError);
     EXPECT_THROW(parseAppList(""), FatalError);
 }
 

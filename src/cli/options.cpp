@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <exception>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <string_view>
 
@@ -51,8 +51,9 @@ constexpr unsigned kEveryCommand = ~0u;
  * hosted by the current command's struct — callers pair these with
  * the applicability mask, which rejects those invocations first.
  */
-WorkloadChoice *
-workloadOf(Options &o)
+template <typename Opts>  // Options or const Options
+auto
+workloadOf(Opts &o) -> decltype(&o.run.workload)
 {
     switch (o.command) {
       case Command::Run: return &o.run.workload;
@@ -121,170 +122,119 @@ struct FlagSpec
     /** Value placeholder for help ("N", "FILE"); null: boolean. */
     const char *value_name;
     const char *help;
-    /** Validate + store into the command's typed struct; sets
-     *  @p error and returns false on bad values.  @p value is empty
-     *  for boolean flags. */
-    bool (*apply)(Options &opt, const std::string &value,
-                  std::string &error);
+    /** Validate + store into the command's typed struct.  @p value
+     *  is empty for boolean flags.  An error says what is wrong with
+     *  the value; parseArgs() names the flag. */
+    Status (*apply)(Options &opt, const std::string &value);
 };
 
-/** An integer flag value >= @p min (parseInt). */
-bool
-applyInt(int &out, int min, const char *flag,
-         const std::string &value, std::string &error)
+/** The error of a value outside @p choices ("json|csv"). */
+Status
+notOneOf(const std::string &value, const char *choices)
 {
-    const auto parsed = parseInt(value, min);
-    if (!parsed.ok()) {
-        error = std::string("bad ") + flag + " value: "
-            + parsed.status().message();
-        return false;
-    }
-    out = *parsed;
-    return true;
+    return errorf(ErrorCode::InvalidArgument, "'%s' is not %s",
+                  value.c_str(), choices);
 }
 
-/** A finite floating-point flag value (parseFinite). */
 bool
-applyFinite(double &out, const char *flag, const std::string &value,
-            std::string &error)
+positive(double v)
 {
-    const auto parsed = parseFinite(value);
-    if (!parsed.ok()) {
-        error = std::string("bad ") + flag + " value: "
-            + parsed.status().message();
-        return false;
-    }
-    out = *parsed;
-    return true;
+    return v > 0.0;
 }
 
-/** Run a throwing list parser at the CLI boundary: a FatalError
- *  becomes the flag's error string, naming @p flag, not a process
- *  abort. */
-template <typename Fn>
-bool
-applyParsed(std::string &error, const char *flag, Fn &&fn)
+/** An int count of MiB, at least @p min, in bytes. */
+Result<std::size_t>
+mebibytes(const std::string &value, int min)
 {
-    try {
-        fn();
-        return true;
-    } catch (const FatalError &e) {
-        error = std::string(flag) + ": " + e.what();
-        return false;
-    }
+    const auto mib = parseInt(value, min);
+    if (!mib.ok())
+        return mib.status();
+    return static_cast<std::size_t>(*mib) << 20;
 }
 
 const FlagSpec kFlags[] = {
     {"--app", kRunLike | bit(Command::Faults) | bit(Command::Snapshot),
      "NAME", "workload name (see `hccsim list`)",
-     [](Options &o, const std::string &v, std::string &) {
+     [](Options &o, const std::string &v) {
          if (WorkloadChoice *w = workloadOf(o))
              w->app = v;
          else if (o.command == Command::Faults)
              o.faults.spec.app = v;
          else
              o.snapshot.app = v;
-         return true;
+         return Status();
      }},
     {"--spec", kRunLike | bit(Command::Sweep), "FILE",
      "user spec file (or sweep grid file)",
-     [](Options &o, const std::string &v, std::string &) {
+     [](Options &o, const std::string &v) {
          if (WorkloadChoice *w = workloadOf(o))
              w->spec_file = v;
          else
              o.sweep.spec_file = v;
-         return true;
+         return Status();
      }},
     {"--cc", kRunLike | bit(Command::Snapshot), nullptr,
      "run inside a TD (CC mode)",
-     [](Options &o, const std::string &, std::string &) {
+     [](Options &o, const std::string &) {
          simOf(o)->cc = true;
-         return true;
+         return Status();
      }},
     {"--uvm",
      kRunLike | bit(Command::Faults) | bit(Command::Snapshot),
      nullptr,
      "use the managed-memory variant",
-     [](Options &o, const std::string &, std::string &) {
-         if (SimShape *sim = simOf(o))
-             sim->uvm = true;
-         else
-             o.faults.spec.uvm = true;
-         return true;
+     [](Options &o, const std::string &) {
+         SimShape *sim = simOf(o);
+         (sim ? sim->uvm : o.faults.spec.uvm) = true;
+         return Status();
      }},
     {"--scale",
      kRunLike | bit(Command::Faults) | bit(Command::Snapshot), "X",
      "problem-size multiplier (default 1.0)",
-     [](Options &o, const std::string &v, std::string &error) {
-         double scale = 0.0;
-         if (!applyFinite(scale, "--scale", v, error))
-             return false;
-         if (scale <= 0.0) {
-             error = "--scale must be positive";
-             return false;
-         }
-         if (SimShape *sim = simOf(o))
-             sim->scale = scale;
-         else
-             o.faults.spec.scale = scale;
-         return true;
+     [](Options &o, const std::string &v) {
+         SimShape *sim = simOf(o);
+         return store(sim ? sim->scale : o.faults.spec.scale,
+                      parseFiniteIf(v, positive, "positive"));
      }},
     {"--seed", kRunLike | bit(Command::Snapshot) | bit(Command::Serve),
      "N", "RNG seed (default 42)",
-     [](Options &o, const std::string &v, std::string &error) {
-         const auto seed = parseInt<std::uint64_t>(v);
-         if (!seed.ok()) {
-             error = "bad --seed value: " + seed.status().message();
-             return false;
-         }
-         if (SimShape *sim = simOf(o))
-             sim->seed = *seed;
-         else
-             o.serve.spec.seed = *seed;
-         return true;
+     [](Options &o, const std::string &v) {
+         SimShape *sim = simOf(o);
+         return store(sim ? sim->seed : o.serve.spec.seed,
+                      parseInt<std::uint64_t>(v));
      }},
     {"--format",
      bit(Command::Trace) | bit(Command::Sweep) | bit(Command::Faults)
          | bit(Command::Serve),
      "json|csv", "trace/results format (default json)",
-     [](Options &o, const std::string &v, std::string &error) {
-         OutputFormat format = OutputFormat::Json;
-         if (v == "csv")
-             format = OutputFormat::Csv;
-         else if (v != "json") {
-             error = "--format must be json or csv";
-             return false;
-         }
-         if (GridCommandOptions *g = gridOf(o))
-             g->format = format;
-         else
-             o.trace.format = format;
-         return true;
+     [](Options &o, const std::string &v) {
+         if (v != "json" && v != "csv")
+             return notOneOf(v, "json|csv");
+         GridCommandOptions *g = gridOf(o);
+         (g ? g->format : o.trace.format) =
+             v == "csv" ? OutputFormat::Csv : OutputFormat::Json;
+         return Status();
      }},
     {"--crypto-workers",
      kRunLike | bit(Command::Sweep) | bit(Command::Faults)
          | bit(Command::Snapshot) | bit(Command::Serve),
      "N",
      "parallel encryption threads (CC)",
-     [](Options &o, const std::string &v, std::string &error) {
-         int n = 0;
-         if (!applyInt(n, 1, "--crypto-workers", v, error))
-             return false;
+     [](Options &o, const std::string &v) {
+         int *n = &o.serve.spec.crypto_workers;  // serve, unless:
          if (SimShape *sim = simOf(o))
-             sim->crypto_workers = n;
+             n = &sim->crypto_workers;
          else if (o.command == Command::Sweep)
-             o.sweep.grid.crypto_workers = n;
+             n = &o.sweep.grid.crypto_workers;
          else if (o.command == Command::Faults)
-             o.faults.spec.crypto_workers = n;
-         else
-             o.serve.spec.crypto_workers = n;
-         return true;
+             n = &o.faults.spec.crypto_workers;
+         return store(*n, parseInt(v, 1));
      }},
     {"--tee-io",
      kRunLike | bit(Command::Sweep) | bit(Command::Faults)
          | bit(Command::Snapshot) | bit(Command::Serve),
      nullptr, "model the TEE-IO hardware path (CC)",
-     [](Options &o, const std::string &, std::string &) {
+     [](Options &o, const std::string &) {
          if (SimShape *sim = simOf(o))
              sim->tee_io = true;
          else if (o.command == Command::Sweep)
@@ -293,7 +243,7 @@ const FlagSpec kFlags[] = {
              o.faults.spec.tee_io = true;
          else
              o.serve.spec.tee_io = true;
-         return true;
+         return Status();
      }},
     {"--overlap",
      kRunLike | bit(Command::Sweep) | bit(Command::Faults)
@@ -301,91 +251,61 @@ const FlagSpec kFlags[] = {
      "MODE",
      "channel overlap tier: none|double-buffer|speculative "
      "(sweep/faults/serve: comma list or \"all\", gridded as an axis)",
-     [](Options &o, const std::string &v, std::string &error) {
-         if (o.command == Command::Sweep
-             || o.command == Command::Faults
-             || o.command == Command::Serve) {
-             return applyParsed(error, "--overlap", [&] {
-                 auto list = sweep::parseOverlapList(v);
-                 if (o.command == Command::Sweep)
-                     o.sweep.grid.overlaps = std::move(list);
-                 else if (o.command == Command::Faults)
-                     o.faults.spec.overlaps = std::move(list);
-                 else
-                     o.serve.spec.overlaps = std::move(list);
-             });
-         }
+     [](Options &o, const std::string &v) {
+         if (o.command == Command::Sweep)
+             return store(o.sweep.grid.overlaps,
+                          sweep::parseOverlapList(v));
+         if (o.command == Command::Faults)
+             return store(o.faults.spec.overlaps,
+                          sweep::parseOverlapList(v));
+         if (o.command == Command::Serve)
+             return store(o.serve.spec.overlaps,
+                          sweep::parseOverlapList(v));
          const auto mode = tee::parseOverlapMode(v);
-         if (!mode) {
-             error = "--overlap '" + v
-                 + "' is not a single mode "
-                   "(none|double-buffer|speculative; only "
-                   "sweep/faults/serve grid a list)";
-             return false;
-         }
+         if (!mode)
+             return notOneOf(v, "a single mode "
+                                "(none|double-buffer|speculative; "
+                                "only sweep/faults/serve grid a list)");
          simOf(o)->overlap = *mode;
-         return true;
+         return Status();
      }},
     {"--faults",
      bit(Command::Run) | bit(Command::Compare) | bit(Command::Trace)
          | bit(Command::Critical),
      "SITE=RATE,...",
      "inject faults, e.g. channel.tag_mismatch=0.05",
-     [](Options &o, const std::string &v, std::string &error) {
-         const auto parsed = fault::parseFaultSpec(v);
-         if (!parsed.ok()) {
-             error = "bad --faults value: "
-                 + parsed.status().toString();
-             return false;
-         }
-         simOf(o)->faults = parsed.value();
-         return true;
+     [](Options &o, const std::string &v) {
+         return store(simOf(o)->faults, fault::parseFaultSpec(v));
      }},
     {"--sites", bit(Command::Faults), "S1,S2|all",
      "fault sites to campaign over (default all)",
-     [](Options &o, const std::string &v, std::string &error) {
-         auto &sites = o.faults.spec.sites;
-         sites.clear();
+     [](Options &o, const std::string &v) {
          if (v == "all") {
-             sites.assign(fault::allSites().begin(),
-                          fault::allSites().end());
-             return true;
+             o.faults.spec.sites.assign(fault::allSites().begin(),
+                                        fault::allSites().end());
+             return Status();
          }
-         for (const auto &name : splitList(v)) {
-             const auto site = fault::parseSite(name);
-             if (!site) {
-                 error = "bad --sites value '" + name + "'";
-                 return false;
-             }
-             sites.push_back(*site);
-         }
-         if (sites.empty()) {
-             error = "empty --sites list";
-             return false;
-         }
-         return true;
+         return store(
+             o.faults.spec.sites,
+             parseList(v, [](const std::string &name)
+                              -> Result<fault::Site> {
+                 if (const auto site = fault::parseSite(name))
+                     return *site;
+                 return notOneOf(name, "a fault site");
+             }));
      }},
     {"--rates", bit(Command::Faults), "R1,R2",
      "injection rates in (0,1] (default 0.01)",
-     [](Options &o, const std::string &v, std::string &error) {
-         const auto items = splitList(v);
-         if (items.empty()) {
-             error = "empty --rates list";
-             return false;
-         }
-         std::vector<double> rates;
-         for (const auto &item : items) {
-             double r = 0.0;
-             if (!applyFinite(r, "--rates", item, error))
-                 return false;
-             if (r <= 0.0 || r > 1.0) {
-                 error = "--rates values must be in (0, 1]";
-                 return false;
-             }
-             rates.push_back(r);
-         }
-         o.faults.spec.rates = std::move(rates);
-         return true;
+     [](Options &o, const std::string &v) {
+         return store(o.faults.spec.rates,
+                      parseList(v, [](const std::string &item) {
+                          return parseFiniteIf(
+                              item,
+                              [](double r) {
+                                  return r > 0.0 && r <= 1.0;
+                              },
+                              "in (0, 1]");
+                      }));
      }},
     {"--stats-out",
      bit(Command::Run) | bit(Command::Compare) | bit(Command::Trace)
@@ -393,88 +313,75 @@ const FlagSpec kFlags[] = {
          | bit(Command::Faults) | bit(Command::Serve)
          | bit(Command::CryptoCalibrate),
      "FILE", "write the stats registry as JSON",
-     [](Options &o, const std::string &v, std::string &) {
+     [](Options &o, const std::string &v) {
          *statsOutOf(o) = v;
-         return true;
+         return Status();
      }},
     {"--trace-out", bit(Command::Trace), "FILE",
      "write the trace to a file instead of stdout",
-     [](Options &o, const std::string &v, std::string &) {
+     [](Options &o, const std::string &v) {
          o.trace.trace_out = v;
-         return true;
+         return Status();
      }},
     {"--top", bit(Command::Critical), "N",
      "rows in the contributor/slack tables (default 10)",
-     [](Options &o, const std::string &v, std::string &error) {
-         return applyInt(o.critical.top, 1, "--top", v, error);
+     [](Options &o, const std::string &v) {
+         return store(o.critical.top, parseInt(v, 1));
      }},
     {"--critical-out", bit(Command::Critical), "FILE",
      "write the full critical-path JSON (segments + slack)",
-     [](Options &o, const std::string &v, std::string &) {
+     [](Options &o, const std::string &v) {
          o.critical.critical_out = v;
-         return true;
+         return Status();
      }},
     {"--out",
      bit(Command::Sweep) | bit(Command::Faults) | bit(Command::Serve)
          | bit(Command::Snapshot),
      "FILE",
      "per-cell results (CSV/JSON), or the snapshot output file",
-     [](Options &o, const std::string &v, std::string &) {
+     [](Options &o, const std::string &v) {
          GridCommandOptions *g = gridOf(o);
          (g ? g->out_file : o.snapshot.out_file) = v;
-         return true;
+         return Status();
      }},
     {"--apps", bit(Command::Sweep), "A,B|all",
      "apps to grid over (or --spec GRIDFILE)",
-     [](Options &o, const std::string &v, std::string &error) {
-         return applyParsed(error, "--apps", [&] {
-             o.sweep.grid.apps = sweep::parseAppList(v);
-         });
+     [](Options &o, const std::string &v) {
+         return store(o.sweep.grid.apps, sweep::parseAppList(v));
      }},
     {"--cc-modes", bit(Command::Sweep) | bit(Command::Serve), "M",
      "on|off|both (default both)",
-     [](Options &o, const std::string &v, std::string &error) {
-         return applyParsed(error, "--cc-modes", [&] {
-             auto modes = sweep::parseModeList(v);
-             if (o.command == Command::Sweep)
-                 o.sweep.grid.cc_modes = std::move(modes);
-             else
-                 o.serve.spec.cc_modes = std::move(modes);
-         });
+     [](Options &o, const std::string &v) {
+         return store(o.command == Command::Sweep
+                          ? o.sweep.grid.cc_modes
+                          : o.serve.spec.cc_modes,
+                      sweep::parseModeList(v));
      }},
     {"--uvm-modes", bit(Command::Sweep), "M",
      "on|off|both (default off)",
-     [](Options &o, const std::string &v, std::string &error) {
-         return applyParsed(error, "--uvm-modes", [&] {
-             o.sweep.grid.uvm_modes = sweep::parseModeList(v);
-         });
+     [](Options &o, const std::string &v) {
+         return store(o.sweep.grid.uvm_modes, sweep::parseModeList(v));
      }},
     {"--scales", bit(Command::Sweep), "X,Y",
      "problem-size multipliers (default 1)",
-     [](Options &o, const std::string &v, std::string &error) {
-         return applyParsed(error, "--scales", [&] {
-             o.sweep.grid.scales = sweep::parseScaleList(v);
-         });
+     [](Options &o, const std::string &v) {
+         return store(o.sweep.grid.scales, sweep::parseScaleList(v));
      }},
     {"--seeds", bit(Command::Sweep) | bit(Command::Faults), "N,M",
      "RNG seeds (default 42)",
-     [](Options &o, const std::string &v, std::string &error) {
-         return applyParsed(error, "--seeds", [&] {
-             auto seeds = sweep::parseSeedList(v);
-             if (o.command == Command::Sweep)
-                 o.sweep.grid.seeds = std::move(seeds);
-             else
-                 o.faults.spec.seeds = std::move(seeds);
-         });
+     [](Options &o, const std::string &v) {
+         return store(o.command == Command::Sweep
+                          ? o.sweep.grid.seeds
+                          : o.faults.spec.seeds,
+                      sweep::parseSeedList(v));
      }},
     {"--jobs",
      bit(Command::Compare) | bit(Command::Sweep) | bit(Command::Faults)
          | bit(Command::Serve),
      "N", "worker threads (default: all cores)",
-     [](Options &o, const std::string &v, std::string &error) {
+     [](Options &o, const std::string &v) {
          GridCommandOptions *g = gridOf(o);
-         return applyInt(g ? g->jobs : o.compare.jobs, 1, "--jobs", v,
-                         error);
+         return store(g ? g->jobs : o.compare.jobs, parseInt(v, 1));
      }},
     {"--fork-point",
      bit(Command::Sweep) | bit(Command::Faults)
@@ -482,181 +389,133 @@ const FlagSpec kFlags[] = {
      "none|auto|F[/F..]",
      "prefix/suffix cut path for fork/replay; '/'-chained cuts build "
      "a snapshot tree (see docs/SNAPSHOT.md)",
-     [](Options &o, const std::string &v, std::string &error) {
-         const auto parsed = snap::parseForkPoint(v);
-         if (!parsed.ok()) {
-             error = "bad --fork-point value: "
-                 + parsed.status().message();
-             return false;
-         }
-         if (o.command == Command::Sweep)
-             o.sweep.snapshot.fork_point = parsed.value();
-         else if (o.command == Command::Faults)
-             o.faults.spec.fork_point = parsed.value();
-         else
-             o.snapshot.fork_point = parsed.value();
-         return true;
+     [](Options &o, const std::string &v) {
+         if (o.command == Command::Faults)
+             return store(o.faults.spec.fork_point,
+                          snap::parseForkPoint(v));
+         return store(o.command == Command::Sweep
+                          ? o.sweep.snapshot.fork_point
+                          : o.snapshot.fork_point,
+                      snap::parseForkPoint(v));
      }},
     {"--snapshot-budget", bit(Command::Sweep) | bit(Command::Faults),
      "MIB",
      "resident snapshot ceiling per fork group in MiB "
      "(0 = unlimited; default 512)",
-     [](Options &o, const std::string &v, std::string &error) {
-         int mib = 0;
-         if (!applyInt(mib, 0, "--snapshot-budget", v, error))
-             return false;
-         const auto bytes = static_cast<std::size_t>(mib) << 20;
+     [](Options &o, const std::string &v) {
          if (o.command == Command::Sweep)
-             o.sweep.snapshot.budget_bytes = bytes;
-         else
-             o.faults.spec.snapshot_budget_bytes = bytes;
-         return true;
+             return store(o.sweep.snapshot.budget_bytes,
+                          mebibytes(v, 0));
+         return store(o.faults.spec.snapshot_budget_bytes,
+                      mebibytes(v, 0));
      }},
     {"--no-snapshot", bit(Command::Sweep) | bit(Command::Faults),
      nullptr,
      "run split cells cold instead of snapshot-forking them",
-     [](Options &o, const std::string &, std::string &) {
+     [](Options &o, const std::string &) {
          if (o.command == Command::Sweep)
              o.sweep.snapshot.no_snapshot = true;
          else
              o.faults.spec.no_snapshot = true;
-         return true;
+         return Status();
      }},
     {"--loads", bit(Command::Serve), "R1,R2",
      "offered loads in requests/s (default 8,24,48,96)",
-     [](Options &o, const std::string &v, std::string &error) {
-         return applyParsed(error, "--loads", [&] {
-             o.serve.spec.loads = sweep::parseScaleList(v);
-         });
+     [](Options &o, const std::string &v) {
+         return store(o.serve.spec.loads, sweep::parseScaleList(v));
      }},
     {"--requests", bit(Command::Serve), "N",
      "requests per arrival trace (default 160)",
-     [](Options &o, const std::string &v, std::string &error) {
-         return applyInt(o.serve.spec.requests, 1, "--requests", v,
-                         error);
+     [](Options &o, const std::string &v) {
+         return store(o.serve.spec.requests, parseInt(v, 1));
      }},
     {"--max-batch", bit(Command::Serve), "N",
      "continuous-batching admission ceiling (default 32)",
-     [](Options &o, const std::string &v, std::string &error) {
-         return applyInt(o.serve.spec.max_batch, 1, "--max-batch", v,
-                         error);
+     [](Options &o, const std::string &v) {
+         return store(o.serve.spec.max_batch, parseInt(v, 1));
      }},
     {"--prompt-len", bit(Command::Serve), "N",
      "mean prompt tokens per request (default 512)",
-     [](Options &o, const std::string &v, std::string &error) {
-         return applyInt(o.serve.spec.prompt_len, 1, "--prompt-len",
-                         v, error);
+     [](Options &o, const std::string &v) {
+         return store(o.serve.spec.prompt_len, parseInt(v, 1));
      }},
     {"--gen-len", bit(Command::Serve), "N",
      "mean generated tokens per request (default 64)",
-     [](Options &o, const std::string &v, std::string &error) {
-         return applyInt(o.serve.spec.gen_len, 1, "--gen-len", v,
-                         error);
+     [](Options &o, const std::string &v) {
+         return store(o.serve.spec.gen_len, parseInt(v, 1));
      }},
     {"--kv-token-bytes", bit(Command::Serve), "N",
      "KV-cache bytes per token per session (default 32768)",
-     [](Options &o, const std::string &v, std::string &error) {
-         int n = 0;
-         if (!applyInt(n, 1, "--kv-token-bytes", v, error))
-             return false;
-         o.serve.spec.kv_bytes_per_token = static_cast<Bytes>(n);
-         return true;
+     [](Options &o, const std::string &v) {
+         return store(o.serve.spec.kv_bytes_per_token,
+                      parseInt<Bytes>(
+                          v, 1, std::numeric_limits<int>::max()));
      }},
     {"--kv-budget", bit(Command::Serve), "MIB",
      "aggregate KV budget in MiB; over it young sessions are "
      "preempted (default 256)",
-     [](Options &o, const std::string &v, std::string &error) {
-         int mib = 0;
-         if (!applyInt(mib, 1, "--kv-budget", v, error))
-             return false;
-         o.serve.spec.kv_budget_bytes = static_cast<Bytes>(mib) << 20;
-         return true;
+     [](Options &o, const std::string &v) {
+         return store(o.serve.spec.kv_budget_bytes, mebibytes(v, 1));
      }},
     {"--bursts", bit(Command::Serve), "B:E:M,...",
      "arrival burst windows over the request-index fraction, e.g. "
      "0.5:0.8:4 (default: plain Poisson)",
-     [](Options &o, const std::string &v, std::string &error) {
-         return applyParsed(error, "--bursts", [&] {
-             o.serve.spec.bursts = serve::parseBurstList(v);
-         });
+     [](Options &o, const std::string &v) {
+         return store(o.serve.spec.bursts, serve::parseBurstList(v));
      }},
     {"--backend", bit(Command::Serve), "NAME",
      "serving framework model: hf|vllm (default vllm)",
-     [](Options &o, const std::string &v, std::string &error) {
-         if (v == "hf")
-             o.serve.spec.backend = ml::LlmBackend::HuggingFace;
-         else if (v == "vllm")
-             o.serve.spec.backend = ml::LlmBackend::Vllm;
-         else {
-             error = "bad --backend value '" + v + "' (hf|vllm)";
-             return false;
-         }
-         return true;
+     [](Options &o, const std::string &v) {
+         if (v != "hf" && v != "vllm")
+             return notOneOf(v, "hf|vllm");
+         o.serve.spec.backend = v == "hf" ? ml::LlmBackend::HuggingFace
+                                          : ml::LlmBackend::Vllm;
+         return Status();
      }},
     {"--quant", bit(Command::Serve), "NAME",
      "weight quantization: bf16|awq4 (default bf16)",
-     [](Options &o, const std::string &v, std::string &error) {
-         if (v == "bf16")
-             o.serve.spec.quant = ml::LlmQuant::Bf16;
-         else if (v == "awq4")
-             o.serve.spec.quant = ml::LlmQuant::Awq4;
-         else {
-             error = "bad --quant value '" + v + "' (bf16|awq4)";
-             return false;
-         }
-         return true;
+     [](Options &o, const std::string &v) {
+         if (v != "bf16" && v != "awq4")
+             return notOneOf(v, "bf16|awq4");
+         o.serve.spec.quant =
+             v == "bf16" ? ml::LlmQuant::Bf16 : ml::LlmQuant::Awq4;
+         return Status();
      }},
     {"--inspect", bit(Command::Snapshot), "FILE",
      "print a snapshot file's meta and section table",
-     [](Options &o, const std::string &v, std::string &) {
+     [](Options &o, const std::string &v) {
          o.snapshot.inspect = v;
-         return true;
+         return Status();
      }},
     {"--log-level", kEveryCommand, "LEVEL",
      "debug|info|warn|error|silent",
-     [](Options &o, const std::string &v, std::string &error) {
-         if (!parseLogLevel(v)) {
-             error = "bad --log-level value '" + v
-                 + "' (debug|info|warn|error|silent)";
-             return false;
-         }
+     [](Options &o, const std::string &v) {
+         if (!parseLogLevel(v))
+             return notOneOf(v, "debug|info|warn|error|silent");
          o.log_level = v;
-         return true;
+         return Status();
      }},
     {"--crypto-impl", kEveryCommand, "NAME",
      "functional crypto: scalar|ttable|aesni",
-     [](Options &o, const std::string &v, std::string &error) {
-         if (!crypto::parseCryptoImpl(v)) {
-             error = "bad --crypto-impl value '" + v
-                 + "' (scalar|ttable|aesni)";
-             return false;
-         }
+     [](Options &o, const std::string &v) {
+         if (!crypto::parseCryptoImpl(v))
+             return notOneOf(v, "scalar|ttable|aesni");
          o.crypto_impl = v;
-         return true;
+         return Status();
      }},
     {"--tolerance", bit(Command::StatsDiff), "X",
      "relative tolerance before a change is drift",
-     [](Options &o, const std::string &v, std::string &error) {
-         if (!applyFinite(o.stats_diff.tolerance, "--tolerance", v,
-                          error))
-             return false;
-         if (o.stats_diff.tolerance < 0.0) {
-             error = "--tolerance must be >= 0";
-             return false;
-         }
-         return true;
+     [](Options &o, const std::string &v) {
+         return store(o.stats_diff.tolerance,
+                      parseFiniteIf(
+                          v, [](double t) { return t >= 0.0; },
+                          "non-negative"));
      }},
     {"--ms", bit(Command::CryptoCalibrate), "N",
      "wall-clock budget per algorithm in ms (default 50)",
-     [](Options &o, const std::string &v, std::string &error) {
-         if (!applyFinite(o.crypto_calibrate.budget_ms, "--ms", v,
-                          error))
-             return false;
-         if (o.crypto_calibrate.budget_ms <= 0.0) {
-             error = "--ms must be positive";
-             return false;
-         }
-         return true;
+     [](Options &o, const std::string &v) {
+         return store(o.crypto_calibrate.budget_ms,
+                      parseFiniteIf(v, positive, "positive"));
      }},
 };
 
@@ -846,8 +705,11 @@ parseArgs(const std::vector<std::string> &args, std::string &error)
             }
             value = args[++i];
         }
-        if (!flag->apply(opt, value, error))
+        if (const Status st = flag->apply(opt, value); !st.ok()) {
+            error = std::string("bad ") + flag->name + " value: "
+                + st.message();
             return std::nullopt;
+        }
         given.push_back(flag->name);
     }
 
@@ -932,7 +794,7 @@ parseArgs(const std::vector<std::string> &args, std::string &error)
 namespace {
 
 workloads::WorkloadResult
-runOnce(const WorkloadChoice &workload, const SimShape &sim, bool cc)
+runOnce(const workloads::Workload &workload, const SimShape &sim, bool cc)
 {
     rt::SystemConfig sys;
     sys.cc = cc;
@@ -945,14 +807,16 @@ runOnce(const WorkloadChoice &workload, const SimShape &sim, bool cc)
     params.uvm = sim.uvm;
     params.scale = sim.scale;
     params.seed = sim.seed;
-    if (!workload.spec_file.empty()) {
-        auto spec = workloads::loadSpecFile(workload.spec_file);
-        if (!spec.ok())
-            fatal("%s", spec.status().toString().c_str());
-        const workloads::SpecWorkload w(spec.take());
-        return workloads::runWorkload(w, sys, params);
-    }
-    return workloads::runWorkload(workload.app, sys, params);
+    return workloads::runWorkload(workload, sys, params);
+}
+
+/** Report a bad input file (a Status) as the command's one error
+ *  line.  @return exit status 2. */
+int
+inputError(std::ostream &err, const Status &status)
+{
+    err << "error: " << status.toString() << "\n";
+    return 2;
 }
 
 void
@@ -1221,7 +1085,7 @@ finishGrid(const GridCommandOptions &go, const Result &result,
 } // namespace
 
 int
-runCli(const Options &opt, std::ostream &os)
+runCli(const Options &opt, std::ostream &os, std::ostream &err)
 {
     if (!opt.log_level.empty()) {
         if (const auto level = parseLogLevel(opt.log_level))
@@ -1234,6 +1098,21 @@ runCli(const Options &opt, std::ostream &os)
         os << (opt.command == Command::Help ? usage()
                                             : commandHelp(opt.command));
         return 0;
+    }
+    // A run-like command resolves its workload once: a --spec file is
+    // read here, however many runs the command makes.
+    std::optional<workloads::SpecWorkload> spec_workload;
+    const workloads::Workload *workload = nullptr;
+    if (const WorkloadChoice *choice = workloadOf(opt)) {
+        if (choice->spec_file.empty()) {
+            workload =
+                &workloads::WorkloadRegistry::instance().get(choice->app);
+        } else {
+            auto spec = workloads::loadSpecFile(choice->spec_file);
+            if (!spec.ok())
+                return inputError(err, spec.status());
+            workload = &spec_workload.emplace(spec.take());
+        }
     }
     switch (opt.command) {
       case Command::Help:
@@ -1254,7 +1133,7 @@ runCli(const Options &opt, std::ostream &os)
 
       case Command::Run: {
         const RunOptions &ro = opt.run;
-        const auto res = runOnce(ro.workload, ro.sim, ro.sim.cc);
+        const auto res = runOnce(*workload, ro.sim, ro.sim.cc);
         printSummary(res, os);
         const auto d = perfmodel::decompose(res.trace);
         os << "\nperformance-model decomposition:\n" << d.report();
@@ -1277,17 +1156,9 @@ runCli(const Options &opt, std::ostream &os)
         // them on two workers, and the result order (base first) is
         // fixed by the task index, not by which finishes first.
         workloads::WorkloadResult runs[2];
-        std::exception_ptr errors[2];
         runIndexed(2, std::min(workers(co.jobs), 2), [&](std::size_t i) {
-            try {
-                runs[i] = runOnce(co.workload, co.sim, i == 1);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
+            runs[i] = runOnce(*workload, co.sim, i == 1);
         });
-        for (const auto &error : errors)
-            if (error)
-                std::rethrow_exception(error);
         const workloads::WorkloadResult &base = runs[0];
         const workloads::WorkloadResult &cc = runs[1];
         printSummary(base, os);
@@ -1316,7 +1187,7 @@ runCli(const Options &opt, std::ostream &os)
 
       case Command::Trace: {
         const TraceOptions &to = opt.trace;
-        const auto res = runOnce(to.workload, to.sim, to.sim.cc);
+        const auto res = runOnce(*workload, to.sim, to.sim.cc);
         const auto writeTrace = [&](std::ostream &out) {
             if (to.format == OutputFormat::Csv)
                 trace::exportCsv(res.trace, out);
@@ -1339,7 +1210,7 @@ runCli(const Options &opt, std::ostream &os)
 
       case Command::Critical: {
         const CriticalOptions &co = opt.critical;
-        const auto res = runOnce(co.workload, co.sim, co.sim.cc);
+        const auto res = runOnce(*workload, co.sim, co.sim.cc);
         os << trace::criticalReport(res.critical, res.trace, co.top);
         if (!co.critical_out.empty()) {
             writeFileChecked(
@@ -1363,7 +1234,7 @@ runCli(const Options &opt, std::ostream &os)
         if (!so.spec_file.empty()) {
             auto loaded = sweep::loadGridFile(so.spec_file);
             if (!loaded.ok())
-                fatal("%s", loaded.status().toString().c_str());
+                return inputError(err, loaded.status());
             grid = loaded.take();
         }
         if (so.snapshot.fork_point)
@@ -1400,12 +1271,12 @@ runCli(const Options &opt, std::ostream &os)
 
       case Command::Project: {
         const ProjectOptions &po = opt.project;
-        const auto base = runOnce(po.workload, po.sim, false);
+        const auto base = runOnce(*workload, po.sim, false);
         const auto projection = perfmodel::projectCc(base.trace);
         os << "projecting '" << base.name
            << "' from a base (non-CC) run into CC mode:\n"
            << projection.report();
-        const auto actual = runOnce(po.workload, po.sim, true);
+        const auto actual = runOnce(*workload, po.sim, true);
         const double actual_slowdown =
             static_cast<double>(actual.end_to_end)
             / static_cast<double>(base.end_to_end);
@@ -1450,7 +1321,7 @@ runCli(const Options &opt, std::ostream &os)
               tee::OverlapMode::Speculative}) {
             SimShape shape = po.sim;
             shape.overlap = mode;
-            const auto run = runOnce(po.workload, shape, true);
+            const auto run = runOnce(*workload, shape, true);
             if (mode == tee::OverlapMode::None)
                 none_e2e = run.end_to_end;
             const double rate = perfmodel::ccPredictedRateGbps(
@@ -1478,7 +1349,7 @@ runCli(const Options &opt, std::ostream &os)
         if (!so.inspect.empty()) {
             const auto loaded = snap::readSnapshotFile(so.inspect);
             if (!loaded.ok())
-                fatal("%s", loaded.status().toString().c_str());
+                return inputError(err, loaded.status());
             snap::printSnapshot(os, loaded.value());
             return 0;
         }
@@ -1521,8 +1392,10 @@ runCli(const Options &opt, std::ostream &os)
         }
         const auto status =
             snap::writeSnapshotFile(so.out_file, snapshot);
-        if (!status.ok())
-            fatal("%s", status.toString().c_str());
+        if (!status.ok()) {
+            err << "error: " << status.toString() << "\n";
+            return 1;
+        }
         snap::printSnapshot(os, snapshot);
         os << "wrote " << so.out_file << "\n";
         return 0;
@@ -1561,11 +1434,11 @@ runCli(const Options &opt, std::ostream &os)
         const auto baseline =
             obs::loadStatsFile(opt.stats_diff.baseline);
         if (!baseline.ok())
-            fatal("%s", baseline.status().toString().c_str());
+            return inputError(err, baseline.status());
         const auto current =
             obs::loadStatsFile(opt.stats_diff.current);
         if (!current.ok())
-            fatal("%s", current.status().toString().c_str());
+            return inputError(err, current.status());
         const auto diff = obs::diffStats(baseline.value(),
                                          current.value(),
                                          opt.stats_diff.tolerance);
@@ -1574,6 +1447,32 @@ runCli(const Options &opt, std::ostream &os)
       }
     }
     return 1;
+}
+
+int
+runMain(const std::vector<std::string> &args, std::ostream &out,
+        std::ostream &err)
+{
+    std::string error;
+    const auto opt = parseArgs(args, error);
+    if (!opt) {
+        err << "error: " << error << "\n\n" << usage();
+        return 2;
+    }
+    try {
+        const int rc = runCli(*opt, out, err);
+        // A trace piped to a full disk must not exit 0 with a
+        // truncated file: flush and check the stream state.
+        out.flush();
+        if (!out) {
+            err << "error: failed writing to stdout\n";
+            return 1;
+        }
+        return rc;
+    } catch (const hcc::FatalError &e) {
+        err << "error: " << e.what() << "\n";
+        return 1;
+    }
 }
 
 } // namespace hcc::cli

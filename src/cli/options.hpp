@@ -4,7 +4,12 @@
  * one under a chosen configuration, compare base vs CC, export a
  * trace, drive a fault-injection campaign, or serve an open-loop LLM
  * workload.  Parsing and execution are library functions so they are
- * unit-testable; tools/hccsim.cpp is a thin main().
+ * unit-testable; tools/hccsim.cpp is one call to runMain().
+ *
+ * Exit status: 0 success; 1 a failed cell, stats drift, a failed
+ * write or misuse found at run time (a FatalError, e.g. an unknown
+ * app); 2 a bad flag or input file.  Every error is one `error:`
+ * line on the error stream.
  *
  * All subcommands share one declarative flag table (options.cpp): a
  * flag is declared once with the set of subcommands it applies to,
@@ -24,7 +29,7 @@
 #define HCC_CLI_OPTIONS_HPP
 
 #include <cstdint>
-#include <iosfwd>
+#include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -256,15 +261,32 @@ struct Options
 };
 
 /**
- * Parse argv (excluding argv[0]).
- * @return the options, or an error message on invalid input.
+ * Parse argv (excluding argv[0]).  Never throws.
+ * @return the options, or an error message on invalid input (a bad
+ *         value reads "bad --FLAG value: ...").
  */
 std::optional<Options> parseArgs(const std::vector<std::string> &args,
                                  std::string &error);
 
-/** Execute a parsed invocation, writing output to @p os.
- *  @return process exit code. */
-int runCli(const Options &options, std::ostream &os);
+/**
+ * Execute a parsed invocation, writing output to @p os.  A spec,
+ * grid, stats or snapshot file that does not load is one `error:`
+ * line on @p err and exit status 2.
+ * @return process exit code.
+ * @throws FatalError on misuse found at run time (runMain() reports
+ *         it).
+ */
+int runCli(const Options &options, std::ostream &os,
+           std::ostream &err = std::cerr);
+
+/**
+ * The whole `hccsim` process: parse @p args (argv without argv[0]),
+ * run, and report every error as one `error:` line on @p err (an
+ * argument error adds the usage text after a blank line).
+ * @return the exit status (see the file comment).
+ */
+int runMain(const std::vector<std::string> &args, std::ostream &out,
+            std::ostream &err);
 
 /** The usage/help text. */
 std::string usage();

@@ -110,7 +110,6 @@ fatal(const char *fmt, ...)
     va_start(ap, fmt);
     std::string msg = vformat(fmt, ap);
     va_end(ap);
-    emit(LogLevel::Error, "fatal: " + msg);
     throw FatalError(msg);
 }
 

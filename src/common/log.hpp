@@ -2,9 +2,13 @@
  * @file
  * Minimal logging and error-reporting facilities, gem5-flavoured.
  *
- * fatal() is for user errors (bad configuration, invalid parameters):
- * it throws FatalError so tests can assert on misuse.  panic() is for
- * internal invariant violations (simulator bugs): it aborts.
+ * User input (flags, spec, grid, stats and snapshot files) fails
+ * through hcc::Status (status.hpp), never through fatal().  fatal() is
+ * for misuse found while a run executes (an unknown app, no UVM
+ * variant, an unwritable output): it throws FatalError and logs
+ * nothing, so the one catcher that handles it reports it once.
+ * panic() is for internal invariant violations (simulator bugs): it
+ * aborts.
  */
 
 #ifndef HCC_COMMON_LOG_HPP
@@ -17,7 +21,7 @@
 
 namespace hcc {
 
-/** Exception thrown by fatal() on unrecoverable user errors. */
+/** Exception thrown by fatal() on misuse found at run time. */
 class FatalError : public std::runtime_error
 {
   public:
@@ -54,7 +58,8 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
- * Unrecoverable user error (bad config/arguments).
+ * Misuse found at run time.  Logs nothing: the catcher reports the
+ * message.
  * @throws FatalError always.
  */
 [[noreturn]] void fatal(const char *fmt, ...)

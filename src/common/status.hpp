@@ -3,14 +3,18 @@
  * Typed, recoverable error reporting: hcc::Status and hcc::Result<T>.
  *
  * The error-handling split (gem5-flavoured, see log.hpp):
- *  - Status / Result<T>  — *recoverable* operational failures the
- *    caller is expected to handle: an authentication tag mismatch on
- *    the CC transfer path, a failed SPDM handshake, a malformed spec
- *    or stats file.  These travel as values, carry a machine-readable
- *    ErrorCode plus a human message, and never unwind the stack.
- *  - FatalError (fatal()) — unrecoverable user errors where no caller
- *    can do better than report and exit (bad CLI configuration caught
- *    at the top level).
+ *  - Status / Result<T>  — *recoverable* failures the caller is
+ *    expected to handle: an authentication tag mismatch on the CC
+ *    transfer path, a failed SPDM handshake, and every piece of user
+ *    input (flags, spec, grid, stats and snapshot files).  Every
+ *    parser of user input returns one; none throws.  These travel as
+ *    values, carry a machine-readable ErrorCode plus a human message,
+ *    and never unwind the stack.  The CLI prints a bad input as one
+ *    `error:` line and exits 2.
+ *  - FatalError (fatal()) — misuse found while a run executes (an
+ *    unknown app, no UVM variant, an unwritable output).  fatal()
+ *    only throws; its one catcher reports the message once (the CLI
+ *    entry point, or a grid cell's FAIL row).
  *  - panic()/HCC_ASSERT — programmer misuse / simulator bugs; aborts.
  *
  * Accessing the value of an error Result is programmer misuse and
@@ -129,6 +133,8 @@ template <typename T>
 class Result
 {
   public:
+    using value_type = T;
+
     /** Success. */
     Result(T value) : value_(std::move(value)) {}
 
@@ -175,6 +181,20 @@ class Result
     Status status_;
     std::optional<T> value_;
 };
+
+/**
+ * Move @p parsed's value into @p out, or return its error and leave
+ * @p out untouched: the one step that writes a parsed input field.
+ */
+template <typename Out, typename T>
+Status
+store(Out &out, Result<T> parsed)
+{
+    if (!parsed.ok())
+        return parsed.status();
+    out = parsed.take();
+    return {};
+}
 
 } // namespace hcc
 

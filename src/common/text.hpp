@@ -3,7 +3,8 @@
  * Text helpers shared by every output writer and list parser: JSON
  * string escaping, RFC-4180 CSV field quoting, the two deterministic
  * renderings of a double, comma-list splitting, and the one parser
- * each of a floating-point and of an integer input.
+ * each of a floating-point input, an integer input and a comma list.
+ * The parsers return a Result and never throw.
  */
 
 #ifndef HCC_COMMON_TEXT_HPP
@@ -14,6 +15,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.hpp"
@@ -49,6 +51,19 @@ std::vector<std::string> splitList(std::string_view csv);
  */
 Result<double> parseFinite(std::string_view text);
 
+/** parseFinite(@p text), or a ParseError saying the value is not
+ *  @p rule ("positive") when @p in_range rejects it. */
+template <typename Pred>
+Result<double>
+parseFiniteIf(std::string_view text, Pred in_range, const char *rule)
+{
+    auto v = parseFinite(text);
+    if (v.ok() && !in_range(*v))
+        return errorf(ErrorCode::ParseError, "'%s' is not %s",
+                      std::string(text).c_str(), rule);
+    return v;
+}
+
 /**
  * All of @p text as a decimal integer in [@p lo, @p hi]:
  * std::from_chars over the whole token, so no spaces, no '+', no
@@ -73,6 +88,30 @@ parseInt(std::string_view text, T lo = std::numeric_limits<T>::min(),
                       std::to_string(lo).c_str(),
                       std::to_string(hi).c_str());
     return v;
+}
+
+/**
+ * Every item of comma list @p csv (splitList) through @p item, which
+ * returns a Result: the values in order, the first bad item's
+ * Status, or a ParseError when the list has no items.
+ */
+template <typename Fn,
+          typename T = typename std::invoke_result_t<
+              Fn &, const std::string &>::value_type>
+Result<std::vector<T>>
+parseList(std::string_view csv, Fn &&item)
+{
+    std::vector<T> out;
+    for (const std::string &s : splitList(csv)) {
+        auto v = item(s);
+        if (!v.ok())
+            return v.status();
+        out.push_back(v.take());
+    }
+    if (out.empty())
+        return errorf(ErrorCode::ParseError, "empty list '%s'",
+                      std::string(csv).c_str());
+    return out;
 }
 
 } // namespace hcc

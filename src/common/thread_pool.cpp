@@ -1,6 +1,7 @@
 #include "common/thread_pool.hpp"
 
 #include <chrono>
+#include <exception>
 
 #include "common/log.hpp"
 
@@ -146,26 +147,35 @@ ThreadPool::Stats
 runIndexed(std::size_t n, int jobs,
            const std::function<void(std::size_t)> &fn)
 {
+    // Every task runs even when one throws; the lowest-index
+    // exception is rethrown once all have finished.
+    std::vector<std::exception_ptr> errors(n);
+    const auto guarded = [&](std::size_t i) {
+        try {
+            fn(i);
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
+    };
+    ThreadPool::Stats stats;
     if (jobs <= 1) {
-        ThreadPool::Stats stats;
         stats.jobs = 1;
         const auto start = std::chrono::steady_clock::now();
-        for (std::size_t i = 0; i < n; ++i) {
-            try {
-                fn(i);
-            } catch (...) {
-                ++stats.uncaught;
-            }
-            ++stats.executed;
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            guarded(i);
+        stats.executed = n;
         stats.busy_us = elapsedUs(start);
-        return stats;
+    } else {
+        ThreadPool pool(jobs);
+        for (std::size_t i = 0; i < n; ++i)
+            pool.submit([&guarded, i] { guarded(i); });
+        pool.wait();
+        stats = pool.stats();
     }
-    ThreadPool pool(jobs);
-    for (std::size_t i = 0; i < n; ++i)
-        pool.submit([&fn, i] { fn(i); });
-    pool.wait();
-    return pool.stats();
+    for (const std::exception_ptr &error : errors)
+        if (error)
+            std::rethrow_exception(error);
+    return stats;
 }
 
 } // namespace hcc

@@ -12,11 +12,12 @@
  *
  * The pool executes tasks on *worker* threads: anything a task
  * touches must either be task-local (the sweep engine gives every
- * run its own SimContext/Registry/Rng/Tracer) or thread-safe.  Tasks
- * must not throw — the grid kernel (grid/grid.hpp) converts per-run
- * FatalErrors into failed cells before they reach the pool; a task
- * that does leak an exception is counted in Stats::uncaught rather
- * than terminating the process.
+ * run its own SimContext/Registry/Rng/Tracer) or thread-safe.  The
+ * grid kernel (grid/grid.hpp) converts per-run FatalErrors into
+ * failed cells before they reach the pool.  runIndexed() rethrows
+ * whatever else a task throws once every task has finished; a task
+ * submit()ted directly that throws is counted in Stats::uncaught
+ * rather than terminating the process.
  */
 
 #ifndef HCC_COMMON_THREAD_POOL_HPP
@@ -48,7 +49,8 @@ class ThreadPool
         std::uint64_t executed = 0;
         /** Tasks a worker stole from another worker's deque. */
         std::uint64_t stolen = 0;
-        /** Tasks that leaked an exception (a bug in the caller). */
+        /** submit()ted tasks that leaked an exception (a bug in the
+         *  caller; runIndexed() rethrows instead). */
         std::uint64_t uncaught = 0;
         /** Sum of per-task wall-clock across all workers, us. */
         double busy_us = 0.0;
@@ -108,7 +110,10 @@ class ThreadPool
  * Run fn(0) .. fn(n-1) across @p jobs workers and block until all
  * finish.  jobs <= 1 runs inline on the calling thread (no pool);
  * either way results written by fn into index i of a caller-owned
- * vector land in deterministic input order.
+ * vector land in deterministic input order.  A task that throws
+ * does not stop the others: once every task has finished, the
+ * exception of the lowest-index task that threw is rethrown, so a
+ * failed cell is never read as a default-constructed result.
  * @return the pool's execution stats (inline runs fill executed/
  *         busy_us with jobs = 1).
  */

@@ -95,39 +95,39 @@ percentileNearestRank(const std::vector<SimTime> &sorted, double pct)
     return sorted[rank - 1];
 }
 
-std::vector<BurstWindow>
+Result<std::vector<BurstWindow>>
 parseBurstList(const std::string &csv)
 {
-    std::vector<BurstWindow> out;
-    for (const std::string &item : splitList(csv)) {
+    return parseList(csv, [](const std::string &item)
+                              -> Result<BurstWindow> {
         std::vector<double> field;
         for (std::size_t begin = 0;;) {
             const std::size_t colon = item.find(':', begin);
             const auto v = parseFinite(
                 std::string_view(item).substr(begin, colon - begin));
             if (!v.ok())
-                fatal("serve: bad burst window '%s': %s", item.c_str(),
-                      v.status().message().c_str());
+                return errorf(ErrorCode::ParseError,
+                              "burst window '%s': %s", item.c_str(),
+                              v.status().message().c_str());
             field.push_back(*v);
             if (colon == std::string::npos)
                 break;
             begin = colon + 1;
         }
         if (field.size() != 3)
-            fatal("serve: bad burst window '%s' "
-                  "(want begin:end:multiplier)",
-                  item.c_str());
+            return errorf(ErrorCode::ParseError,
+                          "burst window '%s' is not "
+                          "begin:end:multiplier",
+                          item.c_str());
         const BurstWindow w{field[0], field[1], field[2]};
         if (!(w.begin >= 0.0 && w.begin < w.end && w.end <= 1.0)
             || w.multiplier <= 0.0)
-            fatal("serve: burst window '%s' out of range "
-                  "(0 <= begin < end <= 1, multiplier > 0)",
-                  item.c_str());
-        out.push_back(w);
-    }
-    if (out.empty())
-        fatal("serve: empty burst list");
-    return out;
+            return errorf(ErrorCode::ParseError,
+                          "burst window '%s' out of range "
+                          "(0 <= begin < end <= 1, multiplier > 0)",
+                          item.c_str());
+        return w;
+    });
 }
 
 } // namespace hcc::serve

@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.hpp"
 #include "common/units.hpp"
 #include "grid/grid.hpp"
 #include "ml/llm.hpp"
@@ -193,7 +194,8 @@ struct ServeResult : grid::Outcome<ServeCellResult>
 std::vector<ServeCell> expandServeCells(const ServeSpec &spec);
 
 /** Serve one cell in its own isolated Context.  @throws FatalError
- *  on an invalid spec. */
+ *  on a spec that no parsed flag could produce (a non-positive load,
+ *  request count or length, a burst window out of range). */
 ServePoint runServeCell(const ServeSpec &spec, const ServeCell &cell);
 
 /** Serve every cell of @p spec on @p jobs workers (<= 1 = inline). */
@@ -202,9 +204,9 @@ ServeResult runServe(const ServeSpec &spec, int jobs);
 /**
  * Parse a comma list of burst windows, each `begin:end:multiplier`
  * with 0 <= begin < end <= 1 and multiplier > 0 (e.g.
- * "0.5:0.8:4").  @throws FatalError.
+ * "0.5:0.8:4").  A ParseError on anything else.
  */
-std::vector<BurstWindow> parseBurstList(const std::string &csv);
+Result<std::vector<BurstWindow>> parseBurstList(const std::string &csv);
 
 /** Per-cell CSV (docs/SWEEP.md "Outputs"; no status column): one
  *  row per cell in input order. */

@@ -7,7 +7,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "common/log.hpp"
 #include "common/text.hpp"
 
 namespace hcc::sweep {
@@ -174,91 +173,82 @@ runSweep(const GridSpec &grid, int jobs, obs::Registry *sweep_obs)
     return result;
 }
 
-std::vector<bool>
+Result<std::vector<bool>>
 parseModeList(const std::string &name)
 {
     if (name == "on")
-        return {true};
+        return std::vector<bool>{true};
     if (name == "off")
-        return {false};
+        return std::vector<bool>{false};
     if (name == "both")
-        return {false, true};
-    fatal("bad mode '%s' (on|off|both)", name.c_str());
+        return std::vector<bool>{false, true};
+    return errorf(ErrorCode::ParseError, "'%s' is not on|off|both",
+                  name.c_str());
 }
 
-std::vector<std::string>
+Result<std::vector<std::string>>
 parseAppList(const std::string &csv)
 {
     if (trim(csv) == "all")
         return workloads::evaluationApps();
     auto apps = splitList(csv);
     if (apps.empty())
-        fatal("empty app list '%s'", csv.c_str());
+        return errorf(ErrorCode::ParseError, "empty list '%s'",
+                      csv.c_str());
     return apps;
 }
 
-std::vector<double>
+Result<std::vector<double>>
 parseScaleList(const std::string &csv)
 {
-    std::vector<double> out;
-    for (const auto &item : splitList(csv)) {
-        const auto v = parseFinite(item);
-        if (!v.ok())
-            fatal("bad scale: %s", v.status().message().c_str());
-        if (*v <= 0.0)
-            fatal("scale must be positive, got '%s'", item.c_str());
-        out.push_back(*v);
-    }
-    if (out.empty())
-        fatal("empty scale list '%s'", csv.c_str());
-    return out;
+    return parseList(csv, [](const std::string &item) {
+        return parseFiniteIf(
+            item, [](double v) { return v > 0.0; }, "positive");
+    });
 }
 
-std::vector<tee::OverlapMode>
+Result<std::vector<tee::OverlapMode>>
 parseOverlapList(const std::string &csv)
 {
     if (trim(csv) == "all")
-        return {tee::OverlapMode::None, tee::OverlapMode::DoubleBuffer,
-                tee::OverlapMode::Speculative};
-    std::vector<tee::OverlapMode> out;
-    for (const auto &item : splitList(csv)) {
-        const auto mode = tee::parseOverlapMode(item);
-        if (!mode)
-            fatal("bad overlap mode '%s' "
-                  "(none|double-buffer|speculative|all)",
-                  item.c_str());
-        out.push_back(*mode);
-    }
-    if (out.empty())
-        fatal("empty overlap list '%s'", csv.c_str());
-    return out;
+        return std::vector<tee::OverlapMode>{
+            tee::OverlapMode::None, tee::OverlapMode::DoubleBuffer,
+            tee::OverlapMode::Speculative};
+    return parseList(
+        csv, [](const std::string &item) -> Result<tee::OverlapMode> {
+            if (const auto mode = tee::parseOverlapMode(item))
+                return *mode;
+            return errorf(ErrorCode::ParseError,
+                          "'%s' is not none|double-buffer|speculative"
+                          "|all",
+                          item.c_str());
+        });
 }
 
-std::vector<std::uint64_t>
+Result<std::vector<std::uint64_t>>
 parseSeedList(const std::string &csv)
 {
-    std::vector<std::uint64_t> out;
-    for (const auto &item : splitList(csv)) {
-        const auto v = parseInt<std::uint64_t>(item);
-        if (!v.ok())
-            fatal("bad seed: %s", v.status().message().c_str());
-        out.push_back(*v);
-    }
-    if (out.empty())
-        fatal("empty seed list '%s'", csv.c_str());
-    return out;
+    return parseList(csv, [](const std::string &item) {
+        return parseInt<std::uint64_t>(item);
+    });
 }
 
 namespace {
 
-/**
- * Throwing parse body: fatal() doubles as the parse-abort mechanism
- * so the shared list parsers (parseModeList, parseScaleList, ...)
- * need no error plumbing.  The public surface converts the throw to
- * a typed Status — callers never see the exception.
- */
-GridSpec
-parseGridSpecImpl(const std::string &text)
+/** "on" or "off" as a bool. */
+Result<bool>
+parseOnOff(const std::string &value)
+{
+    if (value == "on" || value == "off")
+        return value == "on";
+    return errorf(ErrorCode::ParseError, "'%s' is not on|off",
+                  value.c_str());
+}
+
+} // namespace
+
+Result<GridSpec>
+parseGridSpec(const std::string &text)
 {
     GridSpec grid;
     bool have_apps = false;
@@ -275,79 +265,58 @@ parseGridSpecImpl(const std::string &text)
             continue;
         const auto eq = line.find('=');
         if (eq == std::string::npos)
-            fatal("grid spec line %d: expected 'key = value', got "
-                  "'%s'", lineno, line.c_str());
+            return errorf(ErrorCode::ParseError,
+                          "grid spec line %d: expected 'key = value', "
+                          "got '%s'",
+                          lineno, line.c_str());
         const std::string key = trim(line.substr(0, eq));
         const std::string value = trim(line.substr(eq + 1));
+        Status bad;
         if (key == "apps") {
-            grid.apps = parseAppList(value);
+            bad = store(grid.apps, parseAppList(value));
             have_apps = true;
         } else if (key == "cc") {
-            grid.cc_modes = parseModeList(value);
+            bad = store(grid.cc_modes, parseModeList(value));
         } else if (key == "uvm") {
-            grid.uvm_modes = parseModeList(value);
+            bad = store(grid.uvm_modes, parseModeList(value));
         } else if (key == "scales") {
-            grid.scales = parseScaleList(value);
+            bad = store(grid.scales, parseScaleList(value));
         } else if (key == "seeds") {
-            grid.seeds = parseSeedList(value);
+            bad = store(grid.seeds, parseSeedList(value));
         } else if (key == "overlap") {
-            grid.overlaps = parseOverlapList(value);
+            bad = store(grid.overlaps, parseOverlapList(value));
         } else if (key == "crypto-workers") {
-            const auto v = parseInt(value, 1);
-            if (!v.ok())
-                fatal("grid spec line %d: bad crypto-workers: %s",
-                      lineno, v.status().message().c_str());
-            grid.crypto_workers = *v;
+            bad = store(grid.crypto_workers, parseInt(value, 1));
         } else if (key == "fork-point") {
-            const auto fp = snap::parseForkPoint(value);
-            if (!fp.ok())
-                fatal("grid spec line %d: %s", lineno,
-                      fp.status().message().c_str());
-            grid.fork_point = *fp;
+            bad = store(grid.fork_point, snap::parseForkPoint(value));
         } else if (key == "snapshot") {
-            if (value == "on")
-                grid.no_snapshot = false;
-            else if (value == "off")
-                grid.no_snapshot = true;
-            else
-                fatal("grid spec line %d: snapshot must be on|off",
-                      lineno);
+            bool on = true;
+            bad = store(on, parseOnOff(value));
+            grid.no_snapshot = !on;
         } else if (key == "snapshot-budget") {
             // A MiB count (0 = unlimited) whose byte count fits.
-            const auto mib = parseInt<std::size_t>(
-                value, 0, std::numeric_limits<std::size_t>::max() >> 20);
-            if (!mib.ok())
-                fatal("grid spec line %d: bad snapshot-budget: %s",
-                      lineno, mib.status().message().c_str());
-            grid.snapshot_budget_bytes = *mib << 20;
+            std::size_t mib = 0;
+            bad = store(mib, parseInt<std::size_t>(
+                                 value, 0,
+                                 std::numeric_limits<std::size_t>::max()
+                                     >> 20));
+            grid.snapshot_budget_bytes = mib << 20;
         } else if (key == "tee-io") {
-            if (value == "on")
-                grid.tee_io = true;
-            else if (value == "off")
-                grid.tee_io = false;
-            else
-                fatal("grid spec line %d: tee-io must be on|off",
-                      lineno);
+            bad = store(grid.tee_io, parseOnOff(value));
         } else {
-            fatal("grid spec line %d: unknown key '%s'", lineno,
-                  key.c_str());
+            return errorf(ErrorCode::ParseError,
+                          "grid spec line %d: unknown key '%s'", lineno,
+                          key.c_str());
         }
+        if (!bad.ok())
+            return errorf(ErrorCode::ParseError,
+                          "grid spec line %d: bad %s: %s", lineno,
+                          key.c_str(), bad.message().c_str());
     }
     if (!have_apps)
-        fatal("grid spec is missing the 'apps' key");
+        return errorf(ErrorCode::ParseError,
+                      "grid spec is missing the 'apps' key");
     return grid;
-}
-
-} // namespace
-
-Result<GridSpec>
-parseGridSpec(const std::string &text)
-{
-    try {
-        return parseGridSpecImpl(text);
-    } catch (const FatalError &e) {
-        return errorf(ErrorCode::ParseError, "%s", e.what());
-    }
 }
 
 Result<GridSpec>

@@ -11,9 +11,10 @@
  * the merged CSV / stats JSON byte-identical regardless of the
  * worker count — scheduling order can change, results cannot.
  *
- * A cell that throws hcc::FatalError (unknown app, no UVM variant,
- * bad spec) fails that cell alone: the error is captured in its
- * CellResult and the rest of the grid keeps running.
+ * A cell that throws hcc::FatalError (unknown app, no UVM variant)
+ * fails that cell alone: the error is captured in its CellResult and
+ * the rest of the grid keeps running.  The grid's own parsers return
+ * a Result and never throw.
  */
 
 #ifndef HCC_SWEEP_SWEEP_HPP
@@ -138,32 +139,33 @@ SweepResult runSweep(const GridSpec &grid, int jobs,
  * crypto-workers (int), tee-io (on|off), fork-point
  * (none|auto|fraction, optionally '/'-chained), snapshot (on|off),
  * snapshot-budget (resident snapshot ceiling in MiB, 0 = unlimited).
- * @return the grid, or a ParseError status with a line-numbered
- *         message on unknown keys or bad values.
+ * @return the grid, or a ParseError status whose message names the
+ *         line and the key of an unknown key or a bad value.
  */
 Result<GridSpec> parseGridSpec(const std::string &text);
 
-/** Parse "on"/"off"/"both" into a mode list.  @throws FatalError. */
-std::vector<bool> parseModeList(const std::string &name);
+/** Parse "on"/"off"/"both" into a mode list (ParseError otherwise). */
+Result<std::vector<bool>> parseModeList(const std::string &name);
 
 /**
  * Parse a comma-separated app list; "all" expands to the paper's
- * evaluation app list.  @throws FatalError on an empty list.
+ * evaluation app list.  A ParseError on an empty list.
  */
-std::vector<std::string> parseAppList(const std::string &csv);
+Result<std::vector<std::string>> parseAppList(const std::string &csv);
 
-/** Parse a comma list of positive scales.  @throws FatalError. */
-std::vector<double> parseScaleList(const std::string &csv);
+/** Parse a comma list of positive scales (ParseError otherwise). */
+Result<std::vector<double>> parseScaleList(const std::string &csv);
 
-/** Parse a comma list of seeds.  @throws FatalError. */
-std::vector<std::uint64_t> parseSeedList(const std::string &csv);
+/** Parse a comma list of seeds (ParseError otherwise). */
+Result<std::vector<std::uint64_t>> parseSeedList(const std::string &csv);
 
 /**
  * Parse a comma list of overlap tiers
  * (none|double-buffer|speculative), or "all" for every tier in
- * enum order.  @throws FatalError.
+ * enum order.  A ParseError on anything else.
  */
-std::vector<tee::OverlapMode> parseOverlapList(const std::string &csv);
+Result<std::vector<tee::OverlapMode>>
+parseOverlapList(const std::string &csv);
 
 /** Load and parse a grid spec file (IoError when unreadable). */
 Result<GridSpec> loadGridFile(const std::string &path);

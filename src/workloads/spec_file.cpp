@@ -5,7 +5,6 @@
 #include <limits>
 #include <sstream>
 
-#include "common/log.hpp"
 #include "common/text.hpp"
 
 namespace hcc::workloads {
@@ -31,95 +30,83 @@ splitNumberUnit(const std::string &token, double &value,
     return true;
 }
 
-/** A finite floating-point field of spec line @p lineno. */
-double
-finiteField(const std::string &token, const char *what, int lineno)
+Result<bool>
+parseBool(const std::string &token)
 {
-    const auto v = parseFinite(token);
-    if (!v.ok())
-        fatal("line %d: bad %s: %s", lineno, what,
-              v.status().message().c_str());
-    return *v;
+    if (token == "true" || token == "1" || token == "yes")
+        return true;
+    if (token == "false" || token == "0" || token == "no")
+        return false;
+    return errorf(ErrorCode::ParseError, "'%s' is not a boolean",
+                  token.c_str());
 }
 
-/** A whole-token integer field of spec line @p lineno in
- *  [@p lo, @p hi]. */
-template <typename T>
-T
-intField(const std::string &token, const char *what, int lineno, T lo,
-         T hi = std::numeric_limits<T>::max())
+Result<std::string>
+parseWord(const std::string &token)
 {
-    const auto v = parseInt(token, lo, hi);
-    if (!v.ok())
-        fatal("line %d: bad %s: %s", lineno, what,
-              v.status().message().c_str());
-    return *v;
-}
-
-bool
-parseBool(const std::string &token, bool &out)
-{
-    if (token == "true" || token == "1" || token == "yes") {
-        out = true;
-        return true;
-    }
-    if (token == "false" || token == "0" || token == "no") {
-        out = false;
-        return true;
-    }
-    return false;
+    return token;
 }
 
 } // namespace
 
-Bytes
+Result<Bytes>
 parseSize(const std::string &token)
 {
     double value = 0.0;
     std::string unit;
     if (!splitNumberUnit(token, value, unit) || value < 0.0)
-        fatal("bad size literal '%s'", token.c_str());
-    if (unit.empty() || unit == "B")
-        return static_cast<Bytes>(value);
+        return errorf(ErrorCode::ParseError,
+                      "'%s' is not a size literal", token.c_str());
+    double scale = 1.0;
     if (unit == "KiB" || unit == "K")
-        return size::kib(value);
-    if (unit == "MiB" || unit == "M")
-        return size::mib(value);
-    if (unit == "GiB" || unit == "G")
-        return size::gib(value);
-    fatal("unknown size unit '%s' in '%s'", unit.c_str(),
-          token.c_str());
+        scale = 1024.0;
+    else if (unit == "MiB" || unit == "M")
+        scale = 1024.0 * 1024.0;
+    else if (unit == "GiB" || unit == "G")
+        scale = 1024.0 * 1024.0 * 1024.0;
+    else if (!unit.empty() && unit != "B")
+        return errorf(ErrorCode::ParseError,
+                      "unknown size unit '%s' in '%s' (use B/KiB/MiB/GiB)",
+                      unit.c_str(), token.c_str());
+    // Converting a double at or past 2^64 to Bytes is undefined.
+    if (value * scale >= 0x1p64)
+        return errorf(ErrorCode::ParseError,
+                      "'%s' does not fit 64 bits of bytes", token.c_str());
+    return static_cast<Bytes>(value * scale);
 }
 
-SimTime
+Result<SimTime>
 parseDuration(const std::string &token)
 {
     double value = 0.0;
     std::string unit;
     if (!splitNumberUnit(token, value, unit) || value < 0.0)
-        fatal("bad duration literal '%s'", token.c_str());
+        return errorf(ErrorCode::ParseError,
+                      "'%s' is not a duration literal", token.c_str());
+    // Picoseconds per unit.
+    double scale = 0.0;
     if (unit == "ns")
-        return time::ns(value);
-    if (unit == "us")
-        return time::us(value);
-    if (unit == "ms")
-        return time::ms(value);
-    if (unit == "s")
-        return time::sec(value);
-    fatal("unknown time unit '%s' in '%s' (use ns/us/ms/s)",
-          unit.c_str(), token.c_str());
+        scale = 1e3;
+    else if (unit == "us")
+        scale = 1e6;
+    else if (unit == "ms")
+        scale = 1e9;
+    else if (unit == "s")
+        scale = 1e12;
+    else
+        return errorf(ErrorCode::ParseError,
+                      "unknown time unit '%s' in '%s' (use ns/us/ms/s)",
+                      unit.c_str(), token.c_str());
+    // Converting a double at or past 2^63 to SimTime is undefined.
+    if (value * scale >= 0x1p63)
+        return errorf(ErrorCode::ParseError,
+                      "'%s' does not fit 64 bits of picoseconds",
+                      token.c_str());
+    return static_cast<SimTime>(value * scale);
 }
 
-namespace {
-
-/**
- * Throwing parse body: fatal() doubles as the parse-abort mechanism
- * so the deeply nested literal parsers (parseSize, parseDuration)
- * need no error plumbing.  The public surface converts the throw to
- * a typed Status — callers never see the exception.
- */
-AppSpec
-parseSpecTextImpl(const std::string &text)
+Result<AppSpec>
+parseSpecText(const std::string &text)
 {
     AppSpec spec;
     spec.suite = "custom";
@@ -139,90 +126,102 @@ parseSpecTextImpl(const std::string &text)
         if (!(ls >> key))
             continue;  // blank line
 
-        auto need = [&](const char *what) {
-            std::string v;
-            if (!(ls >> v)) {
-                fatal("line %d: '%s' needs %s", lineno, key.c_str(),
-                      what);
+        // Read the line's fields left to right.  The first missing or
+        // bad field is the line's error; every later read is a no-op.
+        Status bad;
+        const auto field = [&](auto &out, auto parse, const char *what,
+                               bool optional = false) {
+            std::string token;
+            if (!bad.ok() || !(ls >> token)) {
+                if (bad.ok() && !optional)
+                    bad = errorf(ErrorCode::ParseError,
+                                 "missing %s for '%s'", what,
+                                 key.c_str());
+                return;
             }
-            return v;
+            const Status st = store(out, parse(token));
+            if (!st.ok())
+                bad = errorf(ErrorCode::ParseError,
+                             "bad %s for '%s': %s", what, key.c_str(),
+                             st.message().c_str());
+        };
+        const auto launches = [](const std::string &t) {
+            return parseInt(t, 1);
         };
 
         if (key == "name") {
-            spec.name = need("a name");
+            field(spec.name, parseWord, "name");
         } else if (key == "suite") {
-            spec.suite = need("a suite name");
+            field(spec.suite, parseWord, "suite name");
         } else if (key == "pinned_host") {
-            if (!parseBool(need("true/false"), spec.pinned_host))
-                fatal("line %d: bad boolean", lineno);
+            field(spec.pinned_host, parseBool, "boolean");
         } else if (key == "input") {
-            spec.inputs.push_back(parseSize(need("a size")));
+            field(spec.inputs.emplace_back(), parseSize, "size");
         } else if (key == "output") {
-            spec.outputs.push_back(parseSize(need("a size")));
+            field(spec.outputs.emplace_back(), parseSize, "size");
         } else if (key == "d2d") {
-            spec.d2d_copies.push_back(parseSize(need("a size")));
+            field(spec.d2d_copies.emplace_back(), parseSize, "size");
         } else if (key == "scratch") {
-            spec.scratch = parseSize(need("a size"));
+            field(spec.scratch, parseSize, "size");
         } else if (key == "uvm_touch") {
-            spec.uvm_touch_override = parseSize(need("a size"));
+            field(spec.uvm_touch_override, parseSize, "size");
         } else if (key == "uvm_capable") {
-            if (!parseBool(need("true/false"), spec.uvm_capable))
-                fatal("line %d: bad boolean", lineno);
+            field(spec.uvm_capable, parseBool, "boolean");
         } else if (key == "phase") {
-            KernelPhase phase;
-            phase.kernel = need("a kernel name");
-            phase.launches = intField(need("a launch count"),
-                                      "launch count", lineno, 1);
-            phase.ket = parseDuration(need("a kernel time"));
-            std::string tok;
-            if (ls >> tok)
-                phase.jitter_sigma = finiteField(tok, "jitter", lineno);
-            if (ls >> tok)
-                phase.d2h_per_iter = parseSize(tok);
-            if (ls >> tok)
-                phase.module_bytes = parseSize(tok);
-            spec.phases.push_back(std::move(phase));
+            // phase <kernel> <launches> <ket> [jitter] [d2h] [module]
+            KernelPhase &phase = spec.phases.emplace_back();
+            field(phase.kernel, parseWord, "kernel name");
+            field(phase.launches, launches, "launch count");
+            field(phase.ket, parseDuration, "kernel time");
+            field(phase.jitter_sigma, parseFinite, "jitter", true);
+            field(phase.d2h_per_iter, parseSize, "d2h size", true);
+            field(phase.module_bytes, parseSize, "module size", true);
         } else if (key == "rphase") {
             // rphase <kernel> <launches> <gflops> <mem> [threads]
-            KernelPhase phase;
-            phase.kernel = need("a kernel name");
-            phase.launches = intField(need("a launch count"),
-                                      "launch count", lineno, 1);
-            phase.gflops =
-                finiteField(need("a GFLOP count"), "GFLOP count", lineno);
-            if (phase.gflops < 0.0)
-                fatal("line %d: bad rphase values", lineno);
-            phase.mem_bytes = parseSize(need("an HBM byte count"));
+            KernelPhase &phase = spec.phases.emplace_back();
             phase.ket = 0;  // roofline-derived
-            std::string tok;
+            field(phase.kernel, parseWord, "kernel name");
+            field(phase.launches, launches, "launch count");
+            field(
+                phase.gflops,
+                [](const std::string &t) {
+                    return parseFiniteIf(
+                        t, [](double v) { return v >= 0.0; },
+                        "non-negative");
+                },
+                "GFLOP count");
+            field(phase.mem_bytes, parseSize, "HBM byte count");
             // The kernel's grid, threads / 256 blocks, is an int.
-            if (ls >> tok)
-                phase.threads = intField<std::int64_t>(
-                    tok, "thread count", lineno, 1,
-                    std::int64_t{256} * std::numeric_limits<int>::max());
-            spec.phases.push_back(std::move(phase));
+            field(
+                phase.threads,
+                [](const std::string &t) {
+                    return parseInt<std::int64_t>(
+                        t, 1,
+                        std::int64_t{256}
+                            * std::numeric_limits<int>::max());
+                },
+                "thread count", true);
         } else {
-            fatal("line %d: unknown key '%s'", lineno, key.c_str());
+            return errorf(ErrorCode::ParseError,
+                          "line %d: unknown key '%s'", lineno,
+                          key.c_str());
         }
+        std::string extra;
+        if (bad.ok() && ls >> extra)
+            bad = errorf(ErrorCode::ParseError,
+                         "unexpected '%s' after the '%s' fields",
+                         extra.c_str(), key.c_str());
+        if (!bad.ok())
+            return errorf(ErrorCode::ParseError, "line %d: %s", lineno,
+                          bad.message().c_str());
     }
 
     if (spec.name.empty())
-        fatal("spec is missing 'name'");
+        return errorf(ErrorCode::ParseError, "spec is missing 'name'");
     if (spec.phases.empty())
-        fatal("spec '%s' has no phases", spec.name.c_str());
+        return errorf(ErrorCode::ParseError, "spec '%s' has no phases",
+                      spec.name.c_str());
     return spec;
-}
-
-} // namespace
-
-Result<AppSpec>
-parseSpecText(const std::string &text)
-{
-    try {
-        return parseSpecTextImpl(text);
-    } catch (const FatalError &e) {
-        return errorf(ErrorCode::ParseError, "%s", e.what());
-    }
 }
 
 Result<AppSpec>

@@ -35,19 +35,20 @@ namespace hcc::workloads {
 
 /**
  * Parse the spec text format.
- * @return the spec, or a ParseError status with a line-numbered
- *         message on any syntax or semantic error.
+ * @return the spec, or a ParseError status whose message names the
+ *         line and the key of a syntax or semantic error, including a
+ *         token after a line's last field.
  */
 Result<AppSpec> parseSpecText(const std::string &text);
 
 /** Load and parse a spec file from disk (IoError when unreadable). */
 Result<AppSpec> loadSpecFile(const std::string &path);
 
-/** Parse "64MiB"-style size literals. */
-Bytes parseSize(const std::string &token);
+/** Parse "64MiB"-style size literals (ParseError otherwise). */
+Result<Bytes> parseSize(const std::string &token);
 
-/** Parse "45us"-style duration literals. */
-SimTime parseDuration(const std::string &token);
+/** Parse "45us"-style duration literals (ParseError otherwise). */
+Result<SimTime> parseDuration(const std::string &token);
 
 } // namespace hcc::workloads
 

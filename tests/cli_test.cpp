@@ -13,6 +13,7 @@
 #include "cli/options.hpp"
 #include "common/log.hpp"
 #include "crypto/impl.hpp"
+#include "workloads/spec_file.hpp"
 
 namespace hcc::cli {
 namespace {
@@ -455,14 +456,16 @@ TEST(CliRun, StatsOutAndStatsDiffRoundTrip)
     }
 }
 
-TEST(CliRun, StatsDiffMissingFileThrowsFatal)
+TEST(CliRun, StatsDiffMissingFileIsExitTwo)
 {
     Options o;
     o.command = Command::StatsDiff;
     o.stats_diff.baseline = "/nonexistent/base.json";
     o.stats_diff.current = "/nonexistent/cur.json";
-    std::ostringstream oss;
-    EXPECT_THROW(runCli(o, oss), hcc::FatalError);
+    std::ostringstream oss, err;
+    EXPECT_EQ(runCli(o, oss, err), 2);
+    EXPECT_EQ(err.str(), "error: io-error: cannot open stats file "
+                         "'/nonexistent/base.json'\n");
 }
 
 // ------------------------------------------------- crypto selection
@@ -1088,6 +1091,166 @@ TEST(CliRun, FaultsOverlapGridPrintsTieredCellsAndForkSummary)
     EXPECT_NE(out.find("forked from snapshots"), std::string::npos);
     EXPECT_NE(out.find("resident snapshot bytes"),
               std::string::npos);
+}
+
+// ------------------------------------------------------ error path
+
+/** Write @p text to a fresh file under the test temp dir. */
+std::string
+writeTemp(const std::string &name, const std::string &text)
+{
+    const std::string path = std::string(::testing::TempDir()) + name;
+    std::ofstream(path) << text;
+    return path;
+}
+
+/** The hccsim process on @p args: exit status, @p err's text, and
+ *  whatever reached the process's own stderr. */
+int
+runProcess(const std::vector<std::string> &args, std::string &err,
+           std::string &process_stderr)
+{
+    std::ostringstream out, err_stream;
+    ::testing::internal::CaptureStderr();
+    const int rc = runMain(args, out, err_stream);
+    process_stderr = ::testing::internal::GetCapturedStderr();
+    err = err_stream.str();
+    return rc;
+}
+
+TEST(ErrorPath, EveryBadInputIsOneLineAndExitTwo)
+{
+    // Every malformed flag or input file fails one way through the
+    // real entry point: exit 2 and one `error:` line, which names the
+    // line of a file.  Nothing else reaches stderr: fatal() used to
+    // log each throw there, so a file error printed up to five times.
+    const std::string scalar_grid =
+        writeTemp("scalar.grid", "apps = atax\ncrypto-workers = 2x\n");
+    const std::string list_grid =
+        writeTemp("list.grid", "apps = atax\nseeds = 1,-2\n");
+    const std::string size_spec =
+        writeTemp("size.spec", "name x\ninput abc\nphase k 1 1us\n");
+    const std::string time_spec =
+        writeTemp("time.spec", "name x\nphase k 3 1parsec\n");
+    const std::string extra_spec = writeTemp(
+        "extra.spec", "name x\ninput 4MiB junk\nphase k 1 1us\n");
+    const struct
+    {
+        std::vector<std::string> args;
+        const char *names;
+    } cases[] = {
+        {{"run", "--app", "atax", "--scale", "zero"},
+         "bad --scale value: 'zero'"},
+        {{"sweep", "--spec", scalar_grid},
+         "grid spec line 2: bad crypto-workers:"},
+        {{"sweep", "--spec", list_grid}, "grid spec line 2: bad seeds:"},
+        {{"run", "--spec", size_spec}, "line 2: bad size for 'input'"},
+        {{"compare", "--spec", time_spec},
+         "line 2: bad kernel time for 'phase'"},
+        {{"run", "--spec", extra_spec}, "line 2: unexpected 'junk'"},
+        {{"stats-diff", "/nonexistent/a.json", "/nonexistent/b.json"},
+         "'/nonexistent/a.json'"},
+        {{"snapshot", "--inspect", "/nonexistent/x.hccsnap"},
+         "'/nonexistent/x.hccsnap'"},
+    };
+    for (const auto &c : cases) {
+        std::string err, process_stderr;
+        EXPECT_EQ(runProcess(c.args, err, process_stderr), 2) << err;
+        EXPECT_EQ(process_stderr, "") << c.names;
+        const std::size_t eol = err.find('\n');
+        ASSERT_NE(eol, std::string::npos) << err;
+        const std::string line = err.substr(0, eol);
+        EXPECT_EQ(line.rfind("error: ", 0), 0u) << line;
+        EXPECT_NE(line.find(c.names), std::string::npos) << line;
+        // An argument error keeps its usage text after a blank line.
+        const std::string rest = err.substr(eol + 1);
+        EXPECT_TRUE(rest.empty() || rest == "\n" + usage()) << err;
+    }
+    // Misuse found at run time exits 1, with one line too.
+    std::string err, process_stderr;
+    EXPECT_EQ(runProcess({"run", "--app", "bogus"}, err, process_stderr),
+              1);
+    EXPECT_EQ(err, "error: unknown workload 'bogus'\n");
+    EXPECT_EQ(process_stderr, "");
+}
+
+/** @p seed, each of its truncations and each substitution of one of
+ *  its bytes from a fixed alphabet. */
+std::vector<std::string>
+mutations(const std::string &seed)
+{
+    static const char kAlphabet[] = {'\0', ' ', ',', ':', '=', '-',
+                                     '.',  'x', '9', '\n', '#', '/'};
+    std::vector<std::string> out{seed};
+    for (std::size_t i = 0; i < seed.size(); ++i) {
+        out.push_back(seed.substr(0, i));
+        for (const char c : kAlphabet) {
+            out.push_back(seed);
+            out.back()[i] = c;
+        }
+    }
+    return out;
+}
+
+TEST(ErrorPath, ParsersNeverThrowOnMutatedInput)
+{
+    // Every parser of user input fails with a Status, never a throw:
+    // deterministic truncations and byte substitutions of valid
+    // inputs, straight into the parsers and through parseArgs().
+    std::size_t variants = 0;
+    for (const std::string &text : mutations(
+             "apps = atax,gaussian\ncc = both\nuvm = off\n"
+             "scales = 1,2\nseeds = 1,2\noverlap = none,speculative\n"
+             "crypto-workers = 2\ntee-io = off\nfork-point = auto/0.95\n"
+             "snapshot = on\nsnapshot-budget = 64\n")) {
+        EXPECT_NO_THROW((void)sweep::parseGridSpec(text)) << text;
+        ++variants;
+    }
+    for (const std::string &text : mutations(
+             "name x\nsuite s\npinned_host yes\ninput 64MiB\n"
+             "output 8MiB\nd2d 4MiB\nscratch 16MiB\nuvm_touch 64MiB\n"
+             "uvm_capable true\nphase k 120 45us 0.1 4KiB 6MiB\n"
+             "rphase g 4 1200 256MiB 1048576\n")) {
+        EXPECT_NO_THROW((void)workloads::parseSpecText(text)) << text;
+        ++variants;
+    }
+    const struct
+    {
+        std::vector<std::string> args;  // ending in the flag
+        std::string seed;
+        void (*parse)(const std::string &);
+    } flags[] = {
+        {{"serve", "--bursts"}, "0:0.25:2,0.75:1:8",
+         [](const std::string &v) { (void)serve::parseBurstList(v); }},
+        {{"run", "--app", "atax", "--faults"},
+         "channel.tag_mismatch=0.05,bounce.exhausted=0.5",
+         [](const std::string &v) { (void)fault::parseFaultSpec(v); }},
+        {{"faults", "--app", "atax", "--fork-point"}, "auto/0.95/0.99",
+         [](const std::string &v) { (void)snap::parseForkPoint(v); }},
+        {{"sweep", "--apps"}, "atax,gaussian",
+         [](const std::string &v) { (void)sweep::parseAppList(v); }},
+        {{"sweep", "--apps", "atax", "--cc-modes"}, "both",
+         [](const std::string &v) { (void)sweep::parseModeList(v); }},
+        {{"sweep", "--apps", "atax", "--scales"}, "0.5,2",
+         [](const std::string &v) { (void)sweep::parseScaleList(v); }},
+        {{"sweep", "--apps", "atax", "--seeds"}, "1,2,3",
+         [](const std::string &v) { (void)sweep::parseSeedList(v); }},
+        {{"sweep", "--apps", "atax", "--overlap"}, "none,speculative",
+         [](const std::string &v) {
+             (void)sweep::parseOverlapList(v);
+         }},
+    };
+    for (const auto &f : flags) {
+        for (const std::string &v : mutations(f.seed)) {
+            std::vector<std::string> args = f.args;
+            args.push_back(v);
+            std::string error;
+            EXPECT_NO_THROW(f.parse(v)) << v;
+            EXPECT_NO_THROW((void)parseArgs(args, error)) << v;
+            ++variants;
+        }
+    }
+    EXPECT_GT(variants, 1000u);
 }
 
 } // namespace

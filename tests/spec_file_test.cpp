@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/log.hpp"
 #include "workloads/spec_file.hpp"
 #include "workloads/workload.hpp"
 
@@ -18,37 +17,43 @@ namespace {
 
 TEST(SpecLiterals, Sizes)
 {
-    EXPECT_EQ(parseSize("0"), 0u);
-    EXPECT_EQ(parseSize("512"), 512u);
-    EXPECT_EQ(parseSize("512B"), 512u);
-    EXPECT_EQ(parseSize("4KiB"), 4096u);
-    EXPECT_EQ(parseSize("2MiB"), size::mib(2));
-    EXPECT_EQ(parseSize("1GiB"), size::gib(1));
-    EXPECT_EQ(parseSize("1.5MiB"), size::mib(1.5));
-    EXPECT_EQ(parseSize("8M"), size::mib(8));
+    EXPECT_EQ(parseSize("0").value(), 0u);
+    EXPECT_EQ(parseSize("512").value(), 512u);
+    EXPECT_EQ(parseSize("512B").value(), 512u);
+    EXPECT_EQ(parseSize("4KiB").value(), 4096u);
+    EXPECT_EQ(parseSize("2MiB").value(), size::mib(2));
+    EXPECT_EQ(parseSize("1GiB").value(), size::gib(1));
+    EXPECT_EQ(parseSize("1.5MiB").value(), size::mib(1.5));
+    EXPECT_EQ(parseSize("8M").value(), size::mib(8));
 }
 
 TEST(SpecLiterals, SizeErrors)
 {
-    EXPECT_THROW(parseSize("abc"), FatalError);
-    EXPECT_THROW(parseSize("12XB"), FatalError);
-    EXPECT_THROW(parseSize("-4KiB"), FatalError);
+    EXPECT_FALSE(parseSize("abc").ok());
+    EXPECT_FALSE(parseSize("12XB").ok());
+    EXPECT_FALSE(parseSize("-4KiB").ok());
+    // 2^64 bytes does not fit a Bytes; converting it would be UB.
+    EXPECT_FALSE(parseSize("17179869184GiB").ok());
+    EXPECT_FALSE(parseSize("99999999999999999999999GiB").ok());
+    EXPECT_EQ(parseSize("17179869183GiB").value(),
+              ~Bytes{0} - size::gib(1) + 1);
 }
 
 TEST(SpecLiterals, Durations)
 {
-    EXPECT_EQ(parseDuration("5ns"), time::ns(5));
-    EXPECT_EQ(parseDuration("45us"), time::us(45));
-    EXPECT_EQ(parseDuration("2ms"), time::ms(2));
-    EXPECT_EQ(parseDuration("1.5s"), time::sec(1.5));
+    EXPECT_EQ(parseDuration("5ns").value(), time::ns(5));
+    EXPECT_EQ(parseDuration("45us").value(), time::us(45));
+    EXPECT_EQ(parseDuration("2ms").value(), time::ms(2));
+    EXPECT_EQ(parseDuration("1.5s").value(), time::sec(1.5));
 }
 
 TEST(SpecLiterals, DurationErrors)
 {
-    EXPECT_THROW(parseDuration("45"), FatalError)
-        << "unit is mandatory";
-    EXPECT_THROW(parseDuration("45min"), FatalError);
-    EXPECT_THROW(parseDuration("fast"), FatalError);
+    EXPECT_FALSE(parseDuration("45").ok()) << "unit is mandatory";
+    EXPECT_FALSE(parseDuration("45min").ok());
+    EXPECT_FALSE(parseDuration("fast").ok());
+    EXPECT_FALSE(parseDuration("9999999999999s").ok())
+        << "2^63 ps does not fit a SimTime";
 }
 
 // -------------------------------------------------------- documents
@@ -157,6 +162,46 @@ TEST(SpecParse, NonFiniteNumbersAreParseErrors)
         const auto spec = parseSpecText(text);
         ASSERT_FALSE(spec.ok()) << text;
         EXPECT_EQ(spec.status().code(), ErrorCode::ParseError);
+    }
+}
+
+TEST(SpecParse, FieldErrorsNameTheirLineAndKey)
+{
+    // Size, duration and boolean fields, a missing field and a token
+    // after a line's last field: each is a ParseError naming its line
+    // and its key.  Trailing tokens used to be dropped silently.
+    const struct
+    {
+        const char *text;
+        const char *where;
+    } cases[] = {
+        {"name x\ninput abc\nphase k 1 1us\n",
+         "line 2: bad size for 'input'"},
+        {"name x\nphase k 1 1us\nscratch 12XB\n",
+         "line 3: bad size for 'scratch'"},
+        {"name x\nphase k 3 1parsec\n",
+         "line 2: bad kernel time for 'phase'"},
+        {"name x\npinned_host maybe\nphase k 1 1us\n",
+         "line 2: bad boolean for 'pinned_host'"},
+        {"name x\nuvm_capable perhaps\nphase k 1 1us\n",
+         "line 2: bad boolean for 'uvm_capable'"},
+        {"name x\nphase k 1\n",
+         "line 2: missing kernel time for 'phase'"},
+        {"name x\ninput 4MiB junk\nphase k 1 1us\n",
+         "line 2: unexpected 'junk' after the 'input' fields"},
+        {"name x\nphase k 3 1us 0.1 0 0 extra tokens\n",
+         "line 2: unexpected 'extra' after the 'phase' fields"},
+        {"name r\nrphase k 1 1 1MiB 256 more\n",
+         "line 2: unexpected 'more' after the 'rphase' fields"},
+        {"name two words\nphase k 1 1us\n",
+         "line 1: unexpected 'words' after the 'name' fields"},
+    };
+    for (const auto &c : cases) {
+        const auto spec = parseSpecText(c.text);
+        ASSERT_FALSE(spec.ok()) << c.text;
+        EXPECT_EQ(spec.status().code(), ErrorCode::ParseError);
+        EXPECT_EQ(spec.status().message().find(c.where), 0u)
+            << spec.status().message();
     }
 }
 

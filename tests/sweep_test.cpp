@@ -83,6 +83,27 @@ TEST(RunIndexed, CoversEveryIndexExactlyOnce)
     EXPECT_EQ(stats.executed, hits.size());
 }
 
+TEST(RunIndexed, RethrowsTheLowestIndexErrorAfterEveryTaskRan)
+{
+    // A throwing task must neither stop the others nor vanish: the
+    // caller would read its slot as a default-constructed result.
+    for (const int jobs : {1, 4}) {
+        std::vector<std::atomic<int>> ran(10);
+        try {
+            runIndexed(ran.size(), jobs, [&](std::size_t i) {
+                ran[i].fetch_add(1);
+                if (i == 3 || i == 7)
+                    throw FatalError("task " + std::to_string(i));
+            });
+            ADD_FAILURE() << "nothing rethrown at jobs " << jobs;
+        } catch (const FatalError &e) {
+            EXPECT_STREQ(e.what(), "task 3") << "jobs " << jobs;
+        }
+        for (const auto &r : ran)
+            EXPECT_EQ(r.load(), 1) << "jobs " << jobs;
+    }
+}
+
 // --------------------------------------------------- grid expansion
 
 TEST(GridSpecTest, ExpandsInInputOrder)
@@ -187,46 +208,58 @@ TEST(ParseGridSpec, RejectsBadValues)
     EXPECT_FALSE(parseGridSpec("apps = atax\nscales = nan\n").ok());
     EXPECT_FALSE(parseGridSpec("apps = atax\nscales = 1,inf\n").ok());
     EXPECT_FALSE(parseGridSpec("apps = atax\ncc = maybe\n").ok());
-    // Integer keys read whole tokens, in range; each error names its
-    // line.
-    for (const char *text : {
-             "apps = atax\ncrypto-workers = 2x\n",
-             "apps = atax\nsnapshot-budget = 99999999999999\n",
-             "apps = atax\nsnapshot-budget = 64MiB\n",
+    // Integer keys read whole tokens, in range; every key's error,
+    // list keys included, names its line and the key.
+    for (const auto &[text, key] :
+         std::initializer_list<std::pair<const char *, const char *>>{
+             {"apps = atax\ncrypto-workers = 2x\n", "crypto-workers"},
+             {"apps = atax\nsnapshot-budget = 99999999999999\n",
+              "snapshot-budget"},
+             {"apps = atax\nsnapshot-budget = 64MiB\n",
+              "snapshot-budget"},
+             {"apps = atax\napps = ,\n", "apps"},
+             {"apps = atax\ncc = sometimes\n", "cc"},
+             {"apps = atax\nuvm = maybe\n", "uvm"},
+             {"apps = atax\nscales = 1,-2\n", "scales"},
+             {"apps = atax\nseeds = 1,-2\n", "seeds"},
+             {"apps = atax\noverlap = none,warp\n", "overlap"},
          }) {
         const auto grid = parseGridSpec(text);
         ASSERT_FALSE(grid.ok()) << text;
-        EXPECT_NE(grid.status().message().find("line 2"),
+        const std::string &msg = grid.status().message();
+        EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(std::string("bad ") + key + ":"),
                   std::string::npos)
-            << grid.status().message();
+            << msg;
     }
-    EXPECT_THROW(parseModeList("sideways"), FatalError);
-    EXPECT_THROW(parseScaleList(""), FatalError);
-    EXPECT_THROW(parseScaleList("2x"), FatalError);
-    EXPECT_THROW(parseSeedList("1,-2"), FatalError);
-    EXPECT_THROW(parseSeedList("7abc"), FatalError);
-    EXPECT_THROW(parseAppList(""), FatalError);
+    EXPECT_FALSE(parseModeList("sideways").ok());
+    EXPECT_FALSE(parseScaleList("").ok());
+    EXPECT_FALSE(parseScaleList("2x").ok());
+    EXPECT_FALSE(parseSeedList("1,-2").ok());
+    EXPECT_FALSE(parseSeedList("7abc").ok());
+    EXPECT_FALSE(parseAppList("").ok());
 }
 
 TEST(ParseGridSpec, AllExpandsToEvaluationApps)
 {
     const auto apps = parseAppList("all");
-    EXPECT_GT(apps.size(), 10u);
+    ASSERT_TRUE(apps.ok());
+    EXPECT_GT(apps->size(), 10u);
 }
 
 TEST(ParseOverlapList, ListAllAndErrors)
 {
-    EXPECT_EQ(parseOverlapList("none,speculative"),
+    EXPECT_EQ(parseOverlapList("none,speculative").value(),
               (std::vector<tee::OverlapMode>{
                   tee::OverlapMode::None,
                   tee::OverlapMode::Speculative}));
-    EXPECT_EQ(parseOverlapList("all"),
+    EXPECT_EQ(parseOverlapList("all").value(),
               (std::vector<tee::OverlapMode>{
                   tee::OverlapMode::None,
                   tee::OverlapMode::DoubleBuffer,
                   tee::OverlapMode::Speculative}));
-    EXPECT_THROW(parseOverlapList("warp"), FatalError);
-    EXPECT_THROW(parseOverlapList(""), FatalError);
+    EXPECT_FALSE(parseOverlapList("warp").ok());
+    EXPECT_FALSE(parseOverlapList("").ok());
 }
 
 TEST(ParseGridSpec, OverlapKey)

@@ -4,34 +4,12 @@
  */
 
 #include <iostream>
-#include <vector>
 
 #include "cli/options.hpp"
-#include "common/log.hpp"
 
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> args(argv + 1, argv + argc);
-    std::string error;
-    const auto opt = hcc::cli::parseArgs(args, error);
-    if (!opt) {
-        std::cerr << "error: " << error << "\n\n"
-                  << hcc::cli::usage();
-        return 2;
-    }
-    try {
-        const int rc = hcc::cli::runCli(*opt, std::cout);
-        // A trace piped to a full disk must not exit 0 with a
-        // truncated file: flush and check the stream state.
-        std::cout.flush();
-        if (!std::cout) {
-            std::cerr << "error: failed writing to stdout\n";
-            return 1;
-        }
-        return rc;
-    } catch (const hcc::FatalError &e) {
-        std::cerr << "error: " << e.what() << "\n";
-        return 1;
-    }
+    return hcc::cli::runMain({argv + 1, argv + argc}, std::cout,
+                             std::cerr);
 }

@@ -14,7 +14,6 @@
 #include "common/units.hpp"
 #include "crypto/cpu_crypto_model.hpp"
 #include "crypto/gcm.hpp"
-#include "crypto/xts.hpp"
 
 namespace {
 

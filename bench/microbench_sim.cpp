@@ -1,9 +1,8 @@
 /**
  * @file
  * google-benchmark suite over the simulation kernel and runtime hot
- * paths: timeline reservations, event-queue churn, full launch and
- * memcpy round trips (simulator throughput, i.e. how fast the
- * simulator itself runs).
+ * paths: timeline reservations, full launch and memcpy round trips
+ * (simulator throughput, i.e. how fast the simulator itself runs).
  */
 
 #include <benchmark/benchmark.h>
@@ -11,7 +10,6 @@
 #include "ml/cnn.hpp"
 #include "ml/llm.hpp"
 #include "runtime/context.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/timeline.hpp"
 #include "workloads/workload.hpp"
 
@@ -44,20 +42,6 @@ BM_TimelinePoolReserve(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TimelinePoolReserve)->Arg(2)->Arg(16);
-
-void
-BM_EventQueueScheduleRun(benchmark::State &state)
-{
-    for (auto _ : state) {
-        sim::EventQueue q;
-        int acc = 0;
-        for (int i = 0; i < 1000; ++i)
-            q.schedule(i, [&acc](SimTime) { ++acc; });
-        q.runAll();
-        benchmark::DoNotOptimize(acc);
-    }
-}
-BENCHMARK(BM_EventQueueScheduleRun);
 
 void
 BM_KernelLaunch(benchmark::State &state)

@@ -247,12 +247,13 @@ cmp "$tmp/llm.snap" "$tmp/llm2.snap"
 "$hccsim" snapshot --inspect "$tmp/llm.snap" | grep -q "trace"
 
 # Error-path smoke: a bad flag or input file exits 2 and misuse found
-# at run time exits 1, each with exactly one `error:` line on stderr.
-# fatal() logs nothing, so no `[error]` log line may appear.
+# at run time exits 1, each with exactly one `error:` line on stderr,
+# within 10 s.  fatal() logs nothing, so no `[error]` log line may
+# appear.
 expect_error() {
     local want="$1" rc=0
     shift
-    "$hccsim" "$@" >/dev/null 2>"$tmp/err.txt" || rc=$?
+    timeout 10 "$hccsim" "$@" >/dev/null 2>"$tmp/err.txt" || rc=$?
     if [ "$rc" != "$want" ] \
         || [ "$(grep -c '^error: ' "$tmp/err.txt")" != 1 ] \
         || grep -q '^\[error\]' "$tmp/err.txt"; then
@@ -263,10 +264,14 @@ expect_error() {
 }
 printf 'apps = atax\nseeds = 1,-2\n' > "$tmp/bad.grid"
 printf 'name x\ninput abc\nphase k 1 1us\n' > "$tmp/bad.spec"
+# A device buffer past the HBM: copied in 4 MiB chunks, it would run
+# for hours instead of failing.
+printf 'name x\ninput 16000000000GiB\nphase k 1 1us\n' > "$tmp/huge.spec"
 head -c 100 "$tmp/llm.snap" > "$tmp/short.snap"
 expect_error 2 run --app atax --scale zero
 expect_error 2 sweep --spec "$tmp/bad.grid"
 expect_error 2 run --spec "$tmp/bad.spec"
+expect_error 2 run --spec "$tmp/huge.spec"
 expect_error 2 stats-diff "$tmp/missing.json" "$tmp/a.json"
 expect_error 2 snapshot --inspect "$tmp/short.snap"
 expect_error 1 run --app atax --stats-out "$tmp/missing-dir/s.json"

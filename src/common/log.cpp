@@ -86,15 +86,6 @@ logf(LogLevel level, const char *fmt, ...)
 }
 
 void
-inform(const char *fmt, ...)
-{
-    std::va_list ap;
-    va_start(ap, fmt);
-    emit(LogLevel::Info, vformat(fmt, ap));
-    va_end(ap);
-}
-
-void
 warn(const char *fmt, ...)
 {
     std::va_list ap;

@@ -51,9 +51,6 @@ const char *logLevelName(LogLevel level);
 void logf(LogLevel level, const char *fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
-/** Informational message for the user. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
 /** Something is suspicious but the simulation can proceed. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 

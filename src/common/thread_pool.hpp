@@ -12,7 +12,7 @@
  *
  * The pool executes tasks on *worker* threads: anything a task
  * touches must either be task-local (the sweep engine gives every
- * run its own SimContext/Registry/Rng/Tracer) or thread-safe.  The
+ * run its own rt::Context/Registry/Rng/Tracer) or thread-safe.  The
  * grid kernel (grid/grid.hpp) converts per-run FatalErrors into
  * failed cells before they reach the pool.  runIndexed() rethrows
  * whatever else a task throws once every task has finished; a task

@@ -502,7 +502,7 @@ Aes::decryptBlock(const std::uint8_t in[kAesBlock],
                   std::uint8_t out[kAesBlock]) const
 {
     // Decryption is off the bulk path (CTR/GCM only ever encrypt;
-    // XTS/MEE decrypt per cache line), so only AES-NI specializes it.
+    // XTS decrypts per data unit), so only AES-NI specializes it.
     if (impl_ == CryptoImpl::Aesni) {
         accel::aesniDecryptBlock(rk_.data(), rounds_, in, out);
         return;

@@ -2,7 +2,10 @@
  * @file
  * AES-XTS (IEEE 1619 / NIST SP 800-38E): the counter-less tweakable
  * block cipher Intel TME-MK uses for transparent DRAM encryption.
- * The MemoryEncryptionEngine model in src/tee wraps this.
+ * `hccsim crypto-calibrate` and microbench_crypto time it for the
+ * aes-xts-128 row of the CPU crypto model (Fig. 4b).  No simulated
+ * run charges it: the paper treats TME-MK as free (Table I's auto
+ * bypass).
  *
  * Restriction: data unit length must be a positive multiple of the
  * AES block size (TME-MK operates on 64-byte cache lines, which

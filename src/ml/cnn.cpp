@@ -73,17 +73,6 @@ cnnModelName(CnnModel model)
     return "?";
 }
 
-std::string
-precisionName(Precision precision)
-{
-    switch (precision) {
-      case Precision::Fp32: return "FP32";
-      case Precision::Amp: return "AMP";
-      case Precision::Fp16: return "FP16";
-    }
-    return "?";
-}
-
 const std::vector<CnnModel> &
 allCnnModels()
 {

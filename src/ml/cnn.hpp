@@ -38,7 +38,6 @@ enum class CnnModel
 enum class Precision { Fp32, Amp, Fp16 };
 
 std::string cnnModelName(CnnModel model);
-std::string precisionName(Precision precision);
 const std::vector<CnnModel> &allCnnModels();
 
 /** Static per-model characteristics. */

@@ -291,7 +291,7 @@ Registry::discard()
 {
     // Thread-local rather than process-global: components built
     // without a registry (tests, ad-hoc benches) route updates here,
-    // and two SimContexts constructing on different sweep workers
+    // and two rt::Contexts constructing on different sweep workers
     // must not race on one shared map.  Discarded stats are never
     // read back, so per-thread sinks are indistinguishable.
     thread_local Registry sink;

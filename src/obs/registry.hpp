@@ -431,7 +431,7 @@ orDiscard(Registry *reg)
 
 /**
  * RAII wall-clock timer over one of the *simulator's* hot paths
- * (crypto, event processing, a whole workload run).  Records elapsed
+ * (crypto, a fork prefix, a whole workload run).  Records elapsed
  * microseconds into the distribution "host.profile.<name>_us" — a
  * host.* path, so profiles never pollute deterministic stat dumps.
  */

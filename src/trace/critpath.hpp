@@ -67,7 +67,7 @@ namespace hcc::trace {
 enum class PathCategory
 {
     Compute,  //!< kernel execution (and plain device-local blits)
-    Crypto,   //!< AES/MEE share of CC copy time (busy-ratio split)
+    Crypto,   //!< AES-GCM share of CC copy time (busy-ratio split)
     Link,     //!< PCIe wire + staging share of copy time
     Launch,   //!< launch operations, LQT gaps and dispatch waits
     Uvm,      //!< managed paging: prefetch/writeback/encrypted paging

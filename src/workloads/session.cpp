@@ -13,15 +13,6 @@ SessionWorkload::stepAtFraction(double fraction, int total_steps)
     return static_cast<int>(static_cast<double>(total_steps) * f);
 }
 
-void
-SessionWorkload::run(rt::Context &ctx,
-                     const WorkloadParams &params) const
-{
-    auto session = makeSession(params);
-    session->open(ctx);
-    session->finish(ctx);
-}
-
 std::unique_ptr<Workload::Resume>
 SessionWorkload::runPrefix(rt::Context &ctx,
                            const WorkloadParams &params,

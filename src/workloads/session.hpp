@@ -2,15 +2,16 @@
  * @file
  * The Session interface: one workload instance driven step by step.
  *
- * Three engines advance workloads incrementally — the campaign fork
- * engine replays suffixes from snapshots, the snapshot TreeRunner
- * materializes chained cuts, and the continuous-batching scheduler
- * (serve/) interleaves thousands of request sessions.  Before this
- * interface each engine spoke a per-workload split-phase trio
- * (llmServePrefix/Segment/Finish, cnnTrainPrefix/...) directly;
- * Session unifies the trios behind one step-cursor API, and
+ * Two engines advance workloads incrementally: the campaign fork
+ * engine replays suffixes from snapshots, and the snapshot TreeRunner
+ * materializes chained cuts.  Session puts the per-workload
+ * split-phase trios (llmServePrefix/Segment/Finish,
+ * cnnTrainPrefix/...) behind one step-cursor API, and
  * SessionWorkload adapts any Session-shaped workload onto the
  * registry's fraction-based split-phase protocol (workload.hpp).
+ * The continuous-batching scheduler (serve/scheduler.cpp) uses
+ * neither: it keeps its own per-request state and prices each
+ * iteration with ml::llmStepModel.
  *
  * Lifecycle:  open() issues the setup prefix (allocations, input
  * transfers, warm-up/prefill); advance(to) issues steady-state steps
@@ -72,9 +73,6 @@ class SessionWorkload : public Workload
     /** The step a fraction-based cut lands on: the same rounding for
      *  every engine, so chained cuts tile without gaps. */
     static int stepAtFraction(double fraction, int total_steps);
-
-    void run(rt::Context &ctx,
-             const WorkloadParams &params) const override;
 
     std::unique_ptr<Resume>
     runPrefix(rt::Context &ctx, const WorkloadParams &params,

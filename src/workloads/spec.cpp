@@ -270,16 +270,6 @@ SpecWorkload::teardown(rt::Context &ctx, SpecResume &st) const
         ctx.free(b);
 }
 
-void
-SpecWorkload::run(rt::Context &ctx, const WorkloadParams &params) const
-{
-    if (params.uvm && !spec_.uvm_capable)
-        fatal("workload '%s' has no UVM variant", spec_.name.c_str());
-    SpecResume st = setup(ctx, params);
-    runLaunchRange(ctx, params, st, spec_.totalLaunches());
-    teardown(ctx, st);
-}
-
 std::unique_ptr<Workload::Resume>
 SpecWorkload::runPrefix(rt::Context &ctx, const WorkloadParams &params,
                         double fraction) const

@@ -100,8 +100,6 @@ class SpecWorkload : public Workload
     std::string name() const override { return spec_.name; }
     std::string suite() const override { return spec_.suite; }
     bool supportsUvm() const override { return spec_.uvm_capable; }
-    void run(rt::Context &ctx, const WorkloadParams &params)
-        const override;
 
     double defaultForkPoint() const override
     {

@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 
+#include "common/calibration.hpp"
 #include "common/text.hpp"
 
 namespace hcc::workloads {
@@ -45,6 +46,20 @@ Result<std::string>
 parseWord(const std::string &token)
 {
     return token;
+}
+
+/** A size the app allocates on the device, so no larger than its HBM:
+ *  a bigger copy would run for hours in 4 MiB chunks. */
+Result<Bytes>
+parseDeviceSize(const std::string &token)
+{
+    auto bytes = parseSize(token);
+    if (bytes.ok() && *bytes > calib::kHbmCapacity)
+        return errorf(ErrorCode::ParseError,
+                      "'%s' exceeds the device's %s of HBM",
+                      token.c_str(),
+                      formatBytes(calib::kHbmCapacity).c_str());
+    return bytes;
 }
 
 } // namespace
@@ -156,13 +171,14 @@ parseSpecText(const std::string &text)
         } else if (key == "pinned_host") {
             field(spec.pinned_host, parseBool, "boolean");
         } else if (key == "input") {
-            field(spec.inputs.emplace_back(), parseSize, "size");
+            field(spec.inputs.emplace_back(), parseDeviceSize, "size");
         } else if (key == "output") {
-            field(spec.outputs.emplace_back(), parseSize, "size");
+            field(spec.outputs.emplace_back(), parseDeviceSize, "size");
         } else if (key == "d2d") {
-            field(spec.d2d_copies.emplace_back(), parseSize, "size");
+            field(spec.d2d_copies.emplace_back(), parseDeviceSize,
+                  "size");
         } else if (key == "scratch") {
-            field(spec.scratch, parseSize, "size");
+            field(spec.scratch, parseDeviceSize, "size");
         } else if (key == "uvm_touch") {
             field(spec.uvm_touch_override, parseSize, "size");
         } else if (key == "uvm_capable") {
@@ -174,7 +190,8 @@ parseSpecText(const std::string &text)
             field(phase.launches, launches, "launch count");
             field(phase.ket, parseDuration, "kernel time");
             field(phase.jitter_sigma, parseFinite, "jitter", true);
-            field(phase.d2h_per_iter, parseSize, "d2h size", true);
+            field(phase.d2h_per_iter, parseDeviceSize, "d2h size",
+                  true);
             field(phase.module_bytes, parseSize, "module size", true);
         } else if (key == "rphase") {
             // rphase <kernel> <launches> <gflops> <mem> [threads]

@@ -21,6 +21,8 @@
  * @endcode
  *
  * Sizes accept B/KiB/MiB/GiB suffixes; times accept ns/us/ms/s.
+ * The sizes of device buffers (input, output, d2d, scratch and a
+ * phase's d2h) must fit calib::kHbmCapacity.
  */
 
 #ifndef HCC_WORKLOADS_SPEC_FILE_HPP

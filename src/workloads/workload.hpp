@@ -67,9 +67,13 @@ class Workload
     virtual std::string suite() const = 0;
     /** Whether a managed-memory variant exists. */
     virtual bool supportsUvm() const = 0;
-    /** Issue the app's API calls against @p ctx. */
-    virtual void run(rt::Context &ctx, const WorkloadParams &params)
-        const = 0;
+    /** Issue the app's API calls against @p ctx: the split below
+     *  cut at 0 (setup and no launch), then the whole suffix. */
+    void
+    run(rt::Context &ctx, const WorkloadParams &params) const
+    {
+        runSuffix(ctx, params, *runPrefix(ctx, params, 0.0));
+    }
 
     // ------------------------------------------ split-phase running
     //
@@ -78,16 +82,16 @@ class Workload
     // (the remaining launches, final sync, output transfers and
     // frees), with the hard contract that
     //
-    //     run(ctx, p)
-    //  == { auto r = runPrefix(ctx, p, f); runSuffix(ctx, p, *r); }
+    //     { auto r = runPrefix(ctx, p, f); runSuffix(ctx, p, *r); }
     //
     // issues the *identical* API call sequence for every fraction f
-    // in [0, 1].  The campaign fork engine (snap/fork.hpp) runs the
-    // prefix once per cell group, snapshots the Context, and replays
-    // only the suffix per cell.  The Resume object carries the
-    // workload-local state crossing the cut (buffer handles, the KET
-    // jitter stream position); it is immutable after runPrefix so one
-    // instance can serve every cell forked from the same snapshot.
+    // in [0, 1], and so the same one as run().  The campaign fork
+    // engine (snap/fork.hpp) runs the prefix once per cell group,
+    // snapshots the Context, and replays only the suffix per cell.
+    // The Resume object carries the workload-local state crossing the
+    // cut (buffer handles, the KET jitter stream position); it is
+    // immutable after runPrefix so one instance can serve every cell
+    // forked from the same snapshot.
 
     /** Opaque workload state handed from runPrefix to runSuffix. */
     struct Resume

@@ -2,14 +2,19 @@
  * @file
  * Sweep test: every registered workload (including the extra Rodinia
  * apps not in the paper's figure list) must run cleanly under base
- * and CC and satisfy the global invariants.
+ * and CC, satisfy the global invariants, and record the same run
+ * whether it runs whole or split at a prefix cut.
  */
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <string>
+#include <vector>
 
+#include "obs/stats_io.hpp"
 #include "trace/analysis.hpp"
+#include "trace/export.hpp"
 #include "workloads/workload.hpp"
 
 namespace hcc::workloads {
@@ -66,6 +71,43 @@ TEST_P(AllWorkloads, UvmVariantRunsWhereSupported)
         << "UVM variants use no explicit copies";
     EXPECT_GE(rc.metrics.ket.sum(), rb.metrics.ket.sum())
         << "encrypted paging cannot make kernels faster";
+}
+
+/** Everything one simulation recorded: the trace with its gauge
+ *  tracks, and the stats (wall-clock host.* entries excluded). */
+std::string
+recording(const rt::Context &ctx)
+{
+    return trace::chromeTraceJson(ctx.tracer(), &ctx.obs())
+        + obs::statsJson(ctx.obs(), /*include_host=*/false);
+}
+
+TEST_P(AllWorkloads, RunMatchesPrefixPlusSuffixAtEveryCut)
+{
+    // run() and a prefix/suffix split at any cut issue the same API
+    // calls, so they must record the same simulation.
+    const auto &w = WorkloadRegistry::instance().get(GetParam());
+    for (const bool uvm : {false, true}) {
+        if (uvm && !w.supportsUvm())
+            continue;
+        for (const bool cc : {false, true}) {
+            WorkloadParams params;
+            params.scale = 0.5;
+            params.uvm = uvm;
+            rt::SystemConfig sys;
+            sys.cc = cc;
+            rt::Context whole(sys);
+            w.run(whole, params);
+            const std::string expected = recording(whole);
+            for (const double cut : {0.3, 1.0}) {
+                rt::Context split(sys);
+                w.runSuffix(split, params,
+                            *w.runPrefix(split, params, cut));
+                EXPECT_TRUE(recording(split) == expected)
+                    << "uvm=" << uvm << " cc=" << cc << " cut=" << cut;
+            }
+        }
+    }
 }
 
 std::vector<std::string>

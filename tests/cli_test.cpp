@@ -1134,6 +1134,8 @@ TEST(ErrorPath, EveryBadInputIsOneLineAndExitTwo)
         writeTemp("time.spec", "name x\nphase k 3 1parsec\n");
     const std::string extra_spec = writeTemp(
         "extra.spec", "name x\ninput 4MiB junk\nphase k 1 1us\n");
+    const std::string huge_spec = writeTemp(
+        "huge.spec", "name x\ninput 16000000000GiB\nphase k 1 1us\n");
     const struct
     {
         std::vector<std::string> args;
@@ -1148,6 +1150,8 @@ TEST(ErrorPath, EveryBadInputIsOneLineAndExitTwo)
         {{"compare", "--spec", time_spec},
          "line 2: bad kernel time for 'phase'"},
         {{"run", "--spec", extra_spec}, "line 2: unexpected 'junk'"},
+        {{"run", "--spec", huge_spec},
+         "line 2: bad size for 'input': '16000000000GiB' exceeds"},
         {{"stats-diff", "/nonexistent/a.json", "/nonexistent/b.json"},
          "'/nonexistent/a.json'"},
         {{"snapshot", "--inspect", "/nonexistent/x.hccsnap"},

@@ -1,15 +1,11 @@
 /**
  * @file
- * Tests for the simulation kernel: timelines, pools, event queue
- * determinism and ordering.
+ * Tests for the simulation kernel: timelines and timeline pools.
  */
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "common/log.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/timeline.hpp"
 
 namespace hcc::sim {
@@ -156,175 +152,6 @@ TEST(TimelinePoolTest, EarliestFree)
     EXPECT_EQ(pool.earliestFree(), 0);
     pool.reserve(0, 200);
     EXPECT_EQ(pool.earliestFree(), 100);
-}
-
-// --------------------------------------------------------- event queue
-
-TEST(EventQueueTest, ExecutesInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(30, [&](SimTime) { order.push_back(3); });
-    q.schedule(10, [&](SimTime) { order.push_back(1); });
-    q.schedule(20, [&](SimTime) { order.push_back(2); });
-    EXPECT_EQ(q.runAll(), 3u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueueTest, TiesBreakByInsertionOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 10; ++i)
-        q.schedule(5, [&, i](SimTime) { order.push_back(i); });
-    q.runAll();
-    for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(EventQueueTest, RunUntilStopsAtBoundaryInclusive)
-{
-    EventQueue q;
-    int count = 0;
-    q.schedule(10, [&](SimTime) { ++count; });
-    q.schedule(20, [&](SimTime) { ++count; });
-    q.schedule(21, [&](SimTime) { ++count; });
-    EXPECT_EQ(q.runUntil(20), 2u);
-    EXPECT_EQ(count, 2);
-    EXPECT_EQ(q.now(), 20);
-    EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueueTest, CallbackMaySchedule)
-{
-    EventQueue q;
-    std::vector<SimTime> fired;
-    q.schedule(1, [&](SimTime now) {
-        fired.push_back(now);
-        q.schedule(now + 5, [&](SimTime t2) { fired.push_back(t2); });
-    });
-    q.runAll();
-    EXPECT_EQ(fired, (std::vector<SimTime>{1, 6}));
-}
-
-TEST(EventQueueTest, NextTimeAndEmpty)
-{
-    EventQueue q;
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.nextTime(), -1);
-    q.schedule(42, [](SimTime) {});
-    EXPECT_EQ(q.nextTime(), 42);
-    EXPECT_FALSE(q.empty());
-}
-
-TEST(EventQueueTest, ResetDropsPending)
-{
-    EventQueue q;
-    int count = 0;
-    q.schedule(1, [&](SimTime) { ++count; });
-    q.reset();
-    EXPECT_EQ(q.runAll(), 0u);
-    EXPECT_EQ(count, 0);
-    EXPECT_EQ(q.now(), 0);
-}
-
-TEST(EventQueueTest, ClockAdvancesMonotonically)
-{
-    EventQueue q;
-    SimTime last = -1;
-    for (int i = 0; i < 50; ++i) {
-        q.schedule(i * 2, [&](SimTime now) {
-            EXPECT_GT(now, last);
-            last = now;
-        });
-    }
-    q.runAll();
-    EXPECT_EQ(last, 98);
-}
-
-// A trivially copyable callback padded past the inline threshold so
-// its state must live in the arena.
-template <std::size_t PadBytes>
-struct PaddedCallback
-{
-    std::vector<int> *order;
-    int id;
-    unsigned char pad[PadBytes];
-
-    void operator()(SimTime) { order->push_back(id); }
-};
-
-TEST(EventQueueTest, SameTimestampFifoAcrossArenaGrowth)
-{
-    // Enough oversized captures at one timestamp to spill the arena
-    // across several slabs; FIFO tie-breaking must not depend on
-    // where a callback's state lives.
-    using Big = PaddedCallback<512>;
-    static_assert(sizeof(Big) > EventQueue::kInlineBytes);
-    EventQueue q;
-    std::vector<int> order;
-    constexpr int kEvents = 400; // ~400 * 512B >> one 64 KiB slab
-    for (int i = 0; i < kEvents; ++i)
-        q.schedule(7, Big{&order, i, {}});
-    EXPECT_GT(q.arenaSlabs(), 1u);
-    EXPECT_EQ(q.arenaLiveBlocks(), static_cast<std::size_t>(kEvents));
-    EXPECT_EQ(q.runAll(), static_cast<std::size_t>(kEvents));
-    ASSERT_EQ(order.size(), static_cast<std::size_t>(kEvents));
-    for (int i = 0; i < kEvents; ++i)
-        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-    EXPECT_EQ(q.arenaLiveBlocks(), 0u);
-}
-
-TEST(EventQueueTest, ResetReclaimsArenaSlabs)
-{
-    using Big = PaddedCallback<512>;
-    EventQueue q;
-    std::vector<int> order;
-    auto fill = [&] {
-        for (int i = 0; i < 300; ++i)
-            q.schedule(q.now() + 1 + i, Big{&order, i, {}});
-    };
-    fill();
-    q.runAll();
-    q.reset();
-    const std::size_t slabs_after_first = q.arenaSlabs();
-    EXPECT_GT(slabs_after_first, 0u);
-    // Steady state: later cycles reuse the rewound slabs instead of
-    // growing the arena, whether drained by run or dropped by reset.
-    for (int cycle = 0; cycle < 5; ++cycle) {
-        fill();
-        if (cycle % 2 == 0)
-            q.runAll();
-        q.reset();
-        EXPECT_EQ(q.arenaSlabs(), slabs_after_first);
-        EXPECT_EQ(q.arenaLiveBlocks(), 0u);
-    }
-}
-
-TEST(EventQueueTest, CaptureSizesStraddleInlineThreshold)
-{
-    // 8-byte pointer + 4-byte id + pad, padded to an 8-byte multiple.
-    using AtLimit = PaddedCallback<36>;   // 8 + 4 + 36 = 48 == limit
-    using OverLimit = PaddedCallback<37>; // rounds up to 56 > limit
-    static_assert(sizeof(AtLimit) == EventQueue::kInlineBytes);
-    static_assert(sizeof(OverLimit) > EventQueue::kInlineBytes);
-
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(1, AtLimit{&order, 0, {}});
-    EXPECT_EQ(q.arenaLiveBlocks(), 0u); // fits inline
-    q.schedule(2, OverLimit{&order, 1, {}});
-    EXPECT_EQ(q.arenaLiveBlocks(), 1u); // one byte over: arena
-    // Small but not trivially copyable: must also go to the arena
-    // (heap byte-moves would break non-trivial captures).
-    std::vector<int> payload{2};
-    q.schedule(3, [&order, payload](SimTime) {
-        order.push_back(payload[0]);
-    });
-    EXPECT_EQ(q.arenaLiveBlocks(), 2u);
-    EXPECT_EQ(q.runAll(), 3u);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(q.arenaLiveBlocks(), 0u);
 }
 
 } // namespace

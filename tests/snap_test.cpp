@@ -2,11 +2,11 @@
  * @file
  * Tests for the snapshot/fork layer: the archive primitives, each
  * subsystem's snapState round-trip (RNG stream position, trace
- * intern table, stats registry erase-after-capture), the EventArena
- * slab-trim hook, the snapshot file format (deterministic bytes, no
- * padding in archived types), and the headline property — a forked
- * cell is indistinguishable from a cold run — exercised over every
- * registered workload under base, CC and UVM.
+ * intern table, stats registry erase-after-capture), the snapshot
+ * file format (deterministic bytes, no padding in archived types),
+ * and the headline property — a forked cell is indistinguishable
+ * from a cold run — exercised over every registered workload under
+ * base, CC and UVM.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "fault/campaign.hpp"
 #include "obs/registry.hpp"
 #include "obs/stats_io.hpp"
-#include "sim/event_queue.hpp"
 #include "snap/archive.hpp"
 #include "snap/fork.hpp"
 #include "snap/snap.hpp"
@@ -401,61 +400,6 @@ TEST(SnapRegistry, CloneKeepsGaugeCountsNotSeries)
     EXPECT_EQ(c.min(), -3);
     EXPECT_EQ(c.max(), 3);
     EXPECT_EQ(obs::statsJson(*clone), obs::statsJson(reg));
-}
-
-// ------------------------------------------- event arena slab trim
-
-TEST(EventArena, ReleaseFreeSlabsTrimsToTheActiveSlab)
-{
-    sim::EventQueue q;
-    // Big non-inline captures force arena slab growth.
-    struct Fat
-    {
-        char pad[256];
-        void operator()(SimTime) const {}
-    };
-    for (int i = 0; i < 2000; ++i)
-        q.schedule(i, Fat{});
-    const std::size_t peak = q.arenaSlabs();
-    EXPECT_GT(peak, 1u);
-
-    q.runAll();
-    q.reset();
-    EXPECT_EQ(q.arenaLiveBlocks(), 0u);
-
-    // reset() keeps the peak watermark; the trim hook releases it.
-    EXPECT_EQ(q.arenaSlabs(), peak);
-    q.releaseFreeSlabs();
-    EXPECT_EQ(q.arenaSlabs(), 1u);
-
-    // The queue still works after the trim.
-    int ran = 0;
-    q.schedule(5, [&ran](SimTime) { ++ran; });
-    q.runAll();
-    EXPECT_EQ(ran, 1);
-}
-
-/** Regression: a snapshot capture trims the arena automatically, so
- *  the many Contexts a snapshot-tree campaign keeps alive hold their
- *  working set, not their historical peak. */
-TEST(EventArena, SnapshotCaptureReleasesFreeSlabs)
-{
-    sim::EventQueue q;
-    struct Fat
-    {
-        char pad[256];
-        void operator()(SimTime) const {}
-    };
-    for (int i = 0; i < 2000; ++i)
-        q.schedule(i, Fat{});
-    q.runAll();
-    q.reset();
-    EXPECT_GT(q.arenaSlabs(), 1u) << "reset keeps the watermark";
-
-    Saver saver;
-    q.snapState(saver);
-    EXPECT_EQ(q.arenaSlabs(), 1u)
-        << "capture must invoke releaseFreeSlabs()";
 }
 
 // ------------------------------------------- archived type layout

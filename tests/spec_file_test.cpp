@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/calibration.hpp"
 #include "workloads/spec_file.hpp"
 #include "workloads/workload.hpp"
 
@@ -167,9 +168,9 @@ TEST(SpecParse, NonFiniteNumbersAreParseErrors)
 
 TEST(SpecParse, FieldErrorsNameTheirLineAndKey)
 {
-    // Size, duration and boolean fields, a missing field and a token
-    // after a line's last field: each is a ParseError naming its line
-    // and its key.  Trailing tokens used to be dropped silently.
+    // Size, duration and boolean fields, a missing field, a token
+    // after a line's last field and a device buffer past the HBM: each
+    // is a ParseError naming its line and its key.
     const struct
     {
         const char *text;
@@ -195,6 +196,19 @@ TEST(SpecParse, FieldErrorsNameTheirLineAndKey)
          "line 2: unexpected 'more' after the 'rphase' fields"},
         {"name two words\nphase k 1 1us\n",
          "line 1: unexpected 'words' after the 'name' fields"},
+        // A device buffer larger than the HBM: copying 16e9 GiB in
+        // 4 MiB chunks would never finish.
+        {"name x\ninput 16000000000GiB\nphase k 1 1us\n",
+         "line 2: bad size for 'input': '16000000000GiB' exceeds the "
+         "device's 94.00 GiB of HBM"},
+        {"name x\nphase k 1 1us\noutput 95GiB\n",
+         "line 3: bad size for 'output': '95GiB' exceeds"},
+        {"name x\nd2d 94.01GiB\nphase k 1 1us\n",
+         "line 2: bad size for 'd2d': '94.01GiB' exceeds"},
+        {"name x\nscratch 100000MiB\nphase k 1 1us\n",
+         "line 2: bad size for 'scratch': '100000MiB' exceeds"},
+        {"name x\nphase k 3 1us 0.1 95GiB\n",
+         "line 2: bad d2h size for 'phase': '95GiB' exceeds"},
     };
     for (const auto &c : cases) {
         const auto spec = parseSpecText(c.text);
@@ -203,6 +217,23 @@ TEST(SpecParse, FieldErrorsNameTheirLineAndKey)
         EXPECT_EQ(spec.status().message().find(c.where), 0u)
             << spec.status().message();
     }
+}
+
+TEST(SpecParse, DeviceBuffersMayFillTheHbm)
+{
+    // The capacity itself fits; managed oversubscription, module
+    // images and roofline HBM traffic are not device buffers.
+    const auto spec = parseSpecText(
+        "name x\n"
+        "input 94GiB\n"
+        "uvm_touch 200GiB\n"
+        "phase k 1 1us 0.1 94GiB 200GiB\n"
+        "rphase r 1 1 1000GiB\n").take();
+    EXPECT_EQ(spec.inputs.at(0), calib::kHbmCapacity);
+    EXPECT_EQ(spec.phases.at(0).d2h_per_iter, calib::kHbmCapacity);
+    EXPECT_EQ(spec.uvm_touch_override, size::gib(200));
+    EXPECT_EQ(spec.phases.at(0).module_bytes, size::gib(200));
+    EXPECT_EQ(spec.phases.at(1).mem_bytes, size::gib(1000));
 }
 
 TEST(SpecParse, MissingFileIsIoError)

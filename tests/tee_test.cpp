@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the TEE subsystem: TDX transition costs, bounce-buffer
- * pool back-pressure, TME-MK functional encryption, SPDM sessions,
- * and the secure channel's timing and integrity guarantees.
+ * pool back-pressure, SPDM sessions, and the secure channel's timing
+ * and integrity guarantees.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "fault/fault.hpp"
 #include "pcie/link.hpp"
 #include "tee/bounce_buffer.hpp"
-#include "tee/mee.hpp"
 #include "tee/secure_channel.hpp"
 #include "tee/spdm.hpp"
 #include "tee/tdx.hpp"
@@ -169,69 +168,6 @@ TEST(BounceBuffer, OversubscribedHoldWaitsForReleaseWatermark)
         << "held path starts no earlier than the latest release";
     EXPECT_EQ(pool.heldSlots(), 2u);
     EXPECT_EQ(pool.slotCount(), 1u);
-}
-
-// ----------------------------------------------------------------- mee
-
-TEST(Mee, PrivateLinesAreUnintelligible)
-{
-    MemoryEncryptionEngine mee;
-    std::vector<std::uint8_t> key(32, 0x44);
-    mee.provisionKey(1, key);
-
-    std::vector<std::uint8_t> line(kMeeLineBytes, 0xaa);
-    const auto wire = mee.writeLine(1, 0, line);
-    EXPECT_NE(wire, line) << "DRAM bus must carry ciphertext";
-    const auto back = mee.readLine(1, 0, wire);
-    EXPECT_EQ(back, line);
-}
-
-TEST(Mee, BypassLeavesSharedPagesClear)
-{
-    MemoryEncryptionEngine mee;
-    std::vector<std::uint8_t> line(kMeeLineBytes, 0x5c);
-    const auto wire = mee.writeLine(0, 7, line);
-    EXPECT_EQ(wire, line) << "key id 0 = shared page = plaintext";
-    EXPECT_EQ(mee.linesBypassed(), 1u);
-    EXPECT_EQ(mee.linesProcessed(), 0u);
-}
-
-TEST(Mee, DifferentKeyIdsProduceDifferentCiphertext)
-{
-    MemoryEncryptionEngine mee;
-    std::vector<std::uint8_t> k1(32, 1), k2(32, 2);
-    mee.provisionKey(1, k1);
-    mee.provisionKey(2, k2);
-    std::vector<std::uint8_t> line(kMeeLineBytes, 0x00);
-    EXPECT_NE(mee.writeLine(1, 0, line), mee.writeLine(2, 0, line));
-}
-
-TEST(Mee, SameDataDifferentAddressesDiffer)
-{
-    MemoryEncryptionEngine mee;
-    std::vector<std::uint8_t> key(32, 9);
-    mee.provisionKey(3, key);
-    std::vector<std::uint8_t> line(kMeeLineBytes, 0x77);
-    EXPECT_NE(mee.writeLine(3, 0, line), mee.writeLine(3, 1, line))
-        << "XTS tweak must bind ciphertext to the line address";
-}
-
-TEST(Mee, RejectsUnprovisionedKeyAndReservedId)
-{
-    MemoryEncryptionEngine mee;
-    std::vector<std::uint8_t> line(kMeeLineBytes, 0);
-    EXPECT_THROW(mee.writeLine(5, 0, line), FatalError);
-    std::vector<std::uint8_t> key(32, 0);
-    EXPECT_THROW(mee.provisionKey(0, key), FatalError);
-}
-
-TEST(Mee, RejectsUnalignedAccess)
-{
-    MemoryEncryptionEngine mee;
-    std::vector<std::uint8_t> key(32, 0x10);
-    mee.provisionKey(1, key);
-    std::vector<std::uint8_t> partial(kMeeLineBytes - 1, 0);
-    EXPECT_THROW(mee.writeLine(1, 0, partial), FatalError);
 }
 
 // ---------------------------------------------------------------- spdm

@@ -186,6 +186,23 @@ for j in 1 4; do
         "$tmp/channel_tiers$j.csv"
 done
 
+# Chained-fork gate: a three-cut path with several seeds and faults in
+# every overlap tier.  Each seed runs its segments from the first cut
+# to the last once and its cells replay from that one capture; the
+# per-cell CSV must reproduce the committed baseline at any --jobs and
+# under the cold-split control.
+chain_tree() {
+    "$hccsim" faults --app gaussian --overlap all \
+        --fork-point 0.5/0.8/0.9 \
+        --sites pcie.replay,channel.tag_mismatch,spec.miss \
+        --rates 0.25,0.5 --seeds 1,2,3 "$@" \
+        --out "$tmp/chain_tree.csv" --format csv >/dev/null
+    cmp bench/baselines/faults_chain_tree.csv "$tmp/chain_tree.csv"
+}
+chain_tree --jobs 1
+chain_tree --jobs 4
+chain_tree --no-snapshot
+
 # Serving smoke + determinism + the saturation gate: the open-loop
 # goodput curve must merge byte-identically for any --jobs and
 # reproduce the committed baseline exactly — the committed stats
@@ -267,14 +284,20 @@ printf 'name x\ninput abc\nphase k 1 1us\n' > "$tmp/bad.spec"
 # A device buffer past the HBM: copied in 4 MiB chunks, it would run
 # for hours instead of failing.
 printf 'name x\ninput 16000000000GiB\nphase k 1 1us\n' > "$tmp/huge.spec"
+# Launch counts whose total overflows an int.
+printf 'name x\nphase a 2000000000 1us\nphase b 2000000000 1us\n' \
+    > "$tmp/launches.spec"
 head -c 100 "$tmp/llm.snap" > "$tmp/short.snap"
 expect_error 2 run --app atax --scale zero
 expect_error 2 sweep --spec "$tmp/bad.grid"
 expect_error 2 run --spec "$tmp/bad.spec"
 expect_error 2 run --spec "$tmp/huge.spec"
+expect_error 2 run --spec "$tmp/launches.spec"
 expect_error 2 stats-diff "$tmp/missing.json" "$tmp/a.json"
 expect_error 2 snapshot --inspect "$tmp/short.snap"
 expect_error 1 run --app atax --stats-out "$tmp/missing-dir/s.json"
+# A device allocation past the HBM fails like cudaMalloc.
+expect_error 1 run --app atax --scale 1e9
 
 # Campaign-throughput smoke: a short fork-point campaign must finish
 # and its bench JSON must materialize (the tracked ≥15x fork-vs-cold

@@ -142,11 +142,11 @@ positive(double v)
     return v > 0.0;
 }
 
-/** An int count of MiB, at least @p min, in bytes. */
+/** A positive int count of MiB, in bytes. */
 Result<std::size_t>
-mebibytes(const std::string &value, int min)
+mebibytes(const std::string &value)
 {
-    const auto mib = parseInt(value, min);
+    const auto mib = parseInt(value, 1);
     if (!mib.ok())
         return mib.status();
     return static_cast<std::size_t>(*mib) << 20;
@@ -398,17 +398,6 @@ const FlagSpec kFlags[] = {
                           : o.snapshot.fork_point,
                       snap::parseForkPoint(v));
      }},
-    {"--snapshot-budget", bit(Command::Sweep) | bit(Command::Faults),
-     "MIB",
-     "resident snapshot ceiling per fork group in MiB "
-     "(0 = unlimited; default 512)",
-     [](Options &o, const std::string &v) {
-         if (o.command == Command::Sweep)
-             return store(o.sweep.snapshot.budget_bytes,
-                          mebibytes(v, 0));
-         return store(o.faults.spec.snapshot_budget_bytes,
-                      mebibytes(v, 0));
-     }},
     {"--no-snapshot", bit(Command::Sweep) | bit(Command::Faults),
      nullptr,
      "run split cells cold instead of snapshot-forking them",
@@ -455,7 +444,7 @@ const FlagSpec kFlags[] = {
      "aggregate KV budget in MiB; over it young sessions are "
      "preempted (default 256)",
      [](Options &o, const std::string &v) {
-         return store(o.serve.spec.kv_budget_bytes, mebibytes(v, 1));
+         return store(o.serve.spec.kv_budget_bytes, mebibytes(v));
      }},
     {"--bursts", bit(Command::Serve), "B:E:M,...",
      "arrival burst windows over the request-index fraction, e.g. "
@@ -1241,8 +1230,6 @@ runCli(const Options &opt, std::ostream &os, std::ostream &err)
             grid.fork_point = *so.snapshot.fork_point;
         if (so.snapshot.no_snapshot)
             grid.no_snapshot = true;
-        if (so.snapshot.budget_bytes)
-            grid.snapshot_budget_bytes = *so.snapshot.budget_bytes;
         return finishGrid(so, sweep::runSweep(grid, workers(so.jobs)),
                           printSweepSummary, sweep::writeCellsCsv,
                           sweep::writeCellsJson, sweep::writeMergedStats,

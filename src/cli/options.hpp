@@ -158,8 +158,6 @@ struct SnapshotOverrides
 {
     std::optional<snap::ForkPoint> fork_point;
     bool no_snapshot = false;
-    /** Resident snapshot ceiling in bytes (0 = unlimited). */
-    std::optional<std::size_t> budget_bytes;
 };
 
 /** The flags every grid command (sweep, faults, serve) shares. */

@@ -95,7 +95,6 @@ runFaultCampaign(const CampaignSpec &spec, int jobs,
         group.spec.sys.channel.overlap = tier;
         group.spec.params.uvm = spec.uvm;
         group.spec.params.scale = spec.scale;
-        group.spec.snapshot_budget_bytes = spec.snapshot_budget_bytes;
         return group;
     };
     auto armCell = [&](grid::Group &group, std::size_t i) {
@@ -111,12 +110,11 @@ runFaultCampaign(const CampaignSpec &spec, int jobs,
         // Split modes: one snapshot tree per overlap tier.  The
         // tier's whole (seed x site x rate) block forks off one
         // prefix simulated under a seed-independent identity seed;
-        // every cell carries a Reseed arm that switches the restored
-        // state to its own seed at the fork point, then arms its
-        // faults (cross-seed prefix sharing).  The cold control
-        // (--no-snapshot) replays the identical derivation inside
-        // runForkGroup, so grouping must not depend on the snapshot
-        // flag.
+        // every cell switches the restored state to its own seed at
+        // the fork point, then arms its faults (cross-seed prefix
+        // sharing).  The cold control (--no-snapshot) replays the
+        // identical derivation inside runForkGroup, so grouping must
+        // not depend on the snapshot flag.
         const std::size_t per_tier = cells.size() / spec.overlaps.size();
         for (std::size_t t = 0; t < spec.overlaps.size(); ++t) {
             grid::Group group = tierGroup(spec.overlaps[t]);

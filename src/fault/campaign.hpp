@@ -81,13 +81,6 @@ struct CampaignSpec
     /** Run split cells cold instead of snapshot-forking them (the
      *  byte-identity control arm; same outputs, no speedup). */
     bool no_snapshot = false;
-    /**
-     * Ceiling on resident in-memory snapshot bytes per fork group
-     * (0 = unlimited); over it the engine LRU-evicts interior tree
-     * snapshots and deterministically rebuilds them on demand.
-     */
-    std::size_t snapshot_budget_bytes =
-        snap::kDefaultSnapshotBudgetBytes;
 
     /** Per tier: baseline cells + grid cells. */
     std::size_t cellCount() const;

@@ -13,12 +13,8 @@ shareAcrossSeeds(snap::ForkGroupSpec &group,
     group.sys.seed = ident;
     group.params.seed = ident;
     group.cells.resize(seeds.size());
-    for (std::size_t j = 0; j < seeds.size(); ++j) {
-        snap::ForkArm arm;
-        arm.kind = snap::ForkArm::Kind::Reseed;
-        arm.seed = seeds[j];
-        group.cells[j].arms.push_back(arm);
-    }
+    for (std::size_t j = 0; j < seeds.size(); ++j)
+        group.cells[j].seed = seeds[j];
 }
 
 Field

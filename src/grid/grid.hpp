@@ -134,10 +134,10 @@ struct Group
 
 /**
  * Cross-seed prefix sharing: construct @p group from the
- * seed-independent identitySeed() and give each cell a Reseed arm to
- * its own seed (@p seeds[j] for cell j), so one simulated prefix
- * serves every seed.  Cells already in @p group keep their faults;
- * the list is sized to @p seeds.
+ * seed-independent identitySeed() and give each cell its own seed
+ * (@p seeds[j] for cell j), which it switches to at the first cut,
+ * so one simulated prefix serves every seed.  Cells already in
+ * @p group keep their faults; the list is sized to @p seeds.
  */
 void shareAcrossSeeds(snap::ForkGroupSpec &group,
                       const std::vector<std::uint64_t> &seeds);

@@ -235,6 +235,13 @@ Context::hostKindOf(MemSpace space) const
 Buffer
 Context::mallocDevice(Bytes bytes)
 {
+    // cudaMalloc fails past the HBM (a copy of such a buffer in
+    // 4 MiB chunks would run for hours); managed memory may
+    // oversubscribe it.
+    if (bytes > calib::kHbmCapacity)
+        fatal("device allocation of %s exceeds the device's %s of HBM",
+              formatBytes(bytes).c_str(),
+              formatBytes(calib::kHbmCapacity).c_str());
     obs_api_allocs_->add(1);
     const SimTime start = host_now_;
     host_now_ += deviceAllocCost(bytes, tdx_);

@@ -110,7 +110,7 @@ class Context
 
     // ------------------------------------------------------- memory
 
-    /** cudaMalloc. */
+    /** cudaMalloc; fatal past calib::kHbmCapacity. */
     Buffer mallocDevice(Bytes bytes);
     /** cudaMallocHost (pinned). */
     Buffer mallocHost(Bytes bytes);
@@ -346,15 +346,10 @@ class Context
         // The mutable slice of config_: armFaults() and
         // reseedAtFork() write these, and reseedAtFork() re-arms the
         // injector from config_.faults — a restore must rewind them
-        // or a snapshot-tree node materialized after a faulted leaf
-        // would re-arm that leaf's stale rates into its segment.
+        // or a seed's segments run after a faulted cell would re-arm
+        // that cell's stale rates into them.
         ar.pod(config_.seed);
         ar.pod(config_.faults.rates);
-        // The mutable slice of config_: armFaults() and
-        // reseedAtFork() write these, and reseedAtFork() re-arms the
-        // injector from config_.faults — a restore must rewind them
-        // or a snapshot-tree node materialized after a faulted leaf
-        // would re-arm that leaf's stale rates into its segment.
         const std::size_t nstreams = ar.size(streams_.size());
         if constexpr (Ar::kLoading)
             streams_.resize(nstreams);
@@ -458,8 +453,9 @@ class Context
      * section bytes.  Restoring entry i pops everything deeper than
      * i (their marks no longer describe a prefix once new events are
      * appended); a foreign-snapshot restore clears the stack.  The
-     * snapshot-tree executor leans on this: a DFS over tree nodes
-     * restores ancestors repeatedly and always hits the fast path.
+     * fork engine leans on this: it restores the prefix capture
+     * before each seed's segments and the seed's capture before each
+     * of its cells, and always hits the fast path.
      */
     std::vector<std::pair<std::uint64_t, trace::Tracer::Mark>>
         snap_marks_;

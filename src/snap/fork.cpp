@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <limits>
 #include <memory>
+#include <optional>
 
 #include "common/log.hpp"
 #include "common/text.hpp"
@@ -19,22 +18,21 @@ namespace {
 
 /**
  * Everything runWorkload() does after the workload body: throughput
- * gauge, one-pass metrics + critical path, TDX stats.  The split
- * modes replicate it per cell so a forked cell's WorkloadResult
- * matches a cold runWorkload()'s in every field a campaign consumes.
+ * gauge, one-pass metrics + critical path, TDX stats.  Every mode
+ * collects its cells through it, so a cell's WorkloadResult carries
+ * every field a campaign consumes.
  *
- * Split-mode results are deliberately *light*: the trace is analyzed
- * in place and `result.trace` stays empty (only `--fork-point none`
- * retains per-cell traces).  That keeps a 10k-cell campaign's memory
- * flat, and in fork mode it leaves the tracer's chunk pages and
- * intern table allocated so the next cell's restore is a plain
- * in-place overwrite instead of a reallocation.  The analysis is
- * the light one too: no slack pass, no segment list, and sample sets
- * folded to their totals — no campaign output reads more.
+ * Cell results are deliberately *light*: the trace is analyzed in
+ * place and `result.trace` stays empty.  That keeps a 10k-cell
+ * campaign's memory flat, and in fork mode it leaves the tracer's
+ * chunk pages and intern table allocated so the next cell's restore
+ * is a plain in-place overwrite instead of a reallocation.  The
+ * analysis is the light one too: no slack pass, no segment list, and
+ * sample sets folded to their totals — no campaign output reads more.
  *
  * The result's registry is a value copy (obs::Registry::clone): in
  * fork mode the group's cells share one live registry that the next
- * cell's restore rewinds, and in both modes the copy drops the gauge
+ * cell's restore rewinds, and in every mode the copy drops the gauge
  * sample series no campaign writer prints, keeping only their
  * counts.  Each arm copies its own live registry, so the fork-vs-cold
  * gates still compare real counts.  @p analyzer (fork mode only)
@@ -63,7 +61,7 @@ collectCellResult(rt::Context &ctx, const workloads::Workload &w,
     result.name = w.name();
     result.cc = cc;
     result.uvm = params.uvm;
-    // The light result for both arms: campaign writers only read the
+    // The light result for every arm: campaign writers only read the
     // integer counts, the sample sums and the shares.
     auto crit = analyzer != nullptr
         ? analyzer->analyze(ctx.tracer(), &ctx.obs())
@@ -78,389 +76,118 @@ collectCellResult(rt::Context &ctx, const workloads::Workload &w,
     return result;
 }
 
+/** The group's params with @p cell's seed, if it carries one. */
+workloads::WorkloadParams
+cellParams(const ForkGroupSpec &group, const ForkCell &cell)
+{
+    workloads::WorkloadParams params = group.params;
+    if (cell.seed)
+        params.seed = *cell.seed;
+    return params;
+}
+
+/** Run @p run for one cell: its FatalError fails the cell alone. */
+template <typename Run>
+void
+runCell(ForkCellOutcome &out, Run &&run)
+{
+    const auto start = std::chrono::steady_clock::now();
+    try {
+        out.result = run(start);
+        out.ok = true;
+    } catch (const FatalError &e) {
+        out.error = e.what();
+    }
+    out.wall_us = elapsedUs(start);
+}
+
 /**
- * Legacy mode: construction-time arming, full runWorkload().  Reseed
- * arms degrade to a plain construction seed (the last one wins) so a
- * cross-seed group falling back to legacy still runs each cell under
- * its own seed; intermediate Faults arms have no construction-time
- * equivalent and are subsumed by the cell's own fault config.
+ * Legacy mode: the cell's seed (if any) becomes the construction
+ * seed, its faults are armed at construction, and the workload runs
+ * start to finish on the cell's own Context.
  */
 void
 runLegacyCell(const ForkGroupSpec &group, const ForkCell &cell,
               ForkCellOutcome &out)
 {
-    const auto start = std::chrono::steady_clock::now();
-    try {
+    runCell(out, [&](auto start) {
+        const workloads::Workload &w =
+            workloads::WorkloadRegistry::instance().get(group.app);
+        const workloads::WorkloadParams params = cellParams(group, cell);
+        if (params.uvm && !w.supportsUvm())
+            fatal("workload '%s' has no UVM variant", w.name().c_str());
         rt::SystemConfig sys = group.sys;
-        workloads::WorkloadParams params = group.params;
-        for (const ForkArm &arm : cell.arms) {
-            if (arm.kind == ForkArm::Kind::Reseed) {
-                sys.seed = arm.seed;
-                params.seed = arm.seed;
-            }
-        }
+        if (cell.seed)
+            sys.seed = *cell.seed;
         sys.faults = cell.faults;
-        out.result = workloads::runWorkload(group.app, sys, params);
-        out.ok = true;
-    } catch (const FatalError &e) {
-        out.error = e.what();
-    }
-    out.wall_us = elapsedUs(start);
+        rt::Context ctx(sys);
+        {
+            obs::ProfileScope profile(&ctx.obs(), "workload_run");
+            w.run(ctx, params);
+        }
+        return collectCellResult(ctx, w, params, sys.cc, start);
+    });
 }
 
 /**
- * Apply one arm at the current cut of @p ctx.  Reseed arms switch the
- * Context's seed-derived streams to the cell seed (exactly the state
- * a fresh Context constructed with it would hold) and re-derive the
- * workload-local resume streams; Faults arms re-arm the injector.
- * @return the resume to continue from (@p reseeded keeps a re-derived
- * resume alive when the workload produced one).
+ * Switch @p ctx and @p resume to @p params.seed at the current cut,
+ * exactly the state a fresh Context and prefix under that seed would
+ * hold.  @return the resume to continue from (@p reseeded keeps a
+ * re-derived resume alive when the workload produced one).
  */
 const workloads::Workload::Resume *
-applyArm(rt::Context &ctx, const workloads::Workload &w,
-         const ForkArm &arm, workloads::WorkloadParams &params,
-         const workloads::Workload::Resume *resume,
-         std::unique_ptr<workloads::Workload::Resume> &reseeded)
+reseed(rt::Context &ctx, const workloads::Workload &w,
+       const workloads::WorkloadParams &params,
+       const workloads::Workload::Resume *resume,
+       std::unique_ptr<workloads::Workload::Resume> &reseeded)
 {
-    if (arm.kind == ForkArm::Kind::Faults) {
-        ctx.armFaults(arm.faults);
-        return resume;
-    }
-    ctx.reseedAtFork(arm.seed);
-    params.seed = arm.seed;
-    if (auto r = w.reseedResume(*resume, params)) {
-        reseeded = std::move(r);
-        return reseeded.get();
+    ctx.reseedAtFork(params.seed);
+    reseeded = w.reseedResume(*resume, params);
+    return reseeded ? reseeded.get() : resume;
+}
+
+/** Run the segments from the first cut to the last; @p owned keeps
+ *  the returned resume alive. */
+const workloads::Workload::Resume *
+runSegments(rt::Context &ctx, const workloads::Workload &w,
+            const workloads::WorkloadParams &params,
+            const std::vector<double> &cuts,
+            const workloads::Workload::Resume *resume,
+            std::unique_ptr<workloads::Workload::Resume> &owned)
+{
+    for (std::size_t d = 1; d < cuts.size(); ++d) {
+        owned = w.runSegment(ctx, params, *resume, cuts[d]);
+        resume = owned.get();
     }
     return resume;
 }
 
-/** Cold-split mode: own Context, full prefix + arm/segment chain,
- *  arm, suffix.  The exact derivation fork mode replays. */
+/** Cold-split mode: own Context, full prefix, reseed and segment
+ *  chain, arm, suffix.  The exact derivation fork mode replays. */
 void
 runColdSplitCell(const workloads::Workload &w,
                  const ForkGroupSpec &group, const ForkCell &cell,
                  const std::vector<double> &cuts, ForkCellOutcome &out)
 {
-    const auto start = std::chrono::steady_clock::now();
-    try {
+    runCell(out, [&](auto start) {
         rt::SystemConfig sys = group.sys;
         sys.faults = fault::FaultConfig{};
         rt::Context ctx(sys);
-        workloads::WorkloadParams params = group.params;
+        const workloads::WorkloadParams params = cellParams(group, cell);
         {
             obs::ProfileScope profile(&ctx.obs(), "workload_run");
-            std::unique_ptr<workloads::Workload::Resume> owned =
-                w.runPrefix(ctx, params, cuts[0]);
-            const workloads::Workload::Resume *resume = owned.get();
-            std::unique_ptr<workloads::Workload::Resume> reseeded;
-            for (std::size_t d = 1; d < cuts.size(); ++d) {
-                if (d - 1 < cell.arms.size())
-                    resume = applyArm(ctx, w, cell.arms[d - 1],
-                                      params, resume, reseeded);
-                auto next = w.runSegment(ctx, params, *resume,
-                                         cuts[d]);
-                owned = std::move(next);
-                resume = owned.get();
-            }
-            if (cell.arms.size() == cuts.size())
-                resume = applyArm(ctx, w, cell.arms.back(), params,
-                                  resume, reseeded);
+            const auto prefix = w.runPrefix(ctx, group.params, cuts[0]);
+            std::unique_ptr<workloads::Workload::Resume> reseeded, owned;
+            const workloads::Workload::Resume *resume = prefix.get();
+            if (cell.seed)
+                resume = reseed(ctx, w, params, resume, reseeded);
+            resume = runSegments(ctx, w, params, cuts, resume, owned);
             ctx.armFaults(cell.faults);
             w.runSuffix(ctx, params, *resume);
         }
-        out.result =
-            collectCellResult(ctx, w, params, group.sys.cc, start);
-        out.ok = true;
-    } catch (const FatalError &e) {
-        out.error = e.what();
-    }
-    out.wall_us = elapsedUs(start);
+        return collectCellResult(ctx, w, params, group.sys.cc, start);
+    });
 }
-
-/** Stable key for grouping cells by arm: equal keys share a node. */
-std::string
-armKey(const ForkArm &arm)
-{
-    if (arm.kind == ForkArm::Kind::Reseed)
-        return "r:" + std::to_string(arm.seed);
-    std::string key = "f";
-    char buf[48];
-    for (std::size_t i = 0; i < arm.faults.rates.size(); ++i) {
-        if (arm.faults.rates[i] == 0.0)
-            continue;
-        std::snprintf(buf, sizeof(buf), ":%zu=%.17g", i,
-                      arm.faults.rates[i]);
-        key += buf;
-    }
-    return key;
-}
-
-/**
- * The fork-mode executor: a trie over the cells' arm paths, walked
- * depth-first on one Context.  Each node owns the snapshot, resume
- * state and incremental analyzer of "the run up to cuts[depth] with
- * this arm path applied"; leaves replay their suffix from the
- * deepest node they share.  Snapshots are released when a node's
- * subtree completes and evicted LRU under the byte budget; an
- * evicted node is rematerialized from its nearest resident ancestor
- * (restore, re-arm, re-run the segment), which reproduces identical
- * state, so eviction can never change results.
- */
-class TreeRunner
-{
-  public:
-    TreeRunner(const ForkGroupSpec &group,
-               const workloads::Workload &w, std::vector<double> cuts,
-               const std::string &fork_point_str,
-               ForkGroupOutcome &out)
-        : group_(group), w_(w), cuts_(std::move(cuts)),
-          fork_point_str_(fork_point_str), out_(out),
-          budget_(group.snapshot_budget_bytes == 0
-                      ? std::numeric_limits<std::size_t>::max()
-                      : group.snapshot_budget_bytes)
-    {
-    }
-
-    void
-    run()
-    {
-        buildTrie();
-        rt::SystemConfig sys = group_.sys;
-        sys.faults = fault::FaultConfig{};
-        ctx_ = std::make_unique<rt::Context>(sys);
-        try {
-            {
-                obs::ProfileScope profile(&ctx_->obs(),
-                                          "fork_prefix");
-                root_->resume =
-                    w_.runPrefix(*ctx_, group_.params, cuts_[0]);
-            }
-            captureNode(*root_);
-            root_->analyzer =
-                std::make_unique<trace::ForkAnalyzer>();
-            root_->analyzer->capture(ctx_->tracer());
-            process(*root_);
-        } catch (const FatalError &e) {
-            // Prefix (or capture) died: every cell inherits the
-            // error.
-            for (auto &cell_out : out_.cells) {
-                if (!cell_out.ok && cell_out.error.empty())
-                    cell_out.error = e.what();
-            }
-        }
-        out_.peak_resident_bytes = peak_;
-    }
-
-  private:
-    struct TreeNode
-    {
-        const ForkArm *arm = nullptr; //!< applied entering this node
-        TreeNode *parent = nullptr;
-        std::size_t depth = 0; //!< state is at cuts_[depth]
-        std::string label;     //!< arm path, for snapshot meta
-        std::vector<std::string> child_keys;
-        std::vector<std::unique_ptr<TreeNode>> children;
-        std::vector<std::size_t> leaves; //!< cell indices replaying
-                                         //!< their suffix from here
-        // Runtime state, valid once materialized:
-        workloads::WorkloadParams params;
-        std::unique_ptr<Snapshot> snap;
-        std::unique_ptr<workloads::Workload::Resume> resume;
-        std::unique_ptr<trace::ForkAnalyzer> analyzer;
-        std::uint64_t last_use = 0;
-    };
-
-    void
-    buildTrie()
-    {
-        root_ = std::make_unique<TreeNode>();
-        root_->params = group_.params;
-        root_->label = "prefix";
-        nodes_.push_back(root_.get());
-        for (std::size_t i = 0; i < group_.cells.size(); ++i) {
-            const ForkCell &cell = group_.cells[i];
-            TreeNode *cur = root_.get();
-            for (std::size_t d = 1; d < cuts_.size(); ++d) {
-                const ForkArm *arm =
-                    d - 1 < cell.arms.size() ? &cell.arms[d - 1]
-                                             : nullptr;
-                const std::string key = arm ? armKey(*arm) : "";
-                const auto it = std::find(cur->child_keys.begin(),
-                                          cur->child_keys.end(), key);
-                if (it == cur->child_keys.end()) {
-                    auto node = std::make_unique<TreeNode>();
-                    node->arm = arm;
-                    node->parent = cur;
-                    node->depth = d;
-                    node->label = cur->label + "/"
-                        + (key.empty() ? "-" : key);
-                    cur->child_keys.push_back(key);
-                    nodes_.push_back(node.get());
-                    cur->children.push_back(std::move(node));
-                    cur = cur->children.back().get();
-                } else {
-                    cur = cur->children
-                              [static_cast<std::size_t>(
-                                   it - cur->child_keys.begin())]
-                                  .get();
-                }
-            }
-            cur->leaves.push_back(i);
-        }
-    }
-
-    /** Leaves first, then subtrees; release the node's snapshot once
-     *  its whole subtree is done (the refcount reaches zero). */
-    void
-    process(TreeNode &node)
-    {
-        for (const std::size_t i : node.leaves)
-            runLeaf(node, i);
-        for (const auto &child : node.children)
-            process(*child);
-        if (node.parent != nullptr)
-            dropSnapshot(node);
-    }
-
-    void
-    runLeaf(TreeNode &node, std::size_t index)
-    {
-        ForkCellOutcome &out = out_.cells[index];
-        const auto start = std::chrono::steady_clock::now();
-        try {
-            ensureResident(node);
-            ctx_->restoreSnapshot(*node.snap);
-            node.last_use = ++clock_;
-            workloads::WorkloadParams params = node.params;
-            const ForkCell &cell = group_.cells[index];
-            const workloads::Workload::Resume *resume =
-                node.resume.get();
-            std::unique_ptr<workloads::Workload::Resume> reseeded;
-            if (cell.arms.size() == cuts_.size())
-                resume = applyArm(*ctx_, w_, cell.arms.back(),
-                                  params, resume, reseeded);
-            ctx_->armFaults(cell.faults);
-            {
-                obs::ProfileScope profile(&ctx_->obs(),
-                                          "workload_run");
-                w_.runSuffix(*ctx_, params, *resume);
-            }
-            out.result = collectCellResult(*ctx_, w_, params,
-                                           group_.sys.cc, start,
-                                           node.analyzer.get());
-            out.ok = true;
-        } catch (const FatalError &e) {
-            out.error = e.what();
-        }
-        out.wall_us = elapsedUs(start);
-        out.from_snapshot = true;
-        ++out_.snapshot_hits;
-    }
-
-    /** Make sure @p node's snapshot is in memory, rebuilding it from
-     *  the nearest resident ancestor after an eviction. */
-    void
-    ensureResident(TreeNode &node)
-    {
-        if (node.snap) {
-            node.last_use = ++clock_;
-            return;
-        }
-        materialize(node);
-    }
-
-    /** Restore the parent, apply this node's arm, run its segment
-     *  and capture.  Deterministic: a rematerialization reproduces
-     *  the original capture bit for bit. */
-    void
-    materialize(TreeNode &node)
-    {
-        TreeNode &parent = *node.parent;
-        ensureResident(parent);
-        ctx_->restoreSnapshot(*parent.snap);
-        parent.last_use = ++clock_;
-        node.params = parent.params;
-        const workloads::Workload::Resume *resume =
-            parent.resume.get();
-        std::unique_ptr<workloads::Workload::Resume> reseeded;
-        if (node.arm != nullptr)
-            resume = applyArm(*ctx_, w_, *node.arm, node.params,
-                              resume, reseeded);
-        {
-            obs::ProfileScope profile(&ctx_->obs(), "fork_prefix");
-            node.resume = w_.runSegment(*ctx_, node.params, *resume,
-                                        cuts_[node.depth]);
-        }
-        if (!node.analyzer) {
-            node.analyzer = std::make_unique<trace::ForkAnalyzer>(
-                parent.analyzer->clone());
-            node.analyzer->extendCapture(ctx_->tracer());
-        }
-        captureNode(node);
-    }
-
-    void
-    captureNode(TreeNode &node)
-    {
-        node.snap = std::make_unique<Snapshot>();
-        ctx_->captureSnapshot(*node.snap);
-        node.snap->meta.app = group_.app;
-        node.snap->meta.uvm = node.params.uvm;
-        node.snap->meta.fork_point = fork_point_str_;
-        node.snap->meta.parent =
-            node.parent != nullptr ? node.parent->label : "";
-        resident_ += node.snap->totalBytes();
-        peak_ = std::max(peak_, resident_);
-        node.last_use = ++clock_;
-        evict(&node);
-    }
-
-    void
-    dropSnapshot(TreeNode &node)
-    {
-        if (!node.snap)
-            return;
-        resident_ -= node.snap->totalBytes();
-        node.snap.reset();
-    }
-
-    /** LRU eviction down to the budget.  The root is pinned (every
-     *  rematerialization path starts from it) and the node just
-     *  captured is exempt — if nothing else is evictable the budget
-     *  is simply exceeded and the peak gauge records it. */
-    void
-    evict(const TreeNode *keep)
-    {
-        while (resident_ > budget_) {
-            TreeNode *victim = nullptr;
-            for (TreeNode *node : nodes_) {
-                if (node == root_.get() || node == keep
-                    || !node->snap)
-                    continue;
-                if (victim == nullptr
-                    || node->last_use < victim->last_use)
-                    victim = node;
-            }
-            if (victim == nullptr)
-                break;
-            dropSnapshot(*victim);
-        }
-    }
-
-    const ForkGroupSpec &group_;
-    const workloads::Workload &w_;
-    const std::vector<double> cuts_;
-    const std::string fork_point_str_;
-    ForkGroupOutcome &out_;
-    const std::size_t budget_;
-    std::unique_ptr<rt::Context> ctx_;
-    std::unique_ptr<TreeNode> root_;
-    std::vector<TreeNode *> nodes_;
-    std::size_t resident_ = 0;
-    std::size_t peak_ = 0;
-    std::uint64_t clock_ = 0;
-};
 
 void
 failAllCells(ForkGroupOutcome &out, const std::string &message)
@@ -468,6 +195,125 @@ failAllCells(ForkGroupOutcome &out, const std::string &message)
     for (auto &cell : out.cells) {
         cell.ok = false;
         cell.error = message;
+    }
+}
+
+/** A capture cells restore: the snapshot, the workload's resume
+ *  state and the incremental analyzer of the trace up to its cut. */
+struct Capture
+{
+    Snapshot snap;
+    std::unique_ptr<workloads::Workload::Resume> resume;
+    trace::ForkAnalyzer analyzer;
+};
+
+/** Cell indices grouped by seed: seeds in order of first appearance,
+ *  cells in index order. */
+std::vector<std::vector<std::size_t>>
+cellsBySeed(const std::vector<ForkCell> &cells)
+{
+    std::vector<std::optional<std::uint64_t>> seeds;
+    std::vector<std::vector<std::size_t>> groups;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const auto k = static_cast<std::size_t>(
+            std::find(seeds.begin(), seeds.end(), cells[i].seed)
+            - seeds.begin());
+        if (k == seeds.size()) {
+            seeds.push_back(cells[i].seed);
+            groups.emplace_back();
+        }
+        groups[k].push_back(i);
+    }
+    return groups;
+}
+
+/**
+ * Fork mode.  One Context runs the prefix once and captures it.  With
+ * a single cut every cell restores that capture, reseeds and replays
+ * its suffix.  With chained cuts each seed restores the prefix,
+ * reseeds and runs the segments to the last cut; that capture serves
+ * the seed's cells and is freed before the next seed, so at most two
+ * captures are ever resident.
+ */
+void
+runForked(const ForkGroupSpec &group, const workloads::Workload &w,
+          const std::vector<double> &cuts, ForkGroupOutcome &out)
+{
+    rt::SystemConfig sys = group.sys;
+    sys.faults = fault::FaultConfig{};
+    rt::Context ctx(sys);
+    Capture prefix;
+    try {
+        {
+            obs::ProfileScope profile(&ctx.obs(), "fork_prefix");
+            prefix.resume = w.runPrefix(ctx, group.params, cuts[0]);
+        }
+        ctx.captureSnapshot(prefix.snap);
+        prefix.analyzer.capture(ctx.tracer());
+    } catch (const FatalError &e) {
+        failAllCells(out, e.what());
+        return;
+    }
+    out.snapshot_hits = group.cells.size();
+    out.peak_resident_bytes = prefix.snap.totalBytes();
+
+    // Restore `from`, reseed when the cell's seed switches at this
+    // cut, arm the cell's faults and replay its suffix.
+    const auto replay = [&](Capture &from, std::size_t i,
+                            bool reseed_here) {
+        const ForkCell &cell = group.cells[i];
+        runCell(out.cells[i], [&](auto start) {
+            ctx.restoreSnapshot(from.snap);
+            const workloads::WorkloadParams params =
+                cellParams(group, cell);
+            std::unique_ptr<workloads::Workload::Resume> reseeded;
+            const workloads::Workload::Resume *resume = from.resume.get();
+            if (reseed_here && cell.seed)
+                resume = reseed(ctx, w, params, resume, reseeded);
+            ctx.armFaults(cell.faults);
+            {
+                obs::ProfileScope profile(&ctx.obs(), "workload_run");
+                w.runSuffix(ctx, params, *resume);
+            }
+            return collectCellResult(ctx, w, params, sys.cc, start,
+                                     &from.analyzer);
+        });
+    };
+    if (cuts.size() == 1) {
+        for (std::size_t i = 0; i < group.cells.size(); ++i)
+            replay(prefix, i, /*reseed_here=*/true);
+        return;
+    }
+    for (const std::vector<std::size_t> &cells :
+         cellsBySeed(group.cells)) {
+        const ForkCell &first = group.cells[cells.front()];
+        Capture seed;
+        try {
+            ctx.restoreSnapshot(prefix.snap);
+            const workloads::WorkloadParams params =
+                cellParams(group, first);
+            std::unique_ptr<workloads::Workload::Resume> reseeded;
+            const workloads::Workload::Resume *resume =
+                prefix.resume.get();
+            if (first.seed)
+                resume = reseed(ctx, w, params, resume, reseeded);
+            {
+                obs::ProfileScope profile(&ctx.obs(), "fork_prefix");
+                runSegments(ctx, w, params, cuts, resume, seed.resume);
+            }
+            seed.analyzer = prefix.analyzer.clone();
+            seed.analyzer.extendCapture(ctx.tracer());
+            ctx.captureSnapshot(seed.snap);
+        } catch (const FatalError &e) {
+            for (const std::size_t i : cells)
+                out.cells[i].error = e.what();
+            continue;
+        }
+        out.peak_resident_bytes =
+            std::max(out.peak_resident_bytes,
+                     prefix.snap.totalBytes() + seed.snap.totalBytes());
+        for (const std::size_t i : cells)
+            replay(seed, i, /*reseed_here=*/false);
     }
 }
 
@@ -652,24 +498,6 @@ runForkGroup(const ForkGroupSpec &group, const ForkPoint &fork_point,
         return out;
     }
 
-    const std::size_t arms = group.cells[0].arms.size();
-    for (const ForkCell &cell : group.cells) {
-        if (cell.arms.size() != arms) {
-            failAllCells(out,
-                         "fork group cells disagree on arm count");
-            return out;
-        }
-    }
-    if (arms > cuts.size()) {
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      "fork cells carry %zu arms but the fork point "
-                      "has %zu cuts",
-                      arms, cuts.size());
-        failAllCells(out, buf);
-        return out;
-    }
-
     if (no_snapshot || group.cells.size() == 1) {
         // Cold-split: same arming point as fork mode, no shared
         // state.  Also the right call for singleton groups, where a
@@ -680,9 +508,7 @@ runForkGroup(const ForkGroupSpec &group, const ForkPoint &fork_point,
         return out;
     }
 
-    TreeRunner runner(group, *w, std::move(cuts), fork_point.str(),
-                      out);
-    runner.run();
+    runForked(group, *w, cuts, out);
     return out;
 }
 

@@ -8,18 +8,19 @@
  *
  *  - *fork* (the fast path): one Context runs the prefix, the engine
  *    captures it, and every cell restores the snapshot, arms its
- *    fault config and runs the suffix.  With chained fork points and
- *    per-cell arms the prefix generalizes to a *snapshot tree*: cells
- *    sharing an arm path (e.g. the same reseed) share every interior
- *    node, so a nested 10k-cell grid re-simulates each tree edge once.
+ *    fault config and runs the suffix.  A chained fork point adds a
+ *    second level: each seed of the group runs the segments from the
+ *    first cut to the last once, and that seed's cells replay from
+ *    its capture, so a nested 10k-cell grid simulates each seed's
+ *    share once.
  *  - *cold-split* (`--no-snapshot`): every cell gets its own fresh
- *    Context, runs the full prefix (and arm/segment chain) itself,
+ *    Context, runs the full prefix (and segment chain) itself,
  *    arms at the final cut and runs the suffix.  Semantically
  *    identical to fork mode — this pair is the byte-identity gate CI
  *    enforces with `cmp`.
  *  - *legacy* (`--fork-point none`): the pre-fork behaviour —
  *    faults are armed at Context construction and the workload runs
- *    start to finish via runWorkload().
+ *    start to finish on the cell's own Context.
  *
  * Mode note: fork and cold-split arm faults *at the fork point*, so
  * fault processes only act on the suffix; legacy arms at
@@ -28,12 +29,13 @@
  * equally valid — outputs under `none` vs the split modes; the
  * split modes always match each other exactly.
  *
- * Cross-seed prefix sharing: a group whose cells carry Reseed arms is
- * constructed from a seed-independent identity seed (identitySeed()),
- * runs one prefix for *all* seeds, and switches every seed-derived
- * stream to the cell seed at the fork point (Context::reseedAtFork +
- * Workload::reseedResume).  The cold-split control replays the exact
- * same derivation, so byte-identity is preserved by construction.
+ * Cross-seed prefix sharing: a group whose cells carry their own
+ * seeds is constructed from a seed-independent identity seed
+ * (identitySeed()), runs one prefix for *all* seeds, and switches
+ * every seed-derived stream to the cell seed at the first cut
+ * (Context::reseedAtFork + Workload::reseedResume).  The cold-split
+ * control replays the exact same derivation, so byte-identity is
+ * preserved by construction.
  */
 
 #ifndef HCC_SNAP_FORK_HPP
@@ -41,6 +43,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,7 +59,9 @@ namespace hcc::snap {
  * *path*: the first component is the classic single cut, optional
  * '/'-chained components declare deeper cuts for snapshot trees
  * ("0.5/0.8" = share [0,0.5) across the whole group, [0.5,0.8)
- * across cells with the same first arm, replay [0.8,1] per cell).
+ * across cells with the same seed, replay [0.8,1] per cell).  Only
+ * the first and the last cut place a capture: "0.5/0.8/0.9" runs
+ * like "0.5/0.9".
  */
 struct ForkPoint
 {
@@ -101,45 +106,17 @@ struct ForkPoint
 Result<ForkPoint> parseForkPoint(const std::string &text);
 
 /**
- * One interior branch of a snapshot tree: the state change a cell
- * applies at an intermediate cut.  Cells with equal arm prefixes
- * share the simulation up to the corresponding cut.
- */
-struct ForkArm
-{
-    enum class Kind {
-        /** Switch every seed-derived stream to `seed` exactly as a
-         *  fresh Context constructed with it would derive them. */
-        Reseed,
-        /** Re-arm the injector with `faults` mid-run. */
-        Faults,
-    };
-
-    Kind kind = Kind::Reseed;
-    std::uint64_t seed = 0;
-    fault::FaultConfig faults;
-};
-
-/**
- * One cell of a fork group: everything that may differ between cells
- * branched from the same prefix — the arm path taken through the
- * snapshot tree plus the fault config armed at the final cut
- * (rate-zero for baseline / sweep cells).
- *
- * `arms[k]` is applied at cut k+1's segment start; every cell of a
- * group must carry the same number of arms, and that number may
- * exceed the cut count by at most one (the last arm then applies at
- * the final cut, right before the per-cell fault arming).
+ * One cell of a fork group: what may differ between cells branched
+ * from the same prefix.  A set `seed` switches every seed-derived
+ * stream to it at the first cut, exactly as a fresh Context
+ * constructed with it would derive them; `faults` is armed at the
+ * last cut (rate-zero for baseline / sweep cells).
  */
 struct ForkCell
 {
     fault::FaultConfig faults;
-    std::vector<ForkArm> arms;
+    std::optional<std::uint64_t> seed;
 };
-
-/** Default ceiling on resident in-memory snapshot bytes per group. */
-inline constexpr std::size_t kDefaultSnapshotBudgetBytes =
-    std::size_t{512} << 20;
 
 /** A group of cells sharing one simulation prefix. */
 struct ForkGroupSpec
@@ -149,21 +126,13 @@ struct ForkGroupSpec
     /**
      * System config for every cell.  `sys.faults` is only honoured
      * in legacy mode; the split modes construct unfaulted and arm
-     * each cell's ForkCell::faults at the fork point.  Groups with
-     * Reseed arms should construct from identitySeed() so the shared
-     * prefix is seed-independent.
+     * each cell's ForkCell::faults at the fork point.  Groups whose
+     * cells carry seeds should construct from identitySeed() so the
+     * shared prefix is seed-independent.
      */
     rt::SystemConfig sys;
     workloads::WorkloadParams params;
     std::vector<ForkCell> cells;
-    /**
-     * Ceiling on simultaneously resident snapshot bytes (0 = no
-     * limit).  Over budget the engine evicts the least-recently-used
-     * interior snapshot (never the root) and deterministically
-     * rematerializes it from its nearest resident ancestor when a
-     * later cell needs it — outputs never change, only wall clock.
-     */
-    std::size_t snapshot_budget_bytes = kDefaultSnapshotBudgetBytes;
 };
 
 /** Outcome of one cell of a group. */
@@ -175,8 +144,6 @@ struct ForkCellOutcome
     workloads::WorkloadResult result;
     /** Host wall-clock of this cell (suffix only in fork mode). */
     double wall_us = 0.0;
-    /** True when the cell replayed from the in-memory snapshot. */
-    bool from_snapshot = false;
 };
 
 /** Outcome of a whole group, cells in input order. */
@@ -185,7 +152,8 @@ struct ForkGroupOutcome
     std::vector<ForkCellOutcome> cells;
     /** Cells served by snapshot restore instead of a cold prefix. */
     std::size_t snapshot_hits = 0;
-    /** High-water mark of resident snapshot bytes (fork mode). */
+    /** High-water mark of resident snapshot bytes (fork mode): the
+     *  prefix capture plus at most one seed's capture. */
     std::size_t peak_resident_bytes = 0;
 };
 
@@ -202,12 +170,11 @@ std::uint64_t identitySeed(const std::string &app,
 
 /**
  * Run every cell of @p group.  A FatalError in the shared prefix
- * fails all cells; a FatalError in one cell's suffix (or in the
- * materialization of a tree node it needs) fails that cell alone
- * (the next cell re-restores a snapshot, which rewinds any partial
- * state).  Outputs are a pure function of the spec, fork point and
- * snapshot flag — never of wall-clock, the caller's threading or the
- * snapshot budget.
+ * fails all cells, one in a seed's segments fails that seed's cells,
+ * and one in a cell's suffix fails that cell alone (the next cell
+ * re-restores a snapshot, which rewinds any partial state).  Outputs
+ * are a pure function of the spec, fork point and snapshot flag —
+ * never of wall-clock or the caller's threading.
  *
  * @param no_snapshot  force cold-split mode even when a usable fork
  *                     point resolves (the CI identity gate).

@@ -43,11 +43,10 @@ struct SnapshotMeta
     std::string app;            //!< workload name (empty: library use)
     std::string fork_point;     //!< fork-point spec that placed the cut
     /**
-     * Parent link for snapshot-tree nodes: the fork-point path of
-     * the capture this one chains from (the cut path minus its last
-     * component), empty for a root capture.  Purely provenance — the
-     * in-memory tree holds real pointers; this records the tree
-     * shape for `hccsim snapshot` inspection.
+     * Parent link for a chained capture: the fork-point path minus
+     * its last component, empty for a single cut.  Purely provenance
+     * for `hccsim snapshot` files; in-memory fork captures leave it
+     * (and app and fork_point) empty.
      */
     std::string parent;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -114,10 +113,11 @@ runSweep(const GridSpec &grid, int jobs, obs::Registry *sweep_obs)
     // Prefix-group the grid.  Cells of a registered app that differ
     // only in their seed share one prefix (cross-seed sharing: the
     // prefix runs under a seed-independent identity seed and each
-    // cell carries a reseed-at-fork arm); everything else groups by
-    // full cell identity, so only exact duplicates share.  The same
-    // grouping applies under --no-snapshot — the cold control must
-    // replay the identical derivation for the byte-identity gate.
+    // cell reseeds to its own seed at the fork point); everything
+    // else groups by full cell identity, so only exact duplicates
+    // share.  The same grouping applies under --no-snapshot — the
+    // cold control must replay the identical derivation for the
+    // byte-identity gate.
     const bool split_on =
         grid.fork_point.mode != snap::ForkPoint::Mode::None;
     std::vector<grid::Group> groups;
@@ -145,7 +145,6 @@ runSweep(const GridSpec &grid, int jobs, obs::Registry *sweep_obs)
         spec.sys.channel.overlap = first.overlap;
         spec.params.uvm = first.uvm;
         spec.params.scale = first.scale;
-        spec.snapshot_budget_bytes = grid.snapshot_budget_bytes;
         // Sweep cells arm no faults: default ForkCell faults.
         std::vector<std::uint64_t> seeds;
         for (const std::size_t i : group.rows)
@@ -293,14 +292,6 @@ parseGridSpec(const std::string &text)
             bool on = true;
             bad = store(on, parseOnOff(value));
             grid.no_snapshot = !on;
-        } else if (key == "snapshot-budget") {
-            // A MiB count (0 = unlimited) whose byte count fits.
-            std::size_t mib = 0;
-            bad = store(mib, parseInt<std::size_t>(
-                                 value, 0,
-                                 std::numeric_limits<std::size_t>::max()
-                                     >> 20));
-            grid.snapshot_budget_bytes = mib << 20;
         } else if (key == "tee-io") {
             bad = store(grid.tee_io, parseOnOff(value));
         } else {

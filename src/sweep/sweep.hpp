@@ -61,24 +61,17 @@ struct GridSpec
      * of a registered app that differ only in their seed share one
      * prefix: the group simulates it once under a seed-independent
      * identity seed and each cell reseeds to its own seed at the
-     * fork point (cross-seed prefix sharing); chained fork points
-     * ("auto/0.95") deepen the share into a snapshot tree.  Every
-     * other axis changes the schedule from the first event, so those
-     * cells group only with exact duplicates, as before.  Sweep
-     * cells arm no faults, so fork and cold-split produce identical
-     * output; `none` disables the split entirely (and restores the
-     * pre-fork per-seed derivation).
+     * fork point (cross-seed prefix sharing); a chained fork point
+     * ("auto/0.95") deepens the share: each seed runs the segments
+     * to the last cut once.  Every other axis changes the schedule
+     * from the first event, so those cells group only with exact
+     * duplicates, as before.  Sweep cells arm no faults, so fork and
+     * cold-split produce identical output; `none` disables the split
+     * entirely (and restores the pre-fork per-seed derivation).
      */
     snap::ForkPoint fork_point = {snap::ForkPoint::Mode::Auto, 0.0, {}};
     /** Run duplicate cells cold instead of snapshot-forking them. */
     bool no_snapshot = false;
-    /**
-     * Ceiling on resident in-memory snapshot bytes per fork group
-     * (0 = unlimited); over it the engine LRU-evicts interior tree
-     * snapshots and deterministically rebuilds them on demand.
-     */
-    std::size_t snapshot_budget_bytes =
-        snap::kDefaultSnapshotBudgetBytes;
 
     /** Number of cells the grid expands to. */
     std::size_t cellCount() const;
@@ -107,8 +100,8 @@ struct RunCell
 /** Outcome of one cell. */
 struct CellResult : grid::Row<RunCell>
 {
-    /** The run's result (metrics, critical path, stats; the trace
-     *  only under `--fork-point none`); valid iff ok. */
+    /** The run's result (metrics, critical path, stats; never the
+     *  trace); valid iff ok. */
     workloads::WorkloadResult result;
 };
 
@@ -137,8 +130,7 @@ SweepResult runSweep(const GridSpec &grid, int jobs,
  * uvm (on|off|both), scales (comma list), seeds (comma list),
  * overlap (comma list of none|double-buffer|speculative),
  * crypto-workers (int), tee-io (on|off), fork-point
- * (none|auto|fraction, optionally '/'-chained), snapshot (on|off),
- * snapshot-budget (resident snapshot ceiling in MiB, 0 = unlimited).
+ * (none|auto|fraction, optionally '/'-chained), snapshot (on|off).
  * @return the grid, or a ParseError status whose message names the
  *         line and the key of an unknown key or a bad value.
  */

@@ -202,11 +202,10 @@ class ForkAnalyzer
 
     /**
      * Snapshot-tree support: a deep copy carrying the captured
-     * prefix scan and the memoized prefix walks.  A tree node clones
-     * its parent's analyzer and extendCapture()s it over the node's
-     * segment, so incremental critical-path analysis telescopes
-     * along the fork chain instead of rescanning deeper prefixes
-     * from scratch.
+     * prefix scan and the memoized prefix walks.  A chained fork's
+     * per-seed capture clones the prefix's analyzer and
+     * extendCapture()s it over the seed's segments, so incremental
+     * critical-path analysis never rescans the shared prefix.
      */
     ForkAnalyzer clone() const;
 

@@ -1,8 +1,7 @@
 /**
  * @file
  * ML apps in the workload registry, written as Sessions (session.hpp)
- * so the fork engine and the snapshot TreeRunner drive them through
- * the same step-cursor API.
+ * so the fork engine drives them through the same step-cursor API.
  *
  * "llm" mirrors the fig14 microbench's slowest column — Llama-3-8B
  * on HuggingFace with BF16 weights at batch 8 (224 launches per

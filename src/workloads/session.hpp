@@ -2,9 +2,9 @@
  * @file
  * The Session interface: one workload instance driven step by step.
  *
- * Two engines advance workloads incrementally: the campaign fork
- * engine replays suffixes from snapshots, and the snapshot TreeRunner
- * materializes chained cuts.  Session puts the per-workload
+ * The campaign fork engine advances workloads incrementally: it
+ * replays suffixes from snapshots and runs the segments between
+ * chained cuts.  Session puts the per-workload
  * split-phase trios (llmServePrefix/Segment/Finish,
  * cnnTrainPrefix/...) behind one step-cursor API, and
  * SessionWorkload adapts any Session-shaped workload onto the
@@ -20,8 +20,9 @@
  * issues the identical API call sequence regardless of how the steps
  * are grouped.  clone() copies the session state (a value: buffer
  * handles and cursors, not live resources), which is what makes a
- * Session usable as an immutable fork-point Resume — the tree node
- * clones before advancing, so the original keeps describing the cut.
+ * Session usable as an immutable fork-point Resume — a seed's
+ * segments clone it before advancing, so the original keeps
+ * describing the cut.
  */
 
 #ifndef HCC_WORKLOADS_SESSION_HPP

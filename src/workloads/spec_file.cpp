@@ -129,6 +129,7 @@ parseSpecText(const std::string &text)
     std::istringstream lines(text);
     std::string line;
     int lineno = 0;
+    int total_launches = 0;
     while (std::getline(lines, line)) {
         ++lineno;
         // Strip comments.
@@ -160,8 +161,18 @@ parseSpecText(const std::string &text)
                              "bad %s for '%s': %s", what, key.c_str(),
                              st.message().c_str());
         };
-        const auto launches = [](const std::string &t) {
-            return parseInt(t, 1);
+        // The phases' launch counts sum to an int (totalLaunches).
+        const auto launches = [&total_launches](const std::string &t)
+            -> Result<int> {
+            const auto n = parseInt(t, 1);
+            if (!n.ok())
+                return n;
+            if (*n > std::numeric_limits<int>::max() - total_launches)
+                return errorf(ErrorCode::ParseError,
+                              "'%s' brings the spec's launches past %d",
+                              t.c_str(), std::numeric_limits<int>::max());
+            total_launches += *n;
+            return n;
         };
 
         if (key == "name") {

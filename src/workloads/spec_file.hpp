@@ -22,7 +22,8 @@
  *
  * Sizes accept B/KiB/MiB/GiB suffixes; times accept ns/us/ms/s.
  * The sizes of device buffers (input, output, d2d, scratch and a
- * phase's d2h) must fit calib::kHbmCapacity.
+ * phase's d2h) must fit calib::kHbmCapacity, and the phases' launch
+ * counts must sum to an int.
  */
 
 #ifndef HCC_WORKLOADS_SPEC_FILE_HPP

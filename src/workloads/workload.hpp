@@ -121,8 +121,8 @@ class Workload
      * Chained-fork support: advance @p from (the state at some cut)
      * to the state at @p to_fraction, issuing exactly the launches
      * run() issues between the two cuts.  The returned Resume is a
-     * new object; @p from is untouched, so a snapshot-tree node can
-     * keep handing it to every child.  The composition invariant
+     * new object; @p from is untouched, so the prefix's resume can
+     * serve every seed of a fork group.  The composition invariant
      * extends the split-phase contract: for any increasing cut path
      * f0 < f1 < ... < 1, prefix(f0) + segment(f1) + ... + suffix
      * issues the identical API call sequence as run().

@@ -224,30 +224,6 @@ TEST(CliParse, ForkPointPathsValidateAtParseTime)
     EXPECT_NE(err.find("does not apply"), std::string::npos);
 }
 
-TEST(CliParse, SnapshotBudgetFlag)
-{
-    const auto o = parse({"sweep", "--apps", "atax",
-                          "--snapshot-budget", "64"});
-    ASSERT_TRUE(o);
-    ASSERT_TRUE(o->sweep.snapshot.budget_bytes.has_value());
-    EXPECT_EQ(*o->sweep.snapshot.budget_bytes,
-              std::size_t{64} << 20);
-    {
-        const auto f = parse({"faults", "--app", "atax",
-                              "--snapshot-budget", "0"});
-        ASSERT_TRUE(f);
-        EXPECT_EQ(f->faults.spec.snapshot_budget_bytes, 0u);
-    }
-    EXPECT_FALSE(parse({"sweep", "--apps", "a",
-                        "--snapshot-budget", "-1"}));
-    EXPECT_FALSE(parse({"sweep", "--apps", "a",
-                        "--snapshot-budget", "much"}));
-    std::string err;
-    EXPECT_FALSE(parse({"run", "--app", "sc", "--snapshot-budget",
-                        "64"}, &err));
-    EXPECT_NE(err.find("does not apply"), std::string::npos);
-}
-
 TEST(CliRun, WorkersReduceCcSlowdown)
 {
     auto slowdown = [](int workers) {
@@ -567,12 +543,10 @@ TEST(CliParse, SweepRequiresAppsOrSpec)
     }
     // The snapshot flags compose with a grid file.
     const auto o = parse({"sweep", "--spec", "g.grid", "--fork-point",
-                          "auto", "--no-snapshot", "--snapshot-budget",
-                          "8"});
+                          "auto", "--no-snapshot"});
     ASSERT_TRUE(o);
     EXPECT_TRUE(o->sweep.snapshot.fork_point.has_value());
     EXPECT_TRUE(o->sweep.snapshot.no_snapshot);
-    EXPECT_EQ(o->sweep.snapshot.budget_bytes, std::size_t{8} << 20);
 }
 
 TEST(CliParse, SweepRejectsBadValues)
@@ -1136,6 +1110,9 @@ TEST(ErrorPath, EveryBadInputIsOneLineAndExitTwo)
         "extra.spec", "name x\ninput 4MiB junk\nphase k 1 1us\n");
     const std::string huge_spec = writeTemp(
         "huge.spec", "name x\ninput 16000000000GiB\nphase k 1 1us\n");
+    const std::string launch_spec = writeTemp(
+        "launch.spec",
+        "name x\nphase a 2000000000 1us\nphase b 2000000000 1us\n");
     const struct
     {
         std::vector<std::string> args;
@@ -1152,6 +1129,8 @@ TEST(ErrorPath, EveryBadInputIsOneLineAndExitTwo)
         {{"run", "--spec", extra_spec}, "line 2: unexpected 'junk'"},
         {{"run", "--spec", huge_spec},
          "line 2: bad size for 'input': '16000000000GiB' exceeds"},
+        {{"run", "--spec", launch_spec},
+         "line 3: bad launch count for 'phase': '2000000000' brings"},
         {{"stats-diff", "/nonexistent/a.json", "/nonexistent/b.json"},
          "'/nonexistent/a.json'"},
         {{"snapshot", "--inspect", "/nonexistent/x.hccsnap"},
@@ -1175,6 +1154,13 @@ TEST(ErrorPath, EveryBadInputIsOneLineAndExitTwo)
     EXPECT_EQ(runProcess({"run", "--app", "bogus"}, err, process_stderr),
               1);
     EXPECT_EQ(err, "error: unknown workload 'bogus'\n");
+    EXPECT_EQ(process_stderr, "");
+    // A device buffer past the HBM fails like cudaMalloc, at once.
+    EXPECT_EQ(runProcess({"run", "--app", "atax", "--scale", "1e9"}, err,
+                         process_stderr),
+              1);
+    EXPECT_EQ(err, "error: device allocation of 31250000.00 GiB exceeds "
+                   "the device's 94.00 GiB of HBM\n");
     EXPECT_EQ(process_stderr, "");
 }
 

@@ -156,6 +156,18 @@ TEST(ContextAlloc, DoubleFreeIsFatal)
     EXPECT_THROW(ctx.free(copy), FatalError);
 }
 
+TEST(ContextAlloc, DeviceAllocPastTheHbmIsFatal)
+{
+    // cudaMalloc fails past the HBM; the capacity itself fits, and
+    // managed memory may oversubscribe it (UVM eviction is modelled).
+    Context ctx(baseConfig());
+    EXPECT_THROW(ctx.mallocDevice(calib::kHbmCapacity + 1), FatalError);
+    EXPECT_EQ(ctx.liveAllocations(), 0u);
+    ctx.mallocDevice(calib::kHbmCapacity);
+    ctx.mallocManaged(2 * calib::kHbmCapacity);
+    EXPECT_EQ(ctx.liveAllocations(), 2u);
+}
+
 TEST(ContextAlloc, LeakAccounting)
 {
     Context ctx(baseConfig());

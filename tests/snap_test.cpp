@@ -732,7 +732,6 @@ TEST(ForkReplay, ForkedCellsMatchColdStartForEveryWorkload)
                 for (const auto &cell : fork.cells) {
                     ASSERT_TRUE(cell.ok)
                         << tag << ": " << cell.error;
-                    EXPECT_TRUE(cell.from_snapshot) << tag;
                     EXPECT_EQ(fingerprint(cell.result), want) << tag;
                 }
             }
@@ -889,7 +888,7 @@ TEST(IdentitySeed, IgnoresSeedsButNotIdentity)
 }
 
 /** Cross-seed sharing: one identity-seeded prefix serves cells with
- *  different Reseed arms, and the cold control replaying the same
+ *  different seeds, and the cold control replaying the same
  *  derivation matches byte for byte. */
 TEST(ForkReplay, CrossSeedGroupMatchesColdControl)
 {
@@ -901,9 +900,9 @@ TEST(ForkReplay, CrossSeedGroupMatchesColdControl)
     group.sys.seed = ident;
     group.params.seed = ident;
     group.cells.resize(3);
-    group.cells[0].arms = {ForkArm{ForkArm::Kind::Reseed, 7, {}}};
-    group.cells[1].arms = {ForkArm{ForkArm::Kind::Reseed, 9, {}}};
-    group.cells[2].arms = {ForkArm{ForkArm::Kind::Reseed, 7, {}}};
+    group.cells[0].seed = 7;
+    group.cells[1].seed = 9;
+    group.cells[2].seed = 7;
 
     const ForkPoint fp{ForkPoint::Mode::Auto, 0.0, {}};
     const auto cold = runForkGroup(group, fp, /*no_snapshot=*/true);
@@ -929,11 +928,11 @@ TEST(ForkReplay, CrossSeedGroupMatchesColdControl)
               fingerprint(fork.cells[1].result));
 }
 
-/** Regression: a faulted leaf runs before the next seed node of the
- *  tree materializes, on the one shared Context.  The later node's
- *  segment must not inherit the leaf's armed rates through the
- *  reseed (speculative tier: a stale spec.miss rate injects misses
- *  into the shared segment and shifts every cell of that seed). */
+/** Regression: a faulted cell runs before the next seed's segments,
+ *  on the one shared Context.  The later seed's segments must not
+ *  inherit the cell's armed rates through the reseed (speculative
+ *  tier: a stale spec.miss rate injects misses into the shared
+ *  segment and shifts every cell of that seed). */
 TEST(ForkReplay, FaultedLeafDoesNotLeakIntoSiblingSeedNode)
 {
     ForkGroupSpec group;
@@ -945,13 +944,13 @@ TEST(ForkReplay, FaultedLeafDoesNotLeakIntoSiblingSeedNode)
     group.sys.seed = ident;
     group.params.seed = ident;
     group.cells.resize(3);
-    // Seed 12's leaf arms spec.miss; seed 13's node materializes
-    // right after it on the same Context, and its long segment
-    // seals enough chunks that a leaked rate is certain to inject.
-    group.cells[0].arms = {ForkArm{ForkArm::Kind::Reseed, 12, {}}};
+    // Seed 12's cell arms spec.miss; seed 13's segment runs right
+    // after it on the same Context, and is long enough to seal so
+    // many chunks that a leaked rate is certain to inject.
+    group.cells[0].seed = 12;
     group.cells[0].faults.set(fault::Site::SpecMiss, 0.24);
-    group.cells[1].arms = {ForkArm{ForkArm::Kind::Reseed, 13, {}}};
-    group.cells[2].arms = {ForkArm{ForkArm::Kind::Reseed, 13, {}}};
+    group.cells[1].seed = 13;
+    group.cells[2].seed = 13;
     group.cells[2].faults.set(fault::Site::PcieReplay, 0.5);
 
     const ForkPoint chained{ForkPoint::Mode::Auto, 0.0, {0.99}};
@@ -967,73 +966,74 @@ TEST(ForkReplay, FaultedLeafDoesNotLeakIntoSiblingSeedNode)
     }
 }
 
-/** Satellite property: forked-from-forked equals cold.  Chained fork
- *  points build a two-level snapshot tree (prefix -> per-seed node
- *  -> leaf); every workload under base and CC (and UVM
- *  where supported) and every overlap tier must replay from it
+/** Forked-from-forked equals cold.  Chained fork points build a
+ *  two-level snapshot tree (prefix -> per-seed capture -> cell);
+ *  every workload under CC (and UVM where supported), every overlap
+ *  tier and both a two- and a three-cut path must replay from it
  *  byte-identically to the cold-split control. */
 TEST(ForkReplay, ChainedForksMatchColdForEveryWorkloadAndTier)
 {
     const auto all = workloads::WorkloadRegistry::instance().all();
     ASSERT_FALSE(all.empty());
-    const ForkPoint chained{ForkPoint::Mode::Auto, 0.0, {0.95}};
+    const ForkPoint paths[] = {
+        {ForkPoint::Mode::Auto, 0.0, {0.95}},
+        {ForkPoint::Mode::Fraction, 0.5, {0.8, 0.9}},
+    };
     std::size_t exercised = 0;
 
     for (const auto *w : all) {
-        for (const tee::OverlapMode tier :
-             {tee::OverlapMode::None, tee::OverlapMode::DoubleBuffer,
-              tee::OverlapMode::Speculative}) {
-            for (const bool uvm : {false, true}) {
-                if (uvm && !w->supportsUvm())
-                    continue;
-                ForkGroupSpec group;
-                group.app = w->name();
-                group.sys.cc = true;
-                group.sys.channel.overlap = tier;
-                group.params.uvm = uvm;
-                const std::uint64_t ident = identitySeed(
-                    group.app, group.sys, group.params);
-                group.sys.seed = ident;
-                group.params.seed = ident;
-                group.cells.resize(2);
-                group.cells[0].arms = {
-                    ForkArm{ForkArm::Kind::Reseed, 5, {}}};
-                group.cells[1].arms = {
-                    ForkArm{ForkArm::Kind::Reseed, 6, {}}};
+        for (const ForkPoint &chained : paths) {
+            for (const tee::OverlapMode tier :
+                 {tee::OverlapMode::None, tee::OverlapMode::DoubleBuffer,
+                  tee::OverlapMode::Speculative}) {
+                for (const bool uvm : {false, true}) {
+                    if (uvm && !w->supportsUvm())
+                        continue;
+                    ForkGroupSpec group;
+                    group.app = w->name();
+                    group.sys.cc = true;
+                    group.sys.channel.overlap = tier;
+                    group.params.uvm = uvm;
+                    const std::uint64_t ident = identitySeed(
+                        group.app, group.sys, group.params);
+                    group.sys.seed = ident;
+                    group.params.seed = ident;
+                    group.cells.resize(2);
+                    group.cells[0].seed = 5;
+                    group.cells[1].seed = 6;
 
-                const auto cold =
-                    runForkGroup(group, chained, true);
-                const auto fork =
-                    runForkGroup(group, chained, false);
-                const std::string tag = w->name() + "/"
-                    + tee::overlapModeName(tier)
-                    + (uvm ? "/uvm" : "");
-                ASSERT_EQ(fork.cells.size(), 2u) << tag;
-                EXPECT_EQ(fork.snapshot_hits, 2u) << tag;
-                for (std::size_t i = 0; i < 2; ++i) {
-                    ASSERT_TRUE(cold.cells[i].ok)
-                        << tag << ": " << cold.cells[i].error;
-                    ASSERT_TRUE(fork.cells[i].ok)
-                        << tag << ": " << fork.cells[i].error;
-                    EXPECT_TRUE(fork.cells[i].from_snapshot) << tag;
-                    EXPECT_EQ(fingerprint(fork.cells[i].result),
-                              fingerprint(cold.cells[i].result))
-                        << tag << " cell " << i;
+                    const auto cold =
+                        runForkGroup(group, chained, true);
+                    const auto fork =
+                        runForkGroup(group, chained, false);
+                    const std::string tag = w->name() + "/"
+                        + chained.str() + "/"
+                        + tee::overlapModeName(tier)
+                        + (uvm ? "/uvm" : "");
+                    ASSERT_EQ(fork.cells.size(), 2u) << tag;
+                    EXPECT_EQ(fork.snapshot_hits, 2u) << tag;
+                    for (std::size_t i = 0; i < 2; ++i) {
+                        ASSERT_TRUE(cold.cells[i].ok)
+                            << tag << ": " << cold.cells[i].error;
+                        ASSERT_TRUE(fork.cells[i].ok)
+                            << tag << ": " << fork.cells[i].error;
+                        EXPECT_EQ(fingerprint(fork.cells[i].result),
+                                  fingerprint(cold.cells[i].result))
+                            << tag << " cell " << i;
+                    }
+                    ++exercised;
                 }
-                ++exercised;
             }
         }
     }
     EXPECT_GT(exercised, 0u);
 }
 
-/** The snapshot budget bounds memory, never output.  Two seeds, each
- *  with two mid-run fault arms, on a three-cut chain: every seed
- *  node has two children, so a one-byte budget evicts the seed node
- *  while its first child runs and must rematerialize it from the
- *  root for the second — and the bytes still match the roomy run
- *  (and the cold-split control) exactly. */
-TEST(ForkReplay, TinyBudgetEvictsWithoutChangingOutputs)
+/** A cut between the first and the last adds no capture: each seed
+ *  runs its segments straight through to the last cut, so
+ *  "0.5/0.8/0.9" replays the same cells from the same two captures
+ *  as "0.5/0.9", and matches the cold-split control. */
+TEST(ForkReplay, IntermediateCutsAddNoCapture)
 {
     ForkGroupSpec group;
     group.app = "gaussian";
@@ -1042,37 +1042,30 @@ TEST(ForkReplay, TinyBudgetEvictsWithoutChangingOutputs)
         identitySeed(group.app, group.sys, group.params);
     group.sys.seed = ident;
     group.params.seed = ident;
-    group.cells.resize(4);
-    for (std::size_t i = 0; i < 4; ++i) {
-        ForkArm reseed{ForkArm::Kind::Reseed, 3 + i / 2, {}};
-        ForkArm mid{ForkArm::Kind::Faults, 0, {}};
-        if (i % 2 == 1) {
-            mid.faults.set(fault::Site::PcieReplay, 0.5);
-            group.cells[i].faults.set(fault::Site::PcieReplay, 0.5);
-        }
-        group.cells[i].arms = {reseed, mid};
-    }
-    const ForkPoint chained{ForkPoint::Mode::Auto, 0.0,
-                            {0.93, 0.96}};
+    group.cells.resize(3);
+    group.cells[0].seed = 3;
+    group.cells[1].seed = 3;
+    group.cells[1].faults.set(fault::Site::PcieReplay, 0.5);
+    group.cells[2].seed = 4;
 
-    const auto cold = runForkGroup(group, chained, true);
-    const auto roomy = runForkGroup(group, chained, false);
-    group.snapshot_budget_bytes = 1; // evict everything evictable
-    const auto tight = runForkGroup(group, chained, false);
-
-    ASSERT_EQ(roomy.cells.size(), tight.cells.size());
-    EXPECT_GT(tight.peak_resident_bytes, 0u);
-    EXPECT_LE(tight.peak_resident_bytes, roomy.peak_resident_bytes);
-    EXPECT_EQ(tight.snapshot_hits, 4u);
-    for (std::size_t i = 0; i < roomy.cells.size(); ++i) {
+    const ForkPoint two{ForkPoint::Mode::Fraction, 0.5, {0.9}};
+    const ForkPoint three{ForkPoint::Mode::Fraction, 0.5, {0.8, 0.9}};
+    const auto a = runForkGroup(group, two, false);
+    const auto b = runForkGroup(group, three, false);
+    const auto cold = runForkGroup(group, three, true);
+    ASSERT_EQ(b.cells.size(), 3u);
+    EXPECT_EQ(b.snapshot_hits, 3u);
+    EXPECT_GT(a.peak_resident_bytes, 0u);
+    EXPECT_EQ(b.peak_resident_bytes, a.peak_resident_bytes);
+    for (std::size_t i = 0; i < 3; ++i) {
+        ASSERT_TRUE(a.cells[i].ok) << a.cells[i].error;
+        ASSERT_TRUE(b.cells[i].ok) << b.cells[i].error;
         ASSERT_TRUE(cold.cells[i].ok) << cold.cells[i].error;
-        ASSERT_TRUE(roomy.cells[i].ok) << roomy.cells[i].error;
-        ASSERT_TRUE(tight.cells[i].ok) << tight.cells[i].error;
-        EXPECT_EQ(fingerprint(roomy.cells[i].result),
-                  fingerprint(cold.cells[i].result))
+        EXPECT_EQ(fingerprint(b.cells[i].result),
+                  fingerprint(a.cells[i].result))
             << "cell " << i;
-        EXPECT_EQ(fingerprint(tight.cells[i].result),
-                  fingerprint(roomy.cells[i].result))
+        EXPECT_EQ(fingerprint(b.cells[i].result),
+                  fingerprint(cold.cells[i].result))
             << "cell " << i;
     }
 }
@@ -1150,6 +1143,25 @@ TEST(ForkCampaign, DefaultForkPointKeepsLegacyArming)
     EXPECT_EQ(out.snapshot_hits, 0u);
     EXPECT_TRUE(out.cells[0].ok);
     EXPECT_FALSE(out.cells[1].ok);
+}
+
+/** Legacy cells return the light result of the split modes: their
+ *  trace is analyzed in place and not kept. */
+TEST(ForkCampaign, LegacyCellsKeepNoTrace)
+{
+    fault::CampaignSpec spec;
+    spec.app = "gaussian";
+    spec.sites = {fault::Site::PcieReplay};
+    spec.rates = {0.5};
+    spec.seeds = {42};
+    ASSERT_EQ(spec.fork_point.mode, ForkPoint::Mode::None);
+    const auto out = fault::runFaultCampaign(spec, 1);
+    ASSERT_EQ(out.cells.size(), 2u); // baseline + faulted
+    for (const auto &cell : out.cells) {
+        ASSERT_TRUE(cell.ok) << cell.error;
+        EXPECT_TRUE(cell.result.trace.empty()) << cell.cell.index;
+        EXPECT_GT(cell.result.end_to_end, 0);
+    }
 }
 
 /** The overlap axis joins the byte-identity contract: a grid that

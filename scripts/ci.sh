@@ -186,6 +186,26 @@ for j in 1 4; do
         "$tmp/channel_tiers$j.csv"
 done
 
+# Reuse check for a fork-mode campaign's summary ($1) and CSV ($2):
+# each faulted cell whose faults cannot fire takes its seed's
+# unfaulted result instead of replaying, so the summary's reused count
+# must equal the faulted rows that injected nothing, and be non-zero
+# so the gate keeps exercising reuse.
+check_reused() {
+    local want got
+    want="$(awk -F, 'NR == 1 { for (i = 1; i <= NF; i++) col[$i] = i; next }
+        $col["status"] == "ok" && $col["site"] != "baseline" \
+            && $col["injected"] == 0 { n++ }
+        END { print n + 0 }' "$2")"
+    got="$(sed -n 's/.*, \([0-9]*\) reused an unfaulted sibling.*/\1/p' \
+        "$1")"
+    if [ "$got" != "$want" ] || [ "$want" -eq 0 ]; then
+        echo "ERROR: $1 reports '$got' reused cells; $2 has $want" \
+            "faulted rows that injected nothing" >&2
+        exit 1
+    fi
+}
+
 # Chained-fork gate: a three-cut path with several seeds and faults in
 # every overlap tier.  Each seed runs its segments from the first cut
 # to the last once and its cells replay from that one capture; the
@@ -196,10 +216,11 @@ chain_tree() {
         --fork-point 0.5/0.8/0.9 \
         --sites pcie.replay,channel.tag_mismatch,spec.miss \
         --rates 0.25,0.5 --seeds 1,2,3 "$@" \
-        --out "$tmp/chain_tree.csv" --format csv >/dev/null
+        --out "$tmp/chain_tree.csv" --format csv >"$tmp/chain_tree.txt"
     cmp bench/baselines/faults_chain_tree.csv "$tmp/chain_tree.csv"
 }
 chain_tree --jobs 1
+check_reused "$tmp/chain_tree.txt" "$tmp/chain_tree.csv"
 chain_tree --jobs 4
 chain_tree --no-snapshot
 
@@ -238,7 +259,8 @@ cmp bench/baselines/serve_llm_stats.json "$tmp/serve1.json"
 "$hccsim" faults --app gaussian --rates 0.25,0.5 --seeds 41,42 \
     --fork-point auto --jobs 1 \
     --out "$tmp/fork.csv" --format csv \
-    --stats-out "$tmp/fork.json" >/dev/null
+    --stats-out "$tmp/fork.json" >"$tmp/fork.txt"
+check_reused "$tmp/fork.txt" "$tmp/fork.csv"
 "$hccsim" faults --app gaussian --rates 0.25,0.5 --seeds 41,42 \
     --fork-point auto --jobs 4 \
     --out "$tmp/fork4.csv" --format csv \

@@ -1004,8 +1004,10 @@ printCampaignSummary(const fault::CampaignResult &r, std::ostream &os)
         os);
     os << "\n";
     if (r.snapshot_hits > 0)
-        os << r.snapshot_hits << " cells forked from snapshots, peak "
-           << r.peak_resident_bytes << " resident snapshot bytes\n";
+        os << r.snapshot_hits << " cells forked from snapshots, "
+           << r.reused_cells << " reused an unfaulted sibling's result, "
+           << "peak " << r.peak_resident_bytes
+           << " resident snapshot bytes\n";
 }
 
 /** Human summary of a finished serve sweep: one SLO row per cell. */

@@ -11,6 +11,15 @@ namespace {
 /** Stream salt for the injector's master fork; arbitrary constant. */
 constexpr std::uint64_t kFaultStream = 0xfa177;
 
+/** Site @p i's stream, forked from @p master in site order.  Fork
+ *  every site, armed or not, so adding a site later never reseeds
+ *  the streams of existing ones. */
+Rng
+forkSite(Rng &master, int i)
+{
+    return master.fork(static_cast<std::uint64_t>(i) + 1);
+}
+
 const char *const kSiteNames[kSiteCount] = {
     "channel.tag_mismatch",
     "spdm.handshake",
@@ -89,6 +98,24 @@ parseFaultSpec(const std::string &spec)
     return config;
 }
 
+bool
+wouldInject(const FaultConfig &config, std::uint64_t seed,
+            const TrialCounts &trials)
+{
+    Rng master(seed, kFaultStream);
+    for (int i = 0; i < kSiteCount; ++i) {
+        Rng rng = forkSite(master, i);
+        const double rate = config.rates[static_cast<std::size_t>(i)];
+        if (rate <= 0.0)
+            continue;
+        for (std::uint64_t k = 0; k < trials[static_cast<std::size_t>(i)];
+             ++k)
+            if (rng.uniform() < rate)
+                return true;
+    }
+    return false;
+}
+
 Injector::Injector(const FaultConfig &config, std::uint64_t seed,
                    obs::Registry *obs)
     : config_(config), corrupt_rng_(0, 0), obs_(obs)
@@ -106,9 +133,7 @@ Injector::arm(const FaultConfig &config, std::uint64_t seed)
         st.rate = config_.rates[static_cast<std::size_t>(i)];
         HCC_ASSERT(st.rate >= 0.0 && st.rate <= 1.0,
                    "fault rate outside [0, 1]");
-        // Fork unconditionally so adding a site later never reseeds
-        // the streams of existing ones.
-        st.rng = master.fork(static_cast<std::uint64_t>(i) + 1);
+        st.rng = forkSite(master, i);
         st.injected = 0;
         st.recovered = 0;
         st.retry_time = 0;
@@ -116,12 +141,14 @@ Injector::arm(const FaultConfig &config, std::uint64_t seed)
         st.obs_recovered = nullptr;
         st.obs_retry_time_ps = nullptr;
     }
+    trials_.fill(0);
     corrupt_rng_ = master.fork(0xc0ffee);
 }
 
 bool
 Injector::shouldInject(Site site)
 {
+    ++trials_[static_cast<std::size_t>(site)];
     auto &st = state(site);
     if (st.rate <= 0.0)
         return false;

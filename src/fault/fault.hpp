@@ -16,9 +16,12 @@
  * Determinism contract:
  *  - A site with rate 0 draws nothing, creates no stats and records
  *    no trace events — an all-rates-zero run is byte-identical to a
- *    build without the subsystem.
+ *    build without the subsystem.  It still counts its trials.
  *  - Each site forks its own stream from (seed, site index), so
  *    arming one site never perturbs the draw sequence of another.
+ *  - Until a run's first injection, nothing it simulates depends on
+ *    the rates, so an armed run whose draws all miss is call for
+ *    call the unarmed one (wouldInject() decides this up front).
  *  - The Injector lives per Context; parallel campaign cells never
  *    share one, so schedules are independent of worker count.
  */
@@ -125,6 +128,19 @@ struct FaultConfig
  */
 Result<FaultConfig> parseFaultSpec(const std::string &spec);
 
+/** Bernoulli trials per site, indexed by Site. */
+using TrialCounts = std::array<std::uint64_t, kSiteCount>;
+
+/**
+ * Whether an Injector armed with @p config and @p seed would inject
+ * within @p trials: re-forks the site streams exactly as
+ * Injector::arm() does and draws at most `trials[site]` uniforms for
+ * each armed site.  Given the trial counts of an unarmed run, this is
+ * exactly whether the armed run would differ from it.  Pure.
+ */
+bool wouldInject(const FaultConfig &config, std::uint64_t seed,
+                 const TrialCounts &trials);
+
 /** Hook over the staged (encrypted) bounce-buffer bytes of a chunk. */
 using StageHook = std::function<void(std::vector<std::uint8_t> &)>;
 
@@ -149,7 +165,8 @@ class Injector
 
     /**
      * Bernoulli trial at @p site's configured rate.  Unarmed sites
-     * return false without drawing.  Counts an injection on success.
+     * return false without drawing.  Counts the trial, armed or not,
+     * and an injection on success.
      */
     bool shouldInject(Site site);
 
@@ -205,14 +222,18 @@ class Injector
 
     const FaultConfig &config() const { return config_; }
 
+    /** Trials per site since the last arm(), armed or not.  Plain
+     *  counts: no draw, no stat, not archived. */
+    const TrialCounts &trials() const { return trials_; }
+
     /**
      * Re-arm the injector with a new config and seed, exactly as if
      * it had been constructed with them: all site streams and the
-     * corruption stream are re-forked from @p seed, injection counts
-     * reset, and the lazy `fault.<site>.*` counter pointers cleared
-     * (they are re-resolved on first injection).  Used by campaign
-     * forking to arm a cell's faults at the fork point so every cell
-     * shares one unarmed warmup prefix.
+     * corruption stream are re-forked from @p seed, injection and
+     * trial counts reset, and the lazy `fault.<site>.*` counter
+     * pointers cleared (they are re-resolved on first injection).
+     * Used by campaign forking to arm a cell's faults at the fork
+     * point so every cell shares one unarmed warmup prefix.
      */
     void arm(const FaultConfig &config, std::uint64_t seed);
 
@@ -266,6 +287,7 @@ class Injector
 
     FaultConfig config_;
     std::array<SiteState, kSiteCount> sites_;
+    TrialCounts trials_{};
     Rng corrupt_rng_;
     obs::Registry *obs_ = nullptr;
     trace::Tracer *tracer_ = nullptr;

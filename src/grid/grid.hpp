@@ -67,6 +67,9 @@ struct Outcome
     ThreadPool::Stats pool;
     /** Cells replayed from an in-memory snapshot. */
     std::size_t snapshot_hits = 0;
+    /** Of those, cells that took an unfaulted sibling's outcome
+     *  instead of replaying (snap::ForkGroupOutcome::reused_cells). */
+    std::size_t reused_cells = 0;
     /** High-water mark of resident snapshot bytes over all fork
      *  groups (also published as host.sweep.snapshot_resident_bytes). */
     std::size_t peak_resident_bytes = 0;
@@ -159,6 +162,7 @@ runGroups(Result &result, int jobs, const std::vector<Group> &groups,
     });
     for (std::size_t g = 0; g < groups.size(); ++g) {
         result.snapshot_hits += outcomes[g].snapshot_hits;
+        result.reused_cells += outcomes[g].reused_cells;
         result.peak_resident_bytes =
             std::max(result.peak_resident_bytes,
                      outcomes[g].peak_resident_bytes);

@@ -35,9 +35,10 @@ namespace {
  * cell's restore rewinds, and in every mode the copy drops the gauge
  * sample series no campaign writer prints, keeping only their
  * counts.  Each arm copies its own live registry, so the fork-vs-cold
- * gates still compare real counts.  @p analyzer (fork mode only)
- * reuses the group's prefix scan so each cell pays for its suffix,
- * not the full trace.
+ * gates still compare real counts (a fork-mode cell that reuses an
+ * unfaulted sibling's outcome shares that sibling's copy).
+ * @p analyzer (fork mode only) reuses the group's prefix scan so each
+ * cell pays for its suffix, not the full trace.
  */
 workloads::WorkloadResult
 collectCellResult(rt::Context &ctx, const workloads::Workload &w,
@@ -234,6 +235,13 @@ cellsBySeed(const std::vector<ForkCell> &cells)
  * reseeds and runs the segments to the last cut; that capture serves
  * the seed's cells and is freed before the next seed, so at most two
  * captures are ever resident.
+ *
+ * Either way a seed's first unfaulted cell replays first, and each
+ * other cell of the seed whose faults would not fire within that
+ * replay's per-site trial counts takes its outcome instead of
+ * replaying: until its first injection a faulted cell runs call for
+ * call like the unfaulted one.  A seed with no unfaulted cell, or
+ * whose unfaulted cell failed, replays every cell.
  */
 void
 runForked(const ForkGroupSpec &group, const workloads::Workload &w,
@@ -279,9 +287,43 @@ runForked(const ForkGroupSpec &group, const workloads::Workload &w,
                                      &from.analyzer);
         });
     };
+    // Replay one seed's cells from `from`, the unfaulted one first.
+    const auto replaySeed = [&](Capture &from,
+                                const std::vector<std::size_t> &cells,
+                                bool reseed_here) {
+        const auto base =
+            std::find_if(cells.begin(), cells.end(), [&](std::size_t i) {
+                return !group.cells[i].faults.any();
+            });
+        std::optional<fault::TrialCounts> trials;
+        std::uint64_t arm_seed = 0;
+        if (base != cells.end()) {
+            replay(from, *base, reseed_here);
+            if (out.cells[*base].ok) {
+                trials = ctx.faultInjector().trials();
+                // The seed armFaults() used, the same for all of them.
+                arm_seed = ctx.config().seed;
+            }
+        }
+        for (const std::size_t i : cells) {
+            if (base != cells.end() && i == *base)
+                continue;
+            if (trials
+                && !fault::wouldInject(group.cells[i].faults, arm_seed,
+                                       *trials)) {
+                const auto start = std::chrono::steady_clock::now();
+                out.cells[i] = out.cells[*base];
+                out.cells[i].wall_us = elapsedUs(start);
+                ++out.reused_cells;
+            } else {
+                replay(from, i, reseed_here);
+            }
+        }
+    };
     if (cuts.size() == 1) {
-        for (std::size_t i = 0; i < group.cells.size(); ++i)
-            replay(prefix, i, /*reseed_here=*/true);
+        for (const std::vector<std::size_t> &cells :
+             cellsBySeed(group.cells))
+            replaySeed(prefix, cells, /*reseed_here=*/true);
         return;
     }
     for (const std::vector<std::size_t> &cells :
@@ -312,8 +354,7 @@ runForked(const ForkGroupSpec &group, const workloads::Workload &w,
         out.peak_resident_bytes =
             std::max(out.peak_resident_bytes,
                      prefix.snap.totalBytes() + seed.snap.totalBytes());
-        for (const std::size_t i : cells)
-            replay(seed, i, /*reseed_here=*/false);
+        replaySeed(seed, cells, /*reseed_here=*/false);
     }
 }
 

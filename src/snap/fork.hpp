@@ -12,12 +12,16 @@
  *    second level: each seed of the group runs the segments from the
  *    first cut to the last once, and that seed's cells replay from
  *    its capture, so a nested 10k-cell grid simulates each seed's
- *    share once.
+ *    share once.  Each seed replays its first unfaulted cell first;
+ *    a cell whose armed sites would not fire within that replay's
+ *    trial counts (fault::wouldInject) takes its outcome instead of
+ *    replaying, because its run would be the unfaulted one.
  *  - *cold-split* (`--no-snapshot`): every cell gets its own fresh
  *    Context, runs the full prefix (and segment chain) itself,
  *    arms at the final cut and runs the suffix.  Semantically
  *    identical to fork mode — this pair is the byte-identity gate CI
- *    enforces with `cmp`.
+ *    enforces with `cmp`, and it checks every reused cell against a
+ *    full replay.
  *  - *legacy* (`--fork-point none`): the pre-fork behaviour —
  *    faults are armed at Context construction and the workload runs
  *    start to finish on the cell's own Context.
@@ -142,7 +146,8 @@ struct ForkCellOutcome
     /** FatalError message when !ok. */
     std::string error;
     workloads::WorkloadResult result;
-    /** Host wall-clock of this cell (suffix only in fork mode). */
+    /** Host wall-clock of this cell (suffix only in fork mode; the
+     *  copy alone for a cell that reused a sibling's outcome). */
     double wall_us = 0.0;
 };
 
@@ -152,6 +157,9 @@ struct ForkGroupOutcome
     std::vector<ForkCellOutcome> cells;
     /** Cells served by snapshot restore instead of a cold prefix. */
     std::size_t snapshot_hits = 0;
+    /** Fork-mode cells that took an unfaulted sibling's outcome (its
+     *  registry shared, not cloned) instead of replaying. */
+    std::size_t reused_cells = 0;
     /** High-water mark of resident snapshot bytes (fork mode): the
      *  prefix capture plus at most one seed's capture. */
     std::size_t peak_resident_bytes = 0;

@@ -1067,6 +1067,29 @@ TEST(CliRun, FaultsOverlapGridPrintsTieredCellsAndForkSummary)
               std::string::npos);
 }
 
+/** The snapshot line counts the cells that took their seed's
+ *  unfaulted result: gaussian's suffix makes no SPDM handshake and,
+ *  outside UVM, no UVM migration, so those cells cannot fire. */
+TEST(CliRun, FaultsSummaryCountsCellsThatReuseTheUnfaultedResult)
+{
+    Options o;
+    o.command = Command::Faults;
+    o.faults.spec.app = "gaussian";
+    o.faults.spec.sites = {*fault::parseSite("pcie.replay"),
+                           *fault::parseSite("spdm.handshake"),
+                           *fault::parseSite("uvm.thrash")};
+    o.faults.spec.rates = {0.5};
+    o.faults.spec.seeds = {1, 2};
+    o.faults.spec.fork_point = snap::parseForkPoint("auto").value();
+    o.faults.jobs = 2;
+    std::ostringstream oss;
+    EXPECT_EQ(runCli(o, oss), 0);
+    EXPECT_NE(oss.str().find("8 cells forked from snapshots, 4 reused "
+                             "an unfaulted sibling's result, peak "),
+              std::string::npos)
+        << oss.str();
+}
+
 // ------------------------------------------------------ error path
 
 /** Write @p text to a fresh file under the test temp dir. */

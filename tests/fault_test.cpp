@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/calibration.hpp"
@@ -20,6 +22,7 @@
 #include "obs/registry.hpp"
 #include "obs/stats_io.hpp"
 #include "pcie/link.hpp"
+#include "snap/archive.hpp"
 #include "tee/secure_channel.hpp"
 #include "tee/spdm.hpp"
 #include "tee/tdx.hpp"
@@ -234,6 +237,75 @@ TEST(Injector, CorruptFlipsExactlyOneByteDeterministically)
     EXPECT_EQ(da, db) << "corruption position/value is seed-driven";
 }
 
+/** The injector's archived state, as bytes. */
+std::vector<std::uint8_t>
+archived(Injector &inj)
+{
+    snap::Saver saver;
+    inj.snapState(saver);
+    return saver.take();
+}
+
+/** Trial counting: unarmed sites count their trials but never draw,
+ *  arm() resets the counts, and a cell armed after N unarmed trials
+ *  draws exactly the stream of one armed from the start. */
+TEST(Injector, UnarmedSitesCountTrialsWithoutDrawing)
+{
+    Injector inj(FaultConfig{}, 11);
+    const auto before = archived(inj);
+    for (int i = 0; i < 40; ++i) {
+        EXPECT_FALSE(inj.shouldInject(Site::PcieReplay));
+        if (i % 2 == 0) {
+            EXPECT_FALSE(inj.shouldInject(Site::SpecMiss));
+        }
+    }
+    const auto idx = [](Site s) { return static_cast<std::size_t>(s); };
+    EXPECT_EQ(inj.trials()[idx(Site::PcieReplay)], 40u);
+    EXPECT_EQ(inj.trials()[idx(Site::SpecMiss)], 20u);
+    EXPECT_EQ(inj.trials()[idx(Site::TdxEptStorm)], 0u);
+    EXPECT_EQ(archived(inj), before)
+        << "an unarmed trial must not draw, and counts are not archived";
+
+    FaultConfig fc;
+    fc.set(Site::PcieReplay, 0.5);
+    inj.arm(fc, 11);
+    for (const std::uint64_t t : inj.trials())
+        EXPECT_EQ(t, 0u) << "arm() resets the trial counts";
+    Injector fresh(fc, 11);
+    EXPECT_EQ(archived(inj), archived(fresh));
+    std::vector<bool> late, early;
+    for (int i = 0; i < 200; ++i) {
+        late.push_back(inj.shouldInject(Site::PcieReplay));
+        early.push_back(fresh.shouldInject(Site::PcieReplay));
+    }
+    EXPECT_EQ(late, early);
+    EXPECT_EQ(inj.trials()[idx(Site::PcieReplay)], 200u)
+        << "armed trials count too";
+}
+
+TEST(Injector, WouldInjectReplaysTheArmedDraws)
+{
+    FaultConfig fc;
+    fc.set(Site::ChannelTagMismatch, 0.05);
+    Injector inj(fc, 23);
+    // The first trial that injects, drawn by a real injector.
+    std::uint64_t first = 0;
+    while (!inj.shouldInject(Site::ChannelTagMismatch))
+        ++first;
+    fault::TrialCounts trials{};
+    trials[static_cast<std::size_t>(Site::ChannelTagMismatch)] = first;
+    EXPECT_FALSE(fault::wouldInject(fc, 23, trials));
+    trials[static_cast<std::size_t>(Site::ChannelTagMismatch)] = first + 1;
+    EXPECT_TRUE(fault::wouldInject(fc, 23, trials));
+    // Unarmed sites never fire, whatever their trial counts.
+    fault::TrialCounts all{};
+    all.fill(1000);
+    EXPECT_FALSE(fault::wouldInject(FaultConfig{}, 23, all));
+    FaultConfig sure;
+    sure.set(Site::UvmThrash, 1.0);
+    EXPECT_FALSE(fault::wouldInject(sure, 23, fault::TrialCounts{}));
+}
+
 TEST(Injector, BackoffDoublesPerAttempt)
 {
     EXPECT_EQ(fault::retryBackoff(1), fault::kRetryBackoffBase);
@@ -362,6 +434,94 @@ TEST(FaultSpdm, UnarmedFallibleHandshakeMatchesInfallible)
               tee::SpdmSession::establish(7).key());
     EXPECT_EQ(session.value().sessionId(),
               tee::SpdmSession::establish(7).sessionId());
+}
+
+// ------------------------------------------- reuse predicate, exact
+
+/** Injections a cell's registry counted, over every site. */
+std::uint64_t
+injectedCount(const obs::Registry &reg)
+{
+    std::uint64_t n = 0;
+    for (const Site site : fault::allSites())
+        n += reg.counterValue(std::string("fault.") + fault::siteName(site)
+                              + ".injected");
+    return n;
+}
+
+/** Trial counts of @p group's unfaulted cell under @p seed, by the
+ *  cold-split derivation: the prefix under the group's identity seed,
+ *  the reseed at the cut, nothing armed, the suffix. */
+fault::TrialCounts
+unfaultedTrials(const snap::ForkGroupSpec &group, std::uint64_t seed)
+{
+    const workloads::Workload &w =
+        workloads::WorkloadRegistry::instance().get(group.app);
+    rt::Context ctx(group.sys);
+    const auto prefix =
+        w.runPrefix(ctx, group.params, w.defaultForkPoint());
+    workloads::WorkloadParams params = group.params;
+    params.seed = seed;
+    ctx.reseedAtFork(seed);
+    const auto reseeded = w.reseedResume(*prefix, params);
+    ctx.armFaults(FaultConfig{});
+    w.runSuffix(ctx, params, reseeded ? *reseeded : *prefix);
+    return ctx.faultInjector().trials();
+}
+
+/** The reuse predicate is exact: given the unfaulted cell's trial
+ *  counts, wouldInject() says a cell fires exactly when its cold-split
+ *  replay injects, for every site, rate, seed and overlap tier. */
+TEST(WouldInject, MatchesColdSplitInjectionsOverEverySite)
+{
+    const std::uint64_t seeds[] = {1, 2, 3};
+    std::size_t fires = 0, quiet = 0;
+    for (const char *app : {"gaussian", "bigxfer"}) {
+        for (const tee::OverlapMode tier :
+             {tee::OverlapMode::None, tee::OverlapMode::DoubleBuffer,
+              tee::OverlapMode::Speculative}) {
+            snap::ForkGroupSpec group;
+            group.app = app;
+            group.sys.cc = true;
+            group.sys.channel.overlap = tier;
+            std::vector<std::uint64_t> cell_seeds;
+            for (const std::uint64_t seed : seeds) {
+                for (const Site site : fault::allSites()) {
+                    for (const double rate : {0.001, 0.05, 0.5, 1.0}) {
+                        snap::ForkCell cell;
+                        cell.faults.set(site, rate);
+                        group.cells.push_back(cell);
+                        cell_seeds.push_back(seed);
+                    }
+                }
+            }
+            grid::shareAcrossSeeds(group, cell_seeds);
+            const auto cold = snap::runForkGroup(
+                group, {snap::ForkPoint::Mode::Auto, 0.0, {}},
+                /*no_snapshot=*/true);
+            std::map<std::uint64_t, fault::TrialCounts> trials;
+            for (const std::uint64_t seed : seeds)
+                trials[seed] = unfaultedTrials(group, seed);
+            for (std::size_t i = 0; i < group.cells.size(); ++i) {
+                const snap::ForkCell &cell = group.cells[i];
+                const std::string tag = std::string(app) + "/"
+                    + tee::overlapModeName(tier) + " cell "
+                    + std::to_string(i);
+                ASSERT_TRUE(cold.cells[i].ok)
+                    << tag << ": " << cold.cells[i].error;
+                const bool fired =
+                    injectedCount(*cold.cells[i].result.stats) > 0;
+                EXPECT_EQ(fault::wouldInject(cell.faults, *cell.seed,
+                                             trials[*cell.seed]),
+                          fired)
+                    << tag;
+                ++(fired ? fires : quiet);
+            }
+        }
+    }
+    // Both answers must occur, or the test shows nothing.
+    EXPECT_GT(fires, 0u);
+    EXPECT_GT(quiet, 0u);
 }
 
 // -------------------------------------------------------- campaigns

@@ -688,8 +688,10 @@ fingerprint(const workloads::WorkloadResult &r)
  * The hard bar of the fork engine: a cell replayed from a snapshot
  * is indistinguishable from the same cell simulated from a cold
  * start.  Runs every registered workload under base and CC (and UVM
- * where supported), forks two identical cells from one prefix, and
- * requires both to match the cold-split control exactly.
+ * where supported), forks two identical cells from one prefix (the
+ * second takes the first's result) and a third under another seed
+ * (it restores over the first's replay), and requires each to match
+ * the cold-split control exactly.
  */
 TEST(ForkReplay, ForkedCellsMatchColdStartForEveryWorkload)
 {
@@ -710,7 +712,8 @@ TEST(ForkReplay, ForkedCellsMatchColdStartForEveryWorkload)
                 group.sys.seed = 42;
                 group.params.uvm = uvm;
                 group.params.seed = 42;
-                group.cells.resize(2); // fault-free duplicate cells
+                group.cells.resize(3); // fault-free cells
+                group.cells[2].seed = 43;
 
                 const ForkPoint auto_fp{ForkPoint::Mode::Auto, 0.0, {}};
                 const auto cold = runForkGroup(group, auto_fp,
@@ -718,22 +721,26 @@ TEST(ForkReplay, ForkedCellsMatchColdStartForEveryWorkload)
                 const auto fork = runForkGroup(group, auto_fp,
                                                /*no_snapshot=*/false);
 
-                ASSERT_EQ(cold.cells.size(), 2u);
-                ASSERT_EQ(fork.cells.size(), 2u);
+                ASSERT_EQ(cold.cells.size(), 3u);
+                ASSERT_EQ(fork.cells.size(), 3u);
                 EXPECT_EQ(cold.snapshot_hits, 0u);
-                EXPECT_EQ(fork.snapshot_hits, 2u);
+                EXPECT_EQ(fork.snapshot_hits, 3u);
+                EXPECT_EQ(fork.reused_cells, 1u);
 
                 const std::string tag = w->name()
                     + (cc ? "/cc" : "/base") + (uvm ? "/uvm" : "");
-                ASSERT_TRUE(cold.cells[0].ok)
-                    << tag << ": " << cold.cells[0].error;
-                const std::string want =
-                    fingerprint(cold.cells[0].result);
-                for (const auto &cell : fork.cells) {
-                    ASSERT_TRUE(cell.ok)
-                        << tag << ": " << cell.error;
-                    EXPECT_EQ(fingerprint(cell.result), want) << tag;
+                for (std::size_t i = 0; i < 3; ++i) {
+                    ASSERT_TRUE(cold.cells[i].ok)
+                        << tag << ": " << cold.cells[i].error;
+                    ASSERT_TRUE(fork.cells[i].ok)
+                        << tag << ": " << fork.cells[i].error;
+                    EXPECT_EQ(fingerprint(fork.cells[i].result),
+                              fingerprint(cold.cells[i].result))
+                        << tag << " cell " << i;
                 }
+                EXPECT_EQ(fingerprint(cold.cells[1].result),
+                          fingerprint(cold.cells[0].result))
+                    << tag;
             }
         }
     }
@@ -1226,6 +1233,228 @@ TEST(ForkSweep, DuplicateCellsReplayFromOneSnapshot)
     EXPECT_EQ(solo.snapshot_hits, 0u);
     ASSERT_TRUE(solo.cells[0].ok);
     EXPECT_EQ(fingerprint(solo.cells[0].result), want);
+}
+
+// ------------------------------------- reuse of the unfaulted result
+
+/** Injections a cell's registry counted, over every site. */
+std::uint64_t
+injectedCount(const obs::Registry &reg)
+{
+    std::uint64_t n = 0;
+    for (const fault::Site site : fault::allSites())
+        n += reg.counterValue(std::string("fault.") + fault::siteName(site)
+                              + ".injected");
+    return n;
+}
+
+/** A cell armed with @p site at @p rate, under @p seed. */
+ForkCell
+armedCell(std::uint64_t seed, fault::Site site, double rate)
+{
+    ForkCell cell;
+    cell.seed = seed;
+    cell.faults.set(site, rate);
+    return cell;
+}
+
+/**
+ * Reuse is exact: in a group that mixes unfaulted cells, cells whose
+ * faults never fire and cells whose faults do, ahead of and behind
+ * their seed's unfaulted cell, fork mode matches the cold-split
+ * control cell for cell, single-cut and chained.  A faulted cell
+ * shares its unfaulted sibling's registry exactly when its cold
+ * replay injects nothing.
+ */
+TEST(ForkReuse, MixedGroupMatchesColdAndSharesTheSiblingRegistry)
+{
+    using fault::Site;
+    ForkGroupSpec group;
+    group.app = "gaussian";
+    group.sys.cc = true;
+    group.sys.channel.overlap = tee::OverlapMode::Speculative;
+    const std::uint64_t ident =
+        identitySeed(group.app, group.sys, group.params);
+    group.sys.seed = ident;
+    group.params.seed = ident;
+    ForkCell base3, base4;
+    base3.seed = 3;
+    base4.seed = 4;
+    group.cells = {
+        armedCell(3, Site::PcieReplay, 1.0),
+        base3,
+        armedCell(4, Site::SpdmHandshake, 1.0), // no suffix trial
+        armedCell(3, Site::ChannelTagMismatch, 0.5),
+        armedCell(3, Site::UvmThrash, 1.0),     // not a UVM run
+        base4,
+        armedCell(4, Site::SpecMiss, 0.5),
+        base3,
+        armedCell(4, Site::TdxEptStorm, 0.001),
+    };
+    const std::size_t base_of[] = {1, 1, 5, 1, 1, 5, 5, 1, 5};
+
+    const ForkPoint paths[] = {
+        {ForkPoint::Mode::Auto, 0.0, {}},
+        {ForkPoint::Mode::Fraction, 0.5, {0.9}},
+    };
+    for (const ForkPoint &fp : paths) {
+        const auto cold = runForkGroup(group, fp, /*no_snapshot=*/true);
+        const auto fork = runForkGroup(group, fp, /*no_snapshot=*/false);
+        EXPECT_EQ(cold.reused_cells, 0u);
+        std::size_t shared = 0, replayed_faulted = 0;
+        for (std::size_t i = 0; i < group.cells.size(); ++i) {
+            const std::string tag = fp.str() + " cell " + std::to_string(i);
+            ASSERT_TRUE(cold.cells[i].ok)
+                << tag << ": " << cold.cells[i].error;
+            ASSERT_TRUE(fork.cells[i].ok)
+                << tag << ": " << fork.cells[i].error;
+            EXPECT_EQ(fingerprint(fork.cells[i].result),
+                      fingerprint(cold.cells[i].result))
+                << tag;
+            if (i == base_of[i])
+                continue;
+            const bool shares = fork.cells[i].result.stats
+                == fork.cells[base_of[i]].result.stats;
+            shared += shares;
+            const bool faulted = group.cells[i].faults.any();
+            if (faulted) {
+                EXPECT_EQ(shares,
+                          injectedCount(*cold.cells[i].result.stats) == 0)
+                    << tag;
+                replayed_faulted += !shares;
+            } else {
+                EXPECT_TRUE(shares) << tag;
+            }
+        }
+        EXPECT_EQ(shared, fork.reused_cells) << fp.str();
+        EXPECT_GE(fork.reused_cells, 1u) << fp.str();
+        EXPECT_GE(replayed_faulted, 1u) << fp.str();
+        EXPECT_EQ(fork.snapshot_hits, group.cells.size())
+            << "reused cells still count as snapshot hits";
+    }
+}
+
+/**
+ * gaussian, except that an unfaulted suffix under kSeed throws: the
+ * one way to fail a seed's unfaulted cell while its faulted siblings
+ * run.  Under any other seed it is gaussian.
+ */
+class UnfaultedSuffixFails final : public workloads::Workload
+{
+  public:
+    static constexpr std::uint64_t kSeed = 0xfa11;
+
+    explicit UnfaultedSuffixFails(const workloads::Workload &base)
+        : base_(base)
+    {}
+
+    std::string name() const override { return "gaussian.unfaulted_fails"; }
+    std::string suite() const override { return base_.suite(); }
+    bool supportsUvm() const override { return base_.supportsUvm(); }
+    double
+    defaultForkPoint() const override
+    {
+        return base_.defaultForkPoint();
+    }
+
+    std::unique_ptr<Resume>
+    runPrefix(rt::Context &ctx, const workloads::WorkloadParams &params,
+              double fraction) const override
+    {
+        return base_.runPrefix(ctx, params, fraction);
+    }
+
+    void
+    runSuffix(rt::Context &ctx, const workloads::WorkloadParams &params,
+              const Resume &resume) const override
+    {
+        if (params.seed == kSeed && !ctx.faultInjector().config().any())
+            fatal("unfaulted suffix refused");
+        base_.runSuffix(ctx, params, resume);
+    }
+
+    std::unique_ptr<Resume>
+    runSegment(rt::Context &ctx, const workloads::WorkloadParams &params,
+               const Resume &from, double to_fraction) const override
+    {
+        return base_.runSegment(ctx, params, from, to_fraction);
+    }
+
+    std::unique_ptr<Resume>
+    reseedResume(const Resume &resume,
+                 const workloads::WorkloadParams &params) const override
+    {
+        return base_.reseedResume(resume, params);
+    }
+
+  private:
+    const workloads::Workload &base_;
+};
+
+/** Register UnfaultedSuffixFails once; @return its app name. */
+const std::string &
+unfaultedFailsApp()
+{
+    static const std::string name = [] {
+        auto &registry = workloads::WorkloadRegistry::instance();
+        auto w = std::make_unique<UnfaultedSuffixFails>(
+            registry.get("gaussian"));
+        std::string n = w->name();
+        registry.add(std::move(w));
+        return n;
+    }();
+    return name;
+}
+
+/** Without a successful unfaulted cell there are no trial counts to
+ *  judge by, so every cell of the seed replays. */
+TEST(ForkReuse, SeedsWithoutAGoodUnfaultedCellReplayEveryCell)
+{
+    using fault::Site;
+    const ForkPoint fp{ForkPoint::Mode::Auto, 0.0, {}};
+
+    // No unfaulted cell: two cells that would never fire.
+    ForkGroupSpec none;
+    none.app = "gaussian";
+    none.sys.cc = true;
+    none.cells.resize(2);
+    none.cells[0].faults.set(Site::SpdmHandshake, 1.0);
+    none.cells[1].faults.set(Site::UvmThrash, 1.0);
+    const auto cold = runForkGroup(none, fp, /*no_snapshot=*/true);
+    const auto fork = runForkGroup(none, fp, /*no_snapshot=*/false);
+    EXPECT_EQ(fork.reused_cells, 0u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        ASSERT_TRUE(fork.cells[i].ok) << fork.cells[i].error;
+        EXPECT_EQ(fingerprint(fork.cells[i].result),
+                  fingerprint(cold.cells[i].result))
+            << "cell " << i;
+    }
+    EXPECT_NE(fork.cells[0].result.stats, fork.cells[1].result.stats);
+
+    // The unfaulted cell fails: its siblings replay and succeed
+    // rather than take its failure.
+    ForkGroupSpec failing;
+    failing.app = unfaultedFailsApp();
+    failing.sys.cc = true;
+    failing.sys.seed = UnfaultedSuffixFails::kSeed;
+    failing.params.seed = UnfaultedSuffixFails::kSeed;
+    failing.cells.resize(3);
+    failing.cells[1].faults.set(Site::SpdmHandshake, 1.0);
+    failing.cells[2].faults.set(Site::UvmThrash, 1.0);
+    const auto cold_f = runForkGroup(failing, fp, /*no_snapshot=*/true);
+    const auto fork_f = runForkGroup(failing, fp, /*no_snapshot=*/false);
+    EXPECT_EQ(fork_f.reused_cells, 0u);
+    EXPECT_FALSE(fork_f.cells[0].ok);
+    EXPECT_EQ(fork_f.cells[0].error, cold_f.cells[0].error);
+    EXPECT_NE(fork_f.cells[0].error.find("unfaulted suffix refused"),
+              std::string::npos);
+    for (std::size_t i = 1; i < 3; ++i) {
+        ASSERT_TRUE(fork_f.cells[i].ok) << fork_f.cells[i].error;
+        ASSERT_TRUE(cold_f.cells[i].ok) << cold_f.cells[i].error;
+        EXPECT_EQ(fingerprint(fork_f.cells[i].result),
+                  fingerprint(cold_f.cells[i].result))
+            << "cell " << i;
+    }
 }
 
 } // namespace

@@ -210,19 +210,26 @@ check_reused() {
 # every overlap tier.  Each seed runs its segments from the first cut
 # to the last once and its cells replay from that one capture; the
 # per-cell CSV must reproduce the committed baseline at any --jobs and
-# under the cold-split control.
+# under the cold-split control, and the merged stats ($1 names the
+# arm's file) must agree across the three arms: reused cells share
+# their seed's registry, which the stats writer renders once.
 chain_tree() {
+    local arm="$1"
+    shift
     "$hccsim" faults --app gaussian --overlap all \
         --fork-point 0.5/0.8/0.9 \
         --sites pcie.replay,channel.tag_mismatch,spec.miss \
         --rates 0.25,0.5 --seeds 1,2,3 "$@" \
-        --out "$tmp/chain_tree.csv" --format csv >"$tmp/chain_tree.txt"
+        --out "$tmp/chain_tree.csv" --format csv \
+        --stats-out "$tmp/chain_tree_$arm.json" >"$tmp/chain_tree.txt"
     cmp bench/baselines/faults_chain_tree.csv "$tmp/chain_tree.csv"
 }
-chain_tree --jobs 1
+chain_tree jobs1 --jobs 1
 check_reused "$tmp/chain_tree.txt" "$tmp/chain_tree.csv"
-chain_tree --jobs 4
-chain_tree --no-snapshot
+chain_tree jobs4 --jobs 4
+chain_tree cold --no-snapshot
+cmp "$tmp/chain_tree_jobs1.json" "$tmp/chain_tree_jobs4.json"
+cmp "$tmp/chain_tree_jobs1.json" "$tmp/chain_tree_cold.json"
 
 # Serving smoke + determinism + the saturation gate: the open-loop
 # goodput curve must merge byte-identically for any --jobs and
@@ -306,15 +313,20 @@ printf 'name x\ninput abc\nphase k 1 1us\n' > "$tmp/bad.spec"
 # A device buffer past the HBM: copied in 4 MiB chunks, it would run
 # for hours instead of failing.
 printf 'name x\ninput 16000000000GiB\nphase k 1 1us\n' > "$tmp/huge.spec"
-# Launch counts whose total overflows an int.
+# Launch counts whose total would overflow an int (the first phase
+# alone already passes the spec launch budget).
 printf 'name x\nphase a 2000000000 1us\nphase b 2000000000 1us\n' \
     > "$tmp/launches.spec"
+# One phase past the spec launch budget: legal as an int, it would
+# run for half an hour instead of failing.
+printf 'name x\nphase k 2000000000 1us\n' > "$tmp/long.spec"
 head -c 100 "$tmp/llm.snap" > "$tmp/short.snap"
 expect_error 2 run --app atax --scale zero
 expect_error 2 sweep --spec "$tmp/bad.grid"
 expect_error 2 run --spec "$tmp/bad.spec"
 expect_error 2 run --spec "$tmp/huge.spec"
 expect_error 2 run --spec "$tmp/launches.spec"
+expect_error 2 run --spec "$tmp/long.spec"
 expect_error 2 stats-diff "$tmp/missing.json" "$tmp/a.json"
 expect_error 2 snapshot --inspect "$tmp/short.snap"
 expect_error 1 run --app atax --stats-out "$tmp/missing-dir/s.json"

@@ -1008,6 +1008,25 @@ printCampaignSummary(const fault::CampaignResult &r, std::ostream &os)
            << r.reused_cells << " reused an unfaulted sibling's result, "
            << "peak " << r.peak_resident_bytes
            << " resident snapshot bytes\n";
+    if (r.unfaulted_trials.empty())
+        return;
+    // A split-mode site can fire only on its trials after the last
+    // cut: one with none in every unfaulted cell cannot fire at all.
+    os << "suffix trials per unfaulted cell (min-max):";
+    const char *sep = " ";
+    for (const fault::Site site : r.spec.sites) {
+        const auto k = static_cast<std::size_t>(site);
+        std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
+        std::uint64_t hi = 0;
+        for (const fault::TrialCounts &t : r.unfaulted_trials) {
+            lo = std::min(lo, t[k]);
+            hi = std::max(hi, t[k]);
+        }
+        os << sep << fault::siteName(site) << ' ' << lo << '-' << hi
+           << (hi == 0 ? " (cannot fire)" : "");
+        sep = ", ";
+    }
+    os << "\n";
 }
 
 /** Human summary of a finished serve sweep: one SLO row per cell. */

@@ -73,6 +73,8 @@ struct Outcome
     /** High-water mark of resident snapshot bytes over all fork
      *  groups (also published as host.sweep.snapshot_resident_bytes). */
     std::size_t peak_resident_bytes = 0;
+    /** Every fork group's snap::ForkGroupOutcome::unfaulted_trials. */
+    std::vector<fault::TrialCounts> unfaulted_trials;
 
     std::size_t
     failures() const
@@ -166,6 +168,10 @@ runGroups(Result &result, int jobs, const std::vector<Group> &groups,
         result.peak_resident_bytes =
             std::max(result.peak_resident_bytes,
                      outcomes[g].peak_resident_bytes);
+        result.unfaulted_trials.insert(
+            result.unfaulted_trials.end(),
+            outcomes[g].unfaulted_trials.begin(),
+            outcomes[g].unfaulted_trials.end());
         for (std::size_t j = 0; j < groups[g].rows.size(); ++j) {
             auto &row = result.cells[groups[g].rows[j]];
             auto &cell = outcomes[g].cells[j];

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/log.hpp"
 #include "common/table.hpp"
@@ -99,22 +100,51 @@ writeStatsJson(std::ostream &os, const StatsSections &sections,
         os.write(out.data(), static_cast<std::streamsize>(out.size()));
         out.clear();
     };
+    // Each distinct registry is rendered once into its `name": {...}`
+    // lines, which every section that points at it copies under its
+    // own prefix: campaign cells that reused their seed's unfaulted
+    // result, and duplicate sweep cells, share one registry.  A
+    // rendering is freed after the last section that uses it.
+    struct Rendered
+    {
+        std::string lines;
+        /** End offset of each line in `lines`. */
+        std::vector<std::size_t> ends;
+        std::size_t uses = 0;
+        bool done = false;
+    };
+    std::unordered_map<const Registry *, Rendered> rendered;
+    for (const auto &section : sections) {
+        HCC_ASSERT(section.second != nullptr, "null registry in dump");
+        ++rendered[section.second].uses;
+    }
     bool first = true;
     for (const auto &[raw_prefix, registry] : sections) {
-        HCC_ASSERT(registry != nullptr, "null registry in dump");
+        Rendered &r = rendered.at(registry);
+        if (!r.done) {
+            for (const auto &[name, entry] : registry->entries()) {
+                if (!include_host && isHostStat(name))
+                    continue;
+                appendEscaped(r.lines, name);
+                r.lines += "\": ";
+                appendEntry(r.lines, entry);
+                r.ends.push_back(r.lines.size());
+            }
+            r.done = true;
+        }
         const std::string prefix = jsonEscape(raw_prefix);
-        for (const auto &[name, entry] : registry->entries()) {
-            if (!include_host && isHostStat(name))
-                continue;
+        std::size_t begin = 0;
+        for (const std::size_t end : r.ends) {
             out += first ? "\n    \"" : ",\n    \"";
             first = false;
             out += prefix;
-            appendEscaped(out, name);
-            out += "\": ";
-            appendEntry(out, entry);
+            out.append(r.lines, begin, end - begin);
+            begin = end;
             if (out.size() >= kFlushBytes)
                 flush();
         }
+        if (--r.uses == 0)
+            rendered.erase(registry);
     }
     out += "\n  }\n}\n";
     flush();

@@ -106,7 +106,7 @@ Context::Context(const SystemConfig &config)
 // -------------------------------------------------------- snapshots
 
 void
-Context::captureSnapshot(snap::Snapshot &out)
+Context::captureSnapshot(snap::Snapshot &out, bool with_trace)
 {
     out.meta.cc = config_.cc;
     out.meta.seed = config_.seed;
@@ -126,7 +126,9 @@ Context::captureSnapshot(snap::Snapshot &out)
         save("channel",
              [this](snap::Saver &ar) { channel_->snapState(ar); });
     save("gpu", [this](snap::Saver &ar) { gpu_.snapState(ar); });
-    save("trace", [this](snap::Saver &ar) { tracer_.snapState(ar); });
+    if (with_trace)
+        save("trace",
+             [this](snap::Saver &ar) { tracer_.snapState(ar); });
     // Arm the truncation fast path for restores of *this* capture on
     // *this* Context.  Earlier captures stay armed too — their
     // events are still a prefix of the append-only tracer — so a
@@ -144,6 +146,20 @@ Context::restoreSnapshot(const snap::Snapshot &snap)
         fatal("snapshot mode (%s) does not match this context (%s)",
               snap.meta.cc ? "cc" : "base",
               config_.cc ? "cc" : "base");
+    // This capture's events are still an unchanged prefix of the
+    // append-only tracer while its mark is live (recording only
+    // appends, and no trace bytes were loaded since): then the trace
+    // rewinds by truncation.  Decided first, so a capture that
+    // cannot be restored fails before any section is loaded.
+    std::size_t mark = snap_marks_.size();
+    if (snap.origin == this && snap.origin_token != 0)
+        for (std::size_t i = 0; i < snap_marks_.size(); ++i)
+            if (snap_marks_[i].first == snap.origin_token)
+                mark = i;
+    const bool truncate = mark < snap_marks_.size();
+    if (!truncate && !snap.find("trace"))
+        fatal("snapshot is missing section 'trace', and this context "
+              "cannot rewind its trace to the capture");
     const auto load = [&snap](const char *name, auto &&fill) {
         const auto *sec = snap.find(name);
         if (!sec)
@@ -165,24 +181,12 @@ Context::restoreSnapshot(const snap::Snapshot &snap)
         load("channel",
              [this](snap::Loader &ar) { channel_->snapState(ar); });
     load("gpu", [this](snap::Loader &ar) { gpu_.snapState(ar); });
-    bool truncated = false;
-    if (snap.origin == this && snap.origin_token != 0) {
-        for (std::size_t i = 0; i < snap_marks_.size(); ++i) {
-            if (snap_marks_[i].first != snap.origin_token)
-                continue;
-            // This capture's events are still an unchanged prefix of
-            // the append-only tracer (recording only appends, and no
-            // foreign snapshot has been restored since): rewind by
-            // truncation.  Deeper captures' marks stop being
-            // prefixes the moment new events land past this one —
-            // drop them now.
-            tracer_.truncateTo(snap_marks_[i].second);
-            snap_marks_.resize(i + 1);
-            truncated = true;
-            break;
-        }
-    }
-    if (!truncated) {
+    if (truncate) {
+        // Deeper captures' marks stop being prefixes the moment new
+        // events land past this one: drop them now.
+        tracer_.truncateTo(snap_marks_[mark].second);
+        snap_marks_.resize(mark + 1);
+    } else {
         load("trace",
              [this](snap::Loader &ar) { tracer_.snapState(ar); });
         // The byte load rewrote the pages; no live capture's mark

@@ -265,13 +265,23 @@ class Context
      * Context constructed from the identical SystemConfig and driven
      * through the identical call sequence), because cached stat
      * pointers and interned labels are not serialized, only values.
+     *
+     * @param with_trace  write the "trace" section.  Without it the
+     *        capture restores only where the trace rewinds by
+     *        truncation: on this Context, while the capture's mark
+     *        lives (restoring an earlier capture or loading trace
+     *        bytes drops it).  The fork engine, whose every restore
+     *        is such a rewind, skips the section; files and
+     *        fresh-Context restores need it.
      */
-    void captureSnapshot(snap::Snapshot &out);
+    void captureSnapshot(snap::Snapshot &out, bool with_trace = true);
 
     /**
      * Restore state captured by captureSnapshot().  Fatal when the
      * snapshot's mode does not match this context's configuration or
-     * a section is missing/truncated.
+     * a section is missing/truncated.  A capture without its "trace"
+     * section that cannot rewind by truncation here is fatal before
+     * any state is touched.
      */
     void restoreSnapshot(const snap::Snapshot &snap);
 

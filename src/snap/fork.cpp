@@ -164,11 +164,14 @@ runSegments(rt::Context &ctx, const workloads::Workload &w,
 }
 
 /** Cold-split mode: own Context, full prefix, reseed and segment
- *  chain, arm, suffix.  The exact derivation fork mode replays. */
+ *  chain, arm, suffix.  The exact derivation fork mode replays.  An
+ *  unfaulted cell that succeeds appends its suffix trials to
+ *  @p unfaulted_trials. */
 void
 runColdSplitCell(const workloads::Workload &w,
                  const ForkGroupSpec &group, const ForkCell &cell,
-                 const std::vector<double> &cuts, ForkCellOutcome &out)
+                 const std::vector<double> &cuts, ForkCellOutcome &out,
+                 std::vector<fault::TrialCounts> &unfaulted_trials)
 {
     runCell(out, [&](auto start) {
         rt::SystemConfig sys = group.sys;
@@ -186,7 +189,11 @@ runColdSplitCell(const workloads::Workload &w,
             ctx.armFaults(cell.faults);
             w.runSuffix(ctx, params, *resume);
         }
-        return collectCellResult(ctx, w, params, group.sys.cc, start);
+        auto result =
+            collectCellResult(ctx, w, params, group.sys.cc, start);
+        if (!cell.faults.any())
+            unfaulted_trials.push_back(ctx.faultInjector().trials());
+        return result;
     });
 }
 
@@ -200,7 +207,10 @@ failAllCells(ForkGroupOutcome &out, const std::string &message)
 }
 
 /** A capture cells restore: the snapshot, the workload's resume
- *  state and the incremental analyzer of the trace up to its cut. */
+ *  state and the incremental analyzer of the trace up to its cut.
+ *  The snapshot carries no "trace" section: every restore of it
+ *  happens on the capturing Context, which rewinds its trace to the
+ *  capture's mark by truncation. */
 struct Capture
 {
     Snapshot snap;
@@ -256,7 +266,7 @@ runForked(const ForkGroupSpec &group, const workloads::Workload &w,
             obs::ProfileScope profile(&ctx.obs(), "fork_prefix");
             prefix.resume = w.runPrefix(ctx, group.params, cuts[0]);
         }
-        ctx.captureSnapshot(prefix.snap);
+        ctx.captureSnapshot(prefix.snap, /*with_trace=*/false);
         prefix.analyzer.capture(ctx.tracer());
     } catch (const FatalError &e) {
         failAllCells(out, e.what());
@@ -301,6 +311,7 @@ runForked(const ForkGroupSpec &group, const workloads::Workload &w,
             replay(from, *base, reseed_here);
             if (out.cells[*base].ok) {
                 trials = ctx.faultInjector().trials();
+                out.unfaulted_trials.push_back(*trials);
                 // The seed armFaults() used, the same for all of them.
                 arm_seed = ctx.config().seed;
             }
@@ -345,7 +356,7 @@ runForked(const ForkGroupSpec &group, const workloads::Workload &w,
             }
             seed.analyzer = prefix.analyzer.clone();
             seed.analyzer.extendCapture(ctx.tracer());
-            ctx.captureSnapshot(seed.snap);
+            ctx.captureSnapshot(seed.snap, /*with_trace=*/false);
         } catch (const FatalError &e) {
             for (const std::size_t i : cells)
                 out.cells[i].error = e.what();
@@ -545,7 +556,7 @@ runForkGroup(const ForkGroupSpec &group, const ForkPoint &fork_point,
         // snapshot would only add capture/restore overhead.
         for (std::size_t i = 0; i < group.cells.size(); ++i)
             runColdSplitCell(*w, group, group.cells[i], cuts,
-                             out.cells[i]);
+                             out.cells[i], out.unfaulted_trials);
         return out;
     }
 

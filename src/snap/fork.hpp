@@ -163,6 +163,11 @@ struct ForkGroupOutcome
     /** High-water mark of resident snapshot bytes (fork mode): the
      *  prefix capture plus at most one seed's capture. */
     std::size_t peak_resident_bytes = 0;
+    /** Split modes: the per-site fault trials of each unfaulted cell
+     *  that ran its suffix, counted from the last cut (in fork mode
+     *  only each seed's replayed one; the others would repeat it).
+     *  Legacy mode leaves it empty: its trials include the warmup. */
+    std::vector<fault::TrialCounts> unfaulted_trials;
 };
 
 /**

@@ -70,8 +70,11 @@ struct Snapshot
      * the same Context rewind the append-only trace by truncation
      * instead of replaying the section bytes.  Never serialized — a
      * file round-trip clears them, and a restore on a different
-     * Context (or after a newer capture on the same one) falls back
-     * to the byte load, so the fast path can never change results.
+     * Context, or on this one once the capture's mark is gone
+     * (restoring an earlier capture or loading trace bytes drops
+     * it), falls back to the byte load, so the fast path can never
+     * change results.  A capture taken without its "trace" section
+     * has no byte load to fall back to: such a restore is fatal.
      */
     const void *origin = nullptr;
     std::uint64_t origin_token = 0;

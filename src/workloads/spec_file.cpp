@@ -161,16 +161,16 @@ parseSpecText(const std::string &text)
                              "bad %s for '%s': %s", what, key.c_str(),
                              st.message().c_str());
         };
-        // The phases' launch counts sum to an int (totalLaunches).
+        // The phases' launch counts sum to at most the budget.
         const auto launches = [&total_launches](const std::string &t)
             -> Result<int> {
             const auto n = parseInt(t, 1);
             if (!n.ok())
                 return n;
-            if (*n > std::numeric_limits<int>::max() - total_launches)
+            if (*n > kSpecLaunchBudget - total_launches)
                 return errorf(ErrorCode::ParseError,
                               "'%s' brings the spec's launches past %d",
-                              t.c_str(), std::numeric_limits<int>::max());
+                              t.c_str(), kSpecLaunchBudget);
             total_launches += *n;
             return n;
         };

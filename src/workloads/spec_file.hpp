@@ -23,7 +23,7 @@
  * Sizes accept B/KiB/MiB/GiB suffixes; times accept ns/us/ms/s.
  * The sizes of device buffers (input, output, d2d, scratch and a
  * phase's d2h) must fit calib::kHbmCapacity, and the phases' launch
- * counts must sum to an int.
+ * counts must sum to at most kSpecLaunchBudget.
  */
 
 #ifndef HCC_WORKLOADS_SPEC_FILE_HPP
@@ -35,6 +35,14 @@
 #include "workloads/spec.hpp"
 
 namespace hcc::workloads {
+
+/**
+ * The most launches a spec's phases may sum to, 2^24: a run of
+ * 15-20 s of host time that records ~1.6 GB of trace (two 48-byte
+ * events per launch).  A larger total is refused before the run
+ * starts.
+ */
+inline constexpr int kSpecLaunchBudget = 1 << 24;
 
 /**
  * Parse the spec text format.

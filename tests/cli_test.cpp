@@ -1090,6 +1090,40 @@ TEST(CliRun, FaultsSummaryCountsCellsThatReuseTheUnfaultedResult)
         << oss.str();
 }
 
+/** Both split modes print each requested site's suffix trials over
+ *  the unfaulted cells and mark the sites that cannot fire; legacy
+ *  `none`, whose trials include the warmup, prints no such line. */
+TEST(CliRun, FaultsSummaryNamesSitesThatCannotFire)
+{
+    const auto summary = [](const char *fork_point, bool no_snapshot) {
+        Options o;
+        o.command = Command::Faults;
+        o.faults.spec.app = "gaussian";
+        o.faults.spec.sites = {*fault::parseSite("pcie.replay"),
+                               *fault::parseSite("spdm.handshake"),
+                               *fault::parseSite("uvm.thrash")};
+        o.faults.spec.rates = {0.5};
+        o.faults.spec.seeds = {1, 2};
+        o.faults.spec.fork_point =
+            snap::parseForkPoint(fork_point).value();
+        o.faults.spec.no_snapshot = no_snapshot;
+        o.faults.jobs = 2;
+        std::ostringstream oss;
+        EXPECT_EQ(runCli(o, oss), 0);
+        return oss.str();
+    };
+    const std::string line =
+        "\nsuffix trials per unfaulted cell (min-max): pcie.replay 4-4, "
+        "spdm.handshake 0-0 (cannot fire), uvm.thrash 0-0 (cannot "
+        "fire)\n";
+    const std::string fork = summary("auto", false);
+    EXPECT_NE(fork.find(line), std::string::npos) << fork;
+    const std::string cold = summary("auto", true);
+    EXPECT_NE(cold.find(line), std::string::npos) << cold;
+    EXPECT_EQ(summary("none", false).find("suffix trials"),
+              std::string::npos);
+}
+
 // ------------------------------------------------------ error path
 
 /** Write @p text to a fresh file under the test temp dir. */
@@ -1153,7 +1187,7 @@ TEST(ErrorPath, EveryBadInputIsOneLineAndExitTwo)
         {{"run", "--spec", huge_spec},
          "line 2: bad size for 'input': '16000000000GiB' exceeds"},
         {{"run", "--spec", launch_spec},
-         "line 3: bad launch count for 'phase': '2000000000' brings"},
+         "line 2: bad launch count for 'phase': '2000000000' brings"},
         {{"stats-diff", "/nonexistent/a.json", "/nonexistent/b.json"},
          "'/nonexistent/a.json'"},
         {{"snapshot", "--inspect", "/nonexistent/x.hccsnap"},

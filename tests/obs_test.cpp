@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <random>
 #include <set>
 #include <sstream>
@@ -290,6 +291,34 @@ TEST(StatsIo, BufferedWriterFlushesEveryBlock)
     writeStatsJson(os, {{"cell0.x.", &reg}});
     EXPECT_GT(want.size(), std::size_t{300} << 10);
     EXPECT_EQ(os.str(), want);
+}
+
+TEST(StatsIo, SharedRegistriesDumpLikeDistinctCopies)
+{
+    // Sections that repeat a registry (a reused campaign cell, a
+    // duplicate sweep cell) dump exactly as if each had its own copy.
+    Registry a, b;
+    sampleRegistry(a);
+    b.counter("gpu.kernels").add(11);
+    b.gauge("runtime.launch_queue.depth").set(4, 7);
+    b.distribution("host.sweep.cell_wall_us").add(9.0);
+    const Registry *const order[] = {&a, &b, &a, &a, &b};
+    StatsSections shared, copies;
+    std::vector<std::unique_ptr<Registry>> owned;
+    for (std::size_t i = 0; i < std::size(order); ++i) {
+        const std::string prefix = "cell" + std::to_string(i) + ".";
+        shared.emplace_back(prefix, order[i]);
+        owned.push_back(order[i]->clone());
+        copies.emplace_back(prefix, owned.back().get());
+    }
+    for (const bool include_host : {false, true}) {
+        std::ostringstream got, want;
+        writeStatsJson(got, shared, include_host, "\"x\": 1");
+        writeStatsJson(want, copies, include_host, "\"x\": 1");
+        EXPECT_EQ(got.str(), want.str()) << include_host;
+        EXPECT_EQ(got.str().find("host.") != std::string::npos,
+                  include_host);
+    }
 }
 
 TEST(StatsIo, DumpParsesBackWithMatchingFields)

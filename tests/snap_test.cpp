@@ -875,6 +875,81 @@ TEST(ReseedAtFork, RestoreRewindsArmedFaultConfig)
     }
 }
 
+/** Whether @p a and @p b hold the same sections, byte for byte. */
+bool
+sameSections(const Snapshot &a, const Snapshot &b)
+{
+    if (a.sections.size() != b.sections.size())
+        return false;
+    for (std::size_t i = 0; i < a.sections.size(); ++i)
+        if (a.sections[i].name != b.sections[i].name
+            || a.sections[i].bytes != b.sections[i].bytes)
+            return false;
+    return true;
+}
+
+/** The FatalError text of restoring @p snap on @p ctx ("" if none). */
+std::string
+restoreError(rt::Context &ctx, const Snapshot &snap)
+{
+    try {
+        ctx.restoreSnapshot(snap);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** A capture without its trace section restores only where the trace
+ *  rewinds by truncation.  Anywhere else the restore names the
+ *  missing section and leaves the Context as it was. */
+TEST(TraceLessCapture, RestoresOnlyByTruncation)
+{
+    const auto &w = workloads::WorkloadRegistry::instance().get("gaussian");
+    rt::SystemConfig sys;
+    sys.cc = true;
+    const workloads::WorkloadParams params;
+    rt::Context ctx(sys);
+    const auto resume = w.runPrefix(ctx, params, 0.5);
+    Snapshot bare, full;
+    ctx.captureSnapshot(bare, /*with_trace=*/false);
+    ctx.captureSnapshot(full);
+    EXPECT_EQ(bare.find("trace"), nullptr);
+    ASSERT_NE(full.find("trace"), nullptr);
+    EXPECT_EQ(bare.totalBytes() + full.find("trace")->bytes.size(),
+              full.totalBytes());
+
+    // On the capturing Context it rewinds a replayed suffix.
+    w.runSuffix(ctx, params, *resume);
+    ctx.restoreSnapshot(bare);
+    Snapshot again;
+    ctx.captureSnapshot(again);
+    EXPECT_TRUE(sameSections(again, full));
+
+    // A fresh Context has no mark to truncate to.
+    rt::Context fresh(sys);
+    Snapshot fresh_before, fresh_after;
+    fresh.captureSnapshot(fresh_before);
+    EXPECT_NE(restoreError(fresh, bare).find("'trace'"),
+              std::string::npos);
+    fresh.captureSnapshot(fresh_after);
+    EXPECT_TRUE(sameSections(fresh_after, fresh_before));
+
+    // Loading another Context's trace bytes drops every mark.
+    rt::Context twin(sys);
+    w.runPrefix(twin, params, 0.5);
+    Snapshot twin_full;
+    twin.captureSnapshot(twin_full);
+    EXPECT_EQ(restoreError(ctx, twin_full), "");
+    Snapshot before, after;
+    ctx.captureSnapshot(before);
+    EXPECT_TRUE(sameSections(before, full));
+    EXPECT_NE(restoreError(ctx, bare).find("'trace'"),
+              std::string::npos);
+    ctx.captureSnapshot(after);
+    EXPECT_TRUE(sameSections(after, before));
+}
+
 TEST(IdentitySeed, IgnoresSeedsButNotIdentity)
 {
     ForkGroupSpec g;
@@ -1332,6 +1407,52 @@ TEST(ForkReuse, MixedGroupMatchesColdAndSharesTheSiblingRegistry)
         EXPECT_EQ(fork.snapshot_hits, group.cells.size())
             << "reused cells still count as snapshot hits";
     }
+}
+
+/** Fork captures carry no trace section.  On llm's `auto/0.99` path,
+ *  the group's two resident captures together stay below the trace
+ *  section alone of a default capture at the 0.99 cut, and each cell,
+ *  firing or reused, still equals its cold-split run. */
+TEST(ForkReuse, ChainedCapturesHoldNoTrace)
+{
+    using fault::Site;
+    ForkGroupSpec group;
+    group.app = "llm";
+    group.sys.cc = true;
+    const std::uint64_t ident =
+        identitySeed(group.app, group.sys, group.params);
+    group.sys.seed = ident;
+    group.params.seed = ident;
+    ForkCell base7, base8;
+    base7.seed = 7;
+    base8.seed = 8;
+    // At 0.99 llm's suffix makes EPT-storm trials but no SPDM
+    // handshake: the first armed cell fires, the second is reused.
+    group.cells = {base7, armedCell(7, Site::TdxEptStorm, 1.0), base8,
+                   armedCell(8, Site::SpdmHandshake, 1.0)};
+
+    const ForkPoint fp{ForkPoint::Mode::Auto, 0.0, {0.99}};
+    const auto cold = runForkGroup(group, fp, /*no_snapshot=*/true);
+    const auto fork = runForkGroup(group, fp, /*no_snapshot=*/false);
+    EXPECT_EQ(fork.reused_cells, 1u);
+    for (std::size_t i = 0; i < group.cells.size(); ++i) {
+        ASSERT_TRUE(cold.cells[i].ok) << cold.cells[i].error;
+        ASSERT_TRUE(fork.cells[i].ok) << fork.cells[i].error;
+        EXPECT_EQ(fingerprint(fork.cells[i].result),
+                  fingerprint(cold.cells[i].result))
+            << "cell " << i;
+    }
+    EXPECT_GT(injectedCount(*fork.cells[1].result.stats), 0u);
+    EXPECT_EQ(fork.cells[3].result.stats, fork.cells[2].result.stats);
+
+    const auto &w = workloads::WorkloadRegistry::instance().get("llm");
+    rt::Context ctx(group.sys);
+    w.runPrefix(ctx, group.params, 0.99);
+    Snapshot full;
+    ctx.captureSnapshot(full);
+    ASSERT_NE(full.find("trace"), nullptr);
+    EXPECT_GT(fork.peak_resident_bytes, 0u);
+    EXPECT_LT(fork.peak_resident_bytes, full.find("trace")->bytes.size());
 }
 
 /**

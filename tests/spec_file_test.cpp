@@ -209,10 +209,14 @@ TEST(SpecParse, FieldErrorsNameTheirLineAndKey)
          "line 2: bad size for 'scratch': '100000MiB' exceeds"},
         {"name x\nphase k 3 1us 0.1 95GiB\n",
          "line 2: bad d2h size for 'phase': '95GiB' exceeds"},
-        // The line whose launches push the spec's total past INT_MAX.
-        {"name x\nphase a 2000000000 1us\nrphase b 2000000000 1 1MiB\n",
-         "line 3: bad launch count for 'rphase': '2000000000' brings the "
-         "spec's launches past 2147483647"},
+        // The line whose launches push the spec's total past the
+        // budget: a 2e9-launch phase would run for half an hour.
+        {"name x\nphase a 16000000 1us\nrphase b 1000000 1 1MiB\n",
+         "line 3: bad launch count for 'rphase': '1000000' brings the "
+         "spec's launches past 16777216"},
+        {"name x\nphase a 2000000000 1us\n",
+         "line 2: bad launch count for 'phase': '2000000000' brings the "
+         "spec's launches past 16777216"},
     };
     for (const auto &c : cases) {
         const auto spec = parseSpecText(c.text);
@@ -221,14 +225,14 @@ TEST(SpecParse, FieldErrorsNameTheirLineAndKey)
         EXPECT_EQ(spec.status().message().find(c.where), 0u)
             << spec.status().message();
     }
-    // Launch totals up to INT_MAX stay legal: long, but valid.
-    EXPECT_EQ(parseSpecText("name x\nphase a 2000000000 1us\n")
+    // Launch totals up to the budget stay legal.
+    EXPECT_EQ(parseSpecText("name x\nphase a 16777216 1us\n")
                   ->totalLaunches(),
-              2000000000);
-    EXPECT_EQ(parseSpecText("name x\nphase a 2147483646 1us\n"
+              kSpecLaunchBudget);
+    EXPECT_EQ(parseSpecText("name x\nphase a 16777215 1us\n"
                             "phase b 1 1us\n")
                   ->totalLaunches(),
-              2147483647);
+              kSpecLaunchBudget);
 }
 
 TEST(SpecParse, DeviceBuffersMayFillTheHbm)
